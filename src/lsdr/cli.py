@@ -122,7 +122,6 @@ def cmd_reduce(args, argv: list[str]) -> int:
             k=args.k,
             kernel=kernel,
             seed=args.seed,
-            threads=args.threads,
         )
         result = lsdr(cloud, cfg)
         emb = result.embedding
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--k", type=int, default=3)
     red.add_argument("--bandwidth", type=float, default=None)
     red.add_argument("--seed", type=int, default=0)
-    red.add_argument("--threads", type=int, default=1)
     red.add_argument("--dump-graph", action="store_true")
     red.add_argument("--plot", action="store_true")
     red.add_argument("--strict", action="store_true")

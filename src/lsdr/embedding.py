@@ -254,11 +254,13 @@ def recommended_bandwidth(skeleton: SkeletonReport, geodesics: GeodesicDistances
             stacklevel=2,
         )
         return float(d_b[skeletal[0]])
-    rows = {s: geodesics.row(s) for s in skeletal}
+    between = geodesics.block(skeletal)
+    np.fill_diagonal(between, np.inf)
     best = 0.0
-    for s in skeletal:
-        nearest = min(rows[s][t] for t in skeletal if t != s)
-        best = max(best, float(np.sqrt(d_b[s] ** 2 + nearest**2)))
+    # scalar ``**`` goes through libm pow, which can differ from the array
+    # square in the last bit; keep it so the bandwidth stays reproducible
+    for depth, nearest in zip(d_b[skeletal], between.min(axis=1)):
+        best = max(best, float(np.sqrt(depth**2 + nearest**2)))
     return best
 
 

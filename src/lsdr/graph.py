@@ -8,11 +8,12 @@ distances on the underlying manifold.
 """
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputParseError, ValidationError
 from .geometry import SpanningTree, Tessellation
@@ -64,9 +65,17 @@ class GeodesicDistances:
 
     sources: list[int]
     dists: np.ndarray  # len(sources) x n
+    _rows: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = {s: i for i, s in enumerate(self.sources)}
 
     def row(self, vertex: int) -> np.ndarray:
-        return self.dists[self.sources.index(vertex)]
+        return self.dists[self._rows[vertex]]
+
+    def block(self, vertices) -> np.ndarray:
+        """Distances among ``vertices`` (each must be a source), as a new array."""
+        return self.dists[np.ix_([self._rows[v] for v in vertices], vertices)]
 
 
 def _star_rejections(
@@ -155,19 +164,15 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     )
 
 
-def _dijkstra(adj: list[list[tuple[int, float]]], source: int, out: np.ndarray) -> None:
-    out.fill(np.inf)
-    out[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > out[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < out[v]:
-                out[v] = nd
-                heapq.heappush(heap, (nd, v))
+def _csr(g: ManifoldGraph) -> csr_matrix:
+    """The n x n edge-length matrix, upper triangle only.
+
+    Zero-length edges (coincident points) stay as explicit entries, which
+    ``scipy.sparse.csgraph`` treats as edges.
+    """
+    ij = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    lengths = np.fromiter(g.edges.values(), dtype=float, count=len(g.edges))
+    return csr_matrix((lengths, (ij[:, 0], ij[:, 1])), shape=(g.n, g.n))
 
 
 def dijkstra_truncated(
@@ -196,48 +201,26 @@ def dijkstra_truncated(
     return done
 
 
-def graph_distances(g: ManifoldGraph, sources, threads: int = 1) -> GeodesicDistances:
+def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:
     """Single-source shortest-path lengths from each vertex in ``sources``.
 
-    Sources are independent, so rows may be computed concurrently; the graph
-    itself is never mutated.
+    Row i holds the distances from ``sources[i]``; unreachable vertices read
+    inf. Edge lengths are non-negative, so every label-setting algorithm
+    settles each vertex at the same float, min over neighbours u of
+    fl(d(u) + w), whatever its visiting order.
     """
     src = [int(s) for s in sources]
     if not src:
         raise ValidationError("graph_distances needs at least one source")
-    adj = g.adjacency()
-    dists = np.empty((len(src), g.n), dtype=float)
-    if threads > 1 and len(src) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda t: _dijkstra(adj, t[1], dists[t[0]]), enumerate(src)))
-    else:
-        for row, s in enumerate(src):
-            _dijkstra(adj, s, dists[row])
-    return GeodesicDistances(sources=src, dists=dists)
+    return GeodesicDistances(sources=src, dists=dijkstra(_csr(g), directed=False, indices=src))
 
 
 def multi_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
     """Distance from every vertex to the nearest vertex of ``sources``."""
-    src = sorted(int(s) for s in sources)
+    src = [int(s) for s in sources]
     if not src:
         raise ValidationError("multi_source_distances needs at least one source")
-    adj = g.adjacency()
-    out = np.full(g.n, np.inf)
-    heap: list[tuple[float, int]] = []
-    for s in src:
-        out[s] = 0.0
-        heap.append((0.0, s))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > out[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < out[v]:
-                out[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return out
+    return dijkstra(_csr(g), directed=False, indices=src, min_only=True)
 
 
 def dump_edge_list(g: ManifoldGraph) -> str:

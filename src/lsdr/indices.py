@@ -81,12 +81,10 @@ class AlgorithmAdapter:
     """A named dimensionality-reduction procedure with a uniform interface.
 
     Subclasses implement ``reduce(d, x) -> Embedding`` deterministically for
-    a fixed construction; ``reentrant`` declares whether concurrent calls are
-    safe.
+    a fixed construction.
     """
 
     name: str = "adapter"
-    reentrant: bool = True
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
         raise NotImplementedError

@@ -60,10 +60,6 @@ class LsdrConfig:
     kernel: KernelSpec = KernelSpec("gaussian", None)
     seed: int = 0
     dim_cap: int = DIMENSION_CAP
-    threads: int = 1
-    # full all-pairs geodesics by default; False restricts the computation to
-    # the skeletal sources actually consumed downstream
-    full_distances: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -76,7 +72,11 @@ class LsdrConfig:
 
 @dataclass
 class LsdrResult:
-    """Embedding plus every intermediate artifact for inspection."""
+    """Embedding plus every intermediate artifact for inspection.
+
+    ``geodesics`` holds the rows of the skeletal points only, the rows stage
+    3 reads; on the all-boundary fallback it holds every row.
+    """
 
     embedding: Embedding
     skeleton: SkeletonReport | None
@@ -177,7 +177,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
 
     skeleton = skeleton_report(graph, cfg.k)
     if len(skeleton.boundary_points) == graph.n:
-        geodesics = graph_distances(graph, range(graph.n), threads=cfg.threads)
+        geodesics = graph_distances(graph, range(graph.n))
         coords = metric_mds_on_geodesics(geodesics, cfg.d)
         emb = Embedding(
             coords=coords,
@@ -206,10 +206,8 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         )
 
     skeletal = skeleton.skeletal_points
-    sources = range(graph.n) if cfg.full_distances else skeletal
-    geodesics = graph_distances(graph, sources, threads=cfg.threads)
-    sk_index = {s: i for i, s in enumerate(geodesics.sources)}
-    q = geodesics.dists[np.ix_([sk_index[s] for s in skeletal], skeletal)]
+    geodesics = graph_distances(graph, skeletal)
+    q = geodesics.block(skeletal)
     q = 0.5 * (q + q.T)
     np.fill_diagonal(q, 0.0)
     d_eff = min(cfg.d, max(1, len(skeletal) - 1))
@@ -297,7 +295,6 @@ class LsdrAdapter(AlgorithmAdapter):
     """Adapter exposing the pipeline under the common reduce interface."""
 
     name = "lsdr"
-    reentrant = True
 
     def __init__(self, alpha: float = 0.95, k: int = 3, kernel: KernelSpec | None = None, seed: int = 0):
         self.alpha = alpha

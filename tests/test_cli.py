@@ -159,3 +159,13 @@ class TestErrorsAndRerun:
         out.unlink()
         assert run(["rerun", tmp_path / "d.manifest.json"]) == 0
         assert out.read_bytes() == first
+
+    def test_rerun_of_a_removed_flag_is_a_usage_error(self, tmp_path):
+        # reduce manifests recorded with --threads (a removed flag) stop
+        # with argparse's usage error instead of a traceback
+        manifest = tmp_path / "old.manifest.json"
+        argv = ["reduce", str(tmp_path / "x.csv"), "--d", "1", "--threads", "4"]
+        manifest.write_text(json.dumps({"command": "reduce", "argv": argv}))
+        with pytest.raises(SystemExit) as exc:
+            run(["rerun", manifest])
+        assert exc.value.code == 2

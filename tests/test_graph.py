@@ -1,5 +1,7 @@
 """Edge pruning statistics, geodesic distances, and the edge-list format."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from lsdr.graph import (
     _star_rejections,
     dump_edge_list,
     graph_distances,
+    multi_source_distances,
     parse_edge_list,
     prune_edges,
 )
 from lsdr.numerics import regularized_incomplete_beta
+from lsdr.skeleton import boundary_distances, detect_boundary
 
 from test_numerics import quadrature_beta_quantile
 
@@ -153,6 +157,27 @@ class TestPruneEdges:
             prune_edges(tess, mcst, 1.0)
 
 
+def heap_dijkstra(g, sources) -> np.ndarray:
+    """Reference: textbook heap Dijkstra from every vertex of ``sources`` at once."""
+    adj = g.adjacency()
+    out = np.full(g.n, np.inf)
+    heap = []
+    for s in sources:
+        out[s] = 0.0
+        heap.append((0.0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > out[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < out[v]:
+                out[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return out
+
+
 class TestGraphDistances:
     def test_path(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1), (1, 2)])
@@ -205,15 +230,33 @@ class TestGraphDistances:
         assert np.abs(res.dists - res.dists.T).max() < 1e-12
         assert np.all(np.diag(res.dists) == 0.0)
 
-    def test_threads_match_serial(self):
-        rng = np.random.default_rng(6)
-        pts = rng.uniform(0, 1, (25, 2))
+    def test_matches_heap_dijkstra_on_a_pruned_delaunay_graph(self):
+        # Euclidean lengths are not dyadic, so path sums round; with
+        # non-negative weights every label-setting order still settles each
+        # vertex at min over neighbours of fl(d(u) + w), hence equal floats
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(0, 1, (200, 2))
         tess = delaunay_tessellation(pts)
-        mcst = euclidean_mcst(pts, tess.edges)
-        graph = prune_edges(tess, mcst, 0.95)
-        serial = graph_distances(graph, range(25), threads=1)
-        parallel = graph_distances(graph, range(25), threads=4)
-        assert np.array_equal(serial.dists, parallel.dists)
+        graph = prune_edges(tess, euclidean_mcst(pts, tess.edges), 0.95)
+        assert len(graph.edges) < len(tess.edges)
+        res = graph_distances(graph, range(graph.n))
+        expected = np.array([heap_dijkstra(graph, [s]) for s in range(graph.n)])
+        assert np.array_equal(res.dists, expected)
+        boundary = detect_boundary(graph)
+        assert np.array_equal(boundary_distances(graph, boundary), heap_dijkstra(graph, boundary))
+
+    def test_zero_length_edge_is_an_edge(self):
+        # coincident points give an explicit zero in the sparse length
+        # matrix; dropping it as a structural zero would disconnect vertex 0
+        g = build_graph([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [(0, 1), (1, 2)])
+        assert graph_distances(g, [0, 2]).dists.tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert multi_source_distances(g, [0]).tolist() == [0.0, 0.0, 1.0]
+
+    def test_row_and_block_follow_the_source_order(self):
+        g = build_graph([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [(0, 1), (1, 2)])
+        res = graph_distances(g, [2, 0])
+        assert res.row(0).tolist() == [0.0, 1.0, 3.0]
+        assert res.block([0, 2]).tolist() == [[0.0, 3.0], [3.0, 0.0]]
 
     def test_requires_sources(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])

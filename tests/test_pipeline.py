@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
+from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
 from lsdr.errors import DegeneracyWarning, ValidationError
+from lsdr.graph import graph_distances
 from lsdr.indices import procrustes_fit
 from lsdr.numerics import pairwise_sq_dists
 from lsdr.pipeline import LsdrAdapter, LsdrConfig, lsdr, pre_reduce, transform_bandwidth
@@ -57,11 +59,23 @@ class TestSpiralPipeline:
         fit = procrustes_fit(permuted, base[perm])
         assert fit.residual < 1e-6 * len(pts)
 
-    def test_restricted_distances_reproduce_the_full_run(self):
+    def test_skeletal_geodesics_reproduce_the_all_pairs_run(self):
         pts, _ = spiral_with_angle(DatasetSpec("spiral", 150, seed=4))
-        full = lsdr(pts, LsdrConfig(d=1, seed=0)).embedding.coords
-        restricted = lsdr(pts, LsdrConfig(d=1, seed=0, full_distances=False)).embedding.coords
-        assert np.array_equal(full, restricted)
+        res = lsdr(pts, LsdrConfig(d=1, seed=0))
+        skeletal = res.skeleton.skeletal_points
+        assert res.geodesics.sources == skeletal
+        # stage 3 again, from the all-pairs matrix restricted to skeletal rows
+        full = graph_distances(res.graph, range(res.graph.n))
+        q = full.dists[np.ix_(skeletal, skeletal)]
+        q = 0.5 * (q + q.T)
+        np.fill_diagonal(q, 0.0)
+        sigma = recommended_bandwidth(res.skeleton, full)
+        work = res.working_points
+        coords = nadaraya_embed(
+            metric_mds(q, 1), work[skeletal], work, KernelSpec("gaussian", sigma)
+        )
+        assert sigma == res.bandwidth
+        assert np.array_equal(coords, res.embedding.coords)
 
 
 class TestThreeClusterPipeline:

@@ -86,7 +86,7 @@ class TestBoundaryDistances:
         boundary = detect_boundary(g)
         d_b = boundary_distances(g, boundary)
         per_source = graph_distances(g, boundary).dists.min(axis=0)
-        assert np.allclose(d_b, per_source, atol=1e-12)
+        assert np.array_equal(d_b, per_source)
 
 
 class TestMarkSkeleton:

@@ -7,7 +7,6 @@ outputs byte for byte. Exit codes: 0 success, 2 usage, 3 input parse,
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -15,12 +14,7 @@ from pathlib import Path
 from . import __version__
 from .datasets import FAMILIES, DatasetSpec, generate
 from .embedding import KernelSpec
-from .errors import (
-    InputParseError,
-    LsdrError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import InputParseError, LsdrError, ValidationError
 from .graph import dump_edge_list
 from .indices import (
     IdentityAdapter,
@@ -32,6 +26,7 @@ from .indices import (
 )
 from .pipeline import LsdrAdapter, LsdrConfig, lsdr, transform_bandwidth
 from .serialize import (
+    read_json,
     read_point_cloud,
     write_embedding,
     write_json,
@@ -217,8 +212,8 @@ def cmd_index(args, argv: list[str]) -> int:
 
 
 def cmd_rerun(args, argv: list[str]) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    stored = manifest.get("argv")
+    manifest = read_json(args.manifest)
+    stored = manifest.get("argv") if isinstance(manifest, dict) else None
     if not stored:
         return _fail("input-parse", "manifest does not record an argv", EXIT_PARSE)
     return _dispatch(stored)
@@ -286,8 +281,6 @@ def _dispatch(argv: list[str]) -> int:
         return _fail("input-parse", str(exc), EXIT_PARSE)
     except ValidationError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
-    except NumericalError as exc:
-        return _fail("numerical", str(exc), EXIT_NUMERICAL)
     except LsdrError as exc:
         return _fail("numerical", str(exc), EXIT_NUMERICAL)
 

@@ -90,19 +90,20 @@ class Embedding:
 
 
 def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
-    """Cross-kernel matrix k(a_i, b_j)."""
+    """Cross-kernel matrix k(a_i, b_j).
+
+    The distance-based families read ``pairwise_sq_dists``, so equal points
+    are exactly 0 apart: ``kernel_matrix(spec, x, x)`` is exactly symmetric,
+    the Gaussian diagonal is exactly 1, and the indicator kernel calls two
+    points equal only when they lie within 1e-12 of each other.
+    """
     a = as_matrix(a, "kernel input a")
     b = as_matrix(b, "kernel input b")
     if a.shape[1] != b.shape[1]:
         raise ValidationError("kernel inputs must share their dimension")
     if spec.family == "linear":
         return a @ b.T
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
+    sq = pairwise_sq_dists(a, b)
     if spec.family == "bregman-indicator":
         return np.where(sq <= 1e-24, 1.0, 0.0)
     if spec.bandwidth is None:
@@ -131,9 +132,8 @@ def classical_scaling(q: np.ndarray, d: int) -> np.ndarray:
     only affect this initialization, the stress refinement works on the raw
     distances.
     """
-    n = q.shape[0]
-    centering = np.eye(n) - np.ones((n, n)) / n
-    b = -0.5 * centering @ (q * q) @ centering
+    sq = q * q
+    b = -0.5 * (sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean())
     b = 0.5 * (b + b.T)
     eigenvalues, eigenvectors = sym_eigen(b)
     top = np.clip(eigenvalues[:d], 0.0, None)
@@ -146,16 +146,18 @@ def stress(q, y) -> float:
     y = as_matrix(y, "configuration")
     if y.shape[0] != q.shape[0]:
         raise ValidationError("configuration and distance matrix disagree on n")
-    d = np.sqrt(pairwise_sq_dists(y))
+    return _stress(q, np.sqrt(pairwise_sq_dists(y)))
+
+
+def _stress(q: np.ndarray, dist: np.ndarray) -> float:
     iu = np.triu_indices(q.shape[0], k=1)
-    return float(np.sqrt(np.sum((q[iu] - d[iu]) ** 2)))
+    return float(np.sqrt(np.sum((q[iu] - dist[iu]) ** 2)))
 
 
-def _guttman_step(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _guttman_step(q: np.ndarray, y: np.ndarray, dist: np.ndarray) -> np.ndarray:
     n = y.shape[0]
-    d = np.sqrt(pairwise_sq_dists(y))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 0.0, q / np.where(d > 0.0, d, 1.0), 0.0)
+        ratio = np.where(dist > 0.0, q / np.where(dist > 0.0, dist, 1.0), 0.0)
     b = -ratio
     np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, -b.sum(axis=1))
@@ -175,7 +177,8 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
     if not 1 <= d < n:
         raise ValidationError(f"target dimension must satisfy 1 <= d < n, got d={d}, n={n}")
     y = classical_scaling(q, d)
-    current = stress(q, y)
+    dist = np.sqrt(pairwise_sq_dists(y))
+    current = _stress(q, dist)
     if stress_trace is not None:
         stress_trace.append(current)
     scale = float(q.max())
@@ -184,8 +187,9 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
     for _ in range(MDS_MAX_ITER):
         if current <= 1e-14 * scale:
             break
-        y_next = _guttman_step(q, y)
-        nxt = stress(q, y_next)
+        y_next = _guttman_step(q, y, dist)
+        dist = np.sqrt(pairwise_sq_dists(y_next))
+        nxt = _stress(q, dist)
         if stress_trace is not None:
             stress_trace.append(nxt)
         if not np.isfinite(nxt):
@@ -230,9 +234,7 @@ def nadaraya_embed(
             "falling back to nearest skeletal embedding",
             stacklevel=2,
         )
-        for i in dead:
-            sq = np.sum((x_skel - x_all[i]) ** 2, axis=1)
-            out[i] = y_skel[int(np.argmin(sq))]
+        out[dead] = y_skel[np.argmin(pairwise_sq_dists(x_all[dead], x_skel), axis=1)]
     return out
 
 
@@ -347,6 +349,8 @@ class Reconstructor:
     with every embedding coordinate; ``c_matrix`` (d x p) holds those target
     covariances and ``constraint_rank`` reports the rank of the constraint
     system (deficiency triggers a pseudo-inverse and a warning).
+    ``to_dict`` writes exactly these fields; ``reconstruct`` reads all but
+    ``c_matrix`` and ``constraint_rank``.
     """
 
     kernel_y: KernelSpec
@@ -354,8 +358,6 @@ class Reconstructor:
     column_means: np.ndarray
     beta_coefficients: np.ndarray
     c_matrix: np.ndarray
-    gram_x: np.ndarray
-    gram_y: np.ndarray
     kernel_col_means: np.ndarray
     constraint_rank: int
 
@@ -366,8 +368,6 @@ class Reconstructor:
             "column_means": self.column_means.tolist(),
             "beta_coefficients": self.beta_coefficients.tolist(),
             "c_matrix": self.c_matrix.tolist(),
-            "gram_x": self.gram_x.tolist(),
-            "gram_y": self.gram_y.tolist(),
             "kernel_col_means": self.kernel_col_means.tolist(),
             "constraint_rank": self.constraint_rank,
         }
@@ -380,17 +380,9 @@ class Reconstructor:
             column_means=np.asarray(data["column_means"], dtype=float),
             beta_coefficients=np.asarray(data["beta_coefficients"], dtype=float),
             c_matrix=np.asarray(data["c_matrix"], dtype=float),
-            gram_x=np.asarray(data["gram_x"], dtype=float),
-            gram_y=np.asarray(data["gram_y"], dtype=float),
             kernel_col_means=np.asarray(data["kernel_col_means"], dtype=float),
             constraint_rank=int(data["constraint_rank"]),
         )
-
-
-def _double_center(k: np.ndarray) -> np.ndarray:
-    n = k.shape[0]
-    h = np.eye(n) - np.ones((n, n)) / n
-    return h @ k @ h
 
 
 def fit_reconstruction(
@@ -419,18 +411,14 @@ def fit_reconstruction(
     if alpha is None:
         alpha = fit_out_of_sample(x, y, kernel_x).alpha_coefficients
 
-    k_x = kernel_matrix(kernel_x, x, x)
     k_y = kernel_matrix(kernel_y, y, y)
-    gram_x = _double_center(k_x)
-    gram_y = _double_center(k_y)
 
     x_means = x.mean(axis=0)
     y_means = y.mean(axis=0)
     # c[j, l] = sample covariance of embedding coordinate j with data coordinate l.
     c = (y.T @ x) / n - np.outer(y_means, x_means)
 
-    h = np.eye(n) - np.ones((n, n)) / n
-    a = (k_y @ h @ y) / n
+    a = (k_y @ (y - y_means)) / n
     gram = a.T @ a
     rank = int(np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, float(np.abs(gram).max()))))
     if rank < d:
@@ -449,8 +437,6 @@ def fit_reconstruction(
         column_means=x_means,
         beta_coefficients=beta,
         c_matrix=c,
-        gram_x=gram_x,
-        gram_y=gram_y,
         kernel_col_means=k_y.mean(axis=0),
         constraint_rank=rank,
     )

@@ -21,7 +21,7 @@ from .embedding import (
     reconstruct,
 )
 from .errors import ValidationError
-from .numerics import as_matrix, sym_eigen
+from .numerics import as_matrix, pairwise_sq_dists, sym_eigen
 
 __all__ = [
     "ProcrustesFit",
@@ -212,7 +212,7 @@ def tractable_consistency_index(
 
     recon_kernel = reconstruction_kernel or kernel
     if recon_kernel.family == "gaussian":
-        embed_scale = np.sqrt(_pair_sq(base))[np.triu_indices(n, 1)]
+        embed_scale = np.sqrt(pairwise_sq_dists(base))[np.triu_indices(n, 1)]
         sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
         kernel_y = KernelSpec("gaussian", sigma_y)
     else:
@@ -232,7 +232,7 @@ def tractable_consistency_index(
     if transform_subsample is not None and transform_subsample < len(all_transforms):
         rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x7C1])
         chosen_idx = rng.choice(len(all_transforms), size=transform_subsample, replace=False)
-        chosen = [all_transforms[i] for i in sorted(chosen_idx)]
+        chosen = [all_transforms[i] for i in np.sort(chosen_idx)]
         subsampled = True
     else:
         chosen = all_transforms
@@ -270,26 +270,18 @@ def tractable_consistency_index(
     )
 
 
-def _pair_sq(y: np.ndarray) -> np.ndarray:
-    sq = np.sum(y * y, axis=1)
-    out = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
 def _neighbour_ranks(points: np.ndarray) -> np.ndarray:
     """ranks[i, j] = rank of j among the neighbours of i (nearest = 1, self = 0).
 
-    Ranks come from Euclidean distances with ties broken by ascending index.
+    Ranks come from exact squared Euclidean distances; the stable sort breaks
+    ties by ascending index, and self is forced first even among duplicates.
     """
     n = points.shape[0]
-    sq = _pair_sq(points)
-    ranks = np.zeros((n, n), dtype=int)
-    idx = np.arange(n)
-    for i in range(n):
-        order = sorted(np.delete(idx, i), key=lambda j: (sq[i, j], j))
-        for rank, j in enumerate(order, start=1):
-            ranks[i, j] = rank
+    sq = pairwise_sq_dists(points)
+    np.fill_diagonal(sq, -1.0)
+    order = np.argsort(sq, axis=1, kind="stable")
+    ranks = np.empty((n, n), dtype=int)
+    ranks[np.arange(n)[:, None], order] = np.arange(n)
     return ranks
 
 
@@ -310,15 +302,13 @@ def knn_metrics(x, y, k: int) -> tuple[float, float, float]:
         raise ValidationError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     rank_x = _neighbour_ranks(x)
     rank_y = _neighbour_ranks(y)
-    missed = 0
-    trust_penalty = 0
-    cont_penalty = 0
-    for i in range(n):
-        a = {j for j in range(n) if 0 < rank_x[i, j] <= k}
-        b = {j for j in range(n) if 0 < rank_y[i, j] <= k}
-        missed += len(a - b)
-        trust_penalty += sum(int(rank_x[i, j]) - k for j in b - a)
-        cont_penalty += sum(int(rank_y[i, j]) - k for j in a - b)
+    near_x = (rank_x > 0) & (rank_x <= k)
+    near_y = (rank_y > 0) & (rank_y <= k)
+    dropped = near_x & ~near_y
+    intruders = near_y & ~near_x
+    missed = int(np.count_nonzero(dropped))
+    trust_penalty = int(np.sum(rank_x[intruders] - k))
+    cont_penalty = int(np.sum(rank_y[dropped] - k))
     tsi = 1.0 - missed / (n * k)
     norm = n * k * (2 * n - 3 * k - 1)
     trust = 1.0 - 2.0 * trust_penalty / norm if trust_penalty else 1.0

@@ -1,4 +1,5 @@
-"""Dense linear algebra and the regularized incomplete Beta quantile.
+"""Dense linear algebra, pairwise squared distances and the regularized
+incomplete Beta quantile.
 
 The factorizations are thin validated wrappers over LAPACK (via numpy); the
 incomplete Beta function and its quantile are implemented here directly with
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from math import lgamma, log
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import NumericalError, ValidationError
 
@@ -188,18 +190,21 @@ def beta_quantile(a: float, b: float, alpha: float) -> float:
     return float(min(max(x, 0.0), 1.0))
 
 
-def pairwise_sq_dists(x) -> np.ndarray:
-    """Squared Euclidean distance matrix, computed row-by-row from differences.
+def pairwise_sq_dists(a, b=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and the rows of b.
 
-    Row-wise differencing (rather than the Gram-expansion shortcut) keeps the
-    result exactly symmetric with an exactly zero diagonal and matches a naive
-    double loop bit for bit.
+    This is the package's one squared-distance kernel; ``b`` defaults to
+    ``a``. Every entry sums the squared coordinate differences one coordinate
+    after another (``scipy.spatial.distance.cdist``), never the Gram
+    expansion |a|^2 + |b|^2 - 2 a.b, so it matches the sequential loop
+    ``sum(d * d for d in a[i] - b[j])`` bit for bit: equal points are exactly
+    0 apart, equal distances stay tied, and the square form is exactly
+    symmetric with a zero diagonal.
     """
-    x = as_matrix(x, "point cloud")
-    n = x.shape[0]
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        diff = x - x[i]
-        out[i] = (diff * diff).sum(axis=1)
-        out[i, i] = 0.0
-    return out
+    a = as_matrix(a, "point cloud")
+    b = a if b is None else as_matrix(b, "second point cloud")
+    if a.shape[1] != b.shape[1]:
+        raise ValidationError(
+            f"point clouds must share their dimension, got {a.shape[1]} and {b.shape[1]}"
+        )
+    return cdist(a, b, "sqeuclidean")

@@ -160,6 +160,19 @@ class TestErrorsAndRerun:
         assert run(["rerun", tmp_path / "d.manifest.json"]) == 0
         assert out.read_bytes() == first
 
+    def test_rerun_of_a_missing_manifest_is_a_parse_error(self, tmp_path, capsys):
+        assert run(["rerun", tmp_path / "absent.manifest.json"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR input-parse: ")
+
+    def test_rerun_of_a_malformed_manifest_is_a_parse_error(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.manifest.json"
+        for text in ('{"argv": ["generate",', '["generate"]'):
+            manifest.write_text(text)
+            assert run(["rerun", manifest]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("ERROR input-parse: ")
+
     def test_rerun_of_a_removed_flag_is_a_usage_error(self, tmp_path):
         # reduce manifests recorded with --threads (a removed flag) stop
         # with argparse's usage error instead of a traceback

@@ -92,6 +92,14 @@ class TestMetricMds:
         y = classical_scaling(q, 3)
         assert np.all(np.isfinite(y))
 
+    def test_trace_ends_at_the_stress_of_the_result(self):
+        rng = np.random.default_rng(11)
+        q = euclidean_distances(rng.standard_normal((30, 5)))
+        trace: list = []
+        y = metric_mds(q, 2, stress_trace=trace)
+        assert len(trace) > 1
+        assert trace[-1] == stress(q, y)
+
     def test_rejects_asymmetric_input(self):
         q = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError):
@@ -101,6 +109,19 @@ class TestMetricMds:
         q = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValidationError):
             metric_mds(q, 1)
+
+
+class TestKernelMatrix:
+    def test_gaussian_self_kernel_is_exact_far_from_the_origin(self):
+        x = np.random.default_rng(4).standard_normal((20, 3)) + 1000.0
+        k = kernel_matrix(KernelSpec("gaussian", 0.5), x, x)
+        assert np.all(np.diag(k) == 1.0)
+        assert np.array_equal(k, k.T)
+
+    def test_indicator_kernel_separates_points_far_from_the_origin(self):
+        x = np.random.default_rng(5).standard_normal((20, 3)) + 1000.0
+        k = kernel_matrix(KernelSpec("bregman-indicator"), x, x + 1e-7)
+        assert np.all(k == 0.0)
 
 
 class TestStress:

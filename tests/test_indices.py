@@ -248,11 +248,19 @@ class TestKnnMetrics:
         assert tsi == 1.0 and trust == 1.0 and cont == 1.0
 
     def test_matches_brute_force_exactly(self):
+        # a shuffled 4x4 grid has many exactly equal distances; offsetting it
+        # from the origin makes a Gram-expansion distance break those ties
+        grid = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+        grid += np.array([3.7, -1.3])
+        cases = []
         for seed in range(25):
             rng = np.random.default_rng(seed)
-            x = rng.standard_normal((10, 4))
-            y = rng.standard_normal((10, 2))
-            for k in (1, 3, 5):
+            cases.append((rng.standard_normal((10, 4)), rng.standard_normal((10, 2)), (1, 3, 5)))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            cases.append((grid[rng.permutation(16)], rng.standard_normal((16, 2)), (1, 3, 5, 8)))
+        for x, y, ks in cases:
+            for k in ks:
                 assert knn_metrics(x, y, k) == brute_force_knn_metrics(x, y, k)
 
     def test_values_lie_in_unit_interval(self):

@@ -146,12 +146,30 @@ class TestPairwiseSqDists:
         assert pairwise_sq_dists([[2.0, 7.0]]).tolist() == [[0.0]]
 
     def test_matches_naive_double_loop_exactly(self):
+        # the oracle sums one coordinate after another; from p = 8 on,
+        # np.sum switches to pairwise summation and differs in the last bit
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((10, 3))
-        d = pairwise_sq_dists(x)
-        for i in range(10):
-            for j in range(10):
-                assert d[i, j] == np.sum((x[i] - x[j]) ** 2)
+        for p in (3, 10):
+            x = rng.standard_normal((10, p))
+            d = pairwise_sq_dists(x)
+            for i in range(10):
+                for j in range(10):
+                    assert d[i, j] == sum(t * t for t in x[i] - x[j])
+
+    def test_cross_form_matches_sequential_loop_exactly(self):
+        rng = np.random.default_rng(23)
+        for p in (3, 10):
+            a = rng.standard_normal((7, p)) * 50.0 + 1000.0
+            b = rng.standard_normal((4, p)) * 50.0 + 1000.0
+            d = pairwise_sq_dists(a, b)
+            assert d.shape == (7, 4)
+            for i in range(7):
+                for j in range(4):
+                    assert d[i, j] == sum(t * t for t in a[i] - b[j])
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValidationError):
+            pairwise_sq_dists(np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(3)

@@ -390,7 +390,6 @@ def fit_reconstruction(
     train_embedding,
     kernel_x: KernelSpec,
     kernel_y: KernelSpec,
-    alpha: np.ndarray | None = None,
 ) -> Reconstructor:
     """Fit the reconstruction map for a reduction of the training data.
 
@@ -399,6 +398,8 @@ def fit_reconstruction(
     embedding coordinate j, and A = (1/n) K_y H Y is the constraint matrix
     that turns the residual/embedding covariances into linear functions of
     beta. Rank deficiency of A^T A falls back to the pseudo-inverse.
+    ``kernel_x``, the data-space kernel of the reduction, is accepted for
+    symmetry with ``fit_out_of_sample``; the fit does not read it.
     """
     x = as_matrix(train, "training points")
     y = as_matrix(train_embedding, "training embedding")
@@ -408,8 +409,6 @@ def fit_reconstruction(
         raise ValidationError("training points and embeddings disagree on count")
     if d >= n:
         raise ValidationError(f"reconstruction requires d < n, got d={d}, n={n}")
-    if alpha is None:
-        alpha = fit_out_of_sample(x, y, kernel_x).alpha_coefficients
 
     k_y = kernel_matrix(kernel_y, y, y)
 

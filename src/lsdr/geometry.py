@@ -73,8 +73,8 @@ def affine_rank(points: np.ndarray, rel_tol: float = 1e-12) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def delaunay_tessellation(points, jitter_seed: int = 0, dim_cap: int = DIMENSION_CAP) -> Tessellation:
-    """Delaunay tessellation of ``points`` in up to ``dim_cap`` dimensions.
+def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
+    """Delaunay tessellation of ``points`` in up to ``DIMENSION_CAP`` dimensions.
 
     The exact coordinates go to Qhull first; if that fails on a degenerate
     configuration, a seeded jitter of magnitude 1e-9 times the bounding-box
@@ -84,9 +84,9 @@ def delaunay_tessellation(points, jitter_seed: int = 0, dim_cap: int = DIMENSION
     """
     pts = as_matrix(points, "points")
     n, p = pts.shape
-    if p > dim_cap:
+    if p > DIMENSION_CAP:
         raise ValidationError(
-            f"tessellation supports at most {dim_cap} dimensions, got p={p}; "
+            f"tessellation supports at most {DIMENSION_CAP} dimensions, got p={p}; "
             "pre-reduce the cloud first (see the pipeline module)"
         )
     if n < p + 1:

@@ -223,7 +223,6 @@ def tractable_consistency_index(
         model.train_embedding,
         recon_kernel,
         kernel_y,
-        alpha=model.alpha_coefficients,
     )
     x_hat = reconstruct(recon, base)
     residual_part = x - x_hat

@@ -11,7 +11,8 @@ an exact distance-preserving reduction and processed there; clouds wider
 than the tessellation's dimension cap get an approximate metric MDS step
 down to the cap. Only rank-one clouds, where no tessellation exists, degrade
 to plain metric MDS on all points, as do clouds whose every point lands on
-the boundary.
+the boundary. ``transform_bandwidth`` takes the same working cloud, stages
+and fallbacks, so its bandwidth is the one ``lsdr`` would use.
 """
 
 import warnings
@@ -59,7 +60,6 @@ class LsdrConfig:
     k: int = 3
     kernel: KernelSpec = KernelSpec("gaussian", None)
     seed: int = 0
-    dim_cap: int = DIMENSION_CAP
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -75,7 +75,8 @@ class LsdrResult:
     """Embedding plus every intermediate artifact for inspection.
 
     ``geodesics`` holds the rows of the skeletal points only, the rows stage
-    3 reads; on the all-boundary fallback it holds every row.
+    3 reads; on the all-boundary fallback every point is skeletal, so it
+    holds every row.
     """
 
     embedding: Embedding
@@ -106,32 +107,58 @@ def pre_reduce(x) -> np.ndarray:
     return u[:, :rank] * s[:rank]
 
 
-def _mds_fallback(x: np.ndarray, cfg: LsdrConfig, reason: str) -> LsdrResult:
-    warnings.warn(
-        f"{reason}; falling back to plain metric MDS on all points",
-        DegeneracyWarning,
-        stacklevel=3,
-    )
-    q = np.sqrt(pairwise_sq_dists(x))
-    coords = metric_mds(q, cfg.d)
-    emb = Embedding(
-        coords=coords,
-        algorithm="lsdr",
-        params={"alpha": cfg.alpha, "k": cfg.k, "d": cfg.d, "fallback": reason},
-    )
-    return LsdrResult(
-        embedding=emb,
-        skeleton=None,
-        graph=None,
-        degenerate_fallback=True,
-        working_points=x,
-    )
+def _distances(work: np.ndarray) -> np.ndarray:
+    return np.sqrt(pairwise_sq_dists(work))
 
 
-def _build_graph(x: np.ndarray, cfg: LsdrConfig) -> ManifoldGraph:
-    tess = delaunay_tessellation(x, jitter_seed=cfg.seed, dim_cap=cfg.dim_cap)
-    mcst = euclidean_mcst(x, tess.edges)
-    return prune_edges(tess, mcst, cfg.alpha)
+def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The cloud the stages run on, and whether it differs from ``x``."""
+    work = x
+    pre_reduced = False
+    if affine_rank(work) < work.shape[1]:
+        # exact distance-preserving reduction to the affine rank; a noise-free
+        # manifold of rank >= 2 then fills its own ambient space and the
+        # pipeline proceeds there
+        work = pre_reduce(work)
+        pre_reduced = True
+    if work.shape[1] > DIMENSION_CAP:
+        warnings.warn(
+            f"cloud dimension {work.shape[1]} exceeds the tessellation cap {DIMENSION_CAP}; "
+            "applying an approximate distance-preserving reduction first",
+            DegeneracyWarning,
+            stacklevel=3,
+        )
+        work = pre_reduce(metric_mds(_distances(work), DIMENSION_CAP))
+        pre_reduced = True
+    return work, pre_reduced
+
+
+@dataclass
+class _Stages:
+    """Graph, skeleton and skeletal geodesics, or the reason none exist."""
+
+    reason: str | None = None
+    graph: ManifoldGraph | None = None
+    skeleton: SkeletonReport | None = None
+    geodesics: GeodesicDistances | None = None
+
+
+def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
+    if work.shape[1] < 2:
+        return _Stages("cloud lies on an exact one-dimensional manifold (no tessellation)")
+    try:
+        tess = delaunay_tessellation(work, jitter_seed=cfg.seed)
+    except DegeneracyError as exc:
+        return _Stages(f"tessellation degenerate ({exc})")
+    graph = prune_edges(tess, euclidean_mcst(work, tess.edges), cfg.alpha)
+    skeleton = skeleton_report(graph, cfg.k)
+    return _Stages(None, graph, skeleton, graph_distances(graph, skeleton.skeletal_points))
+
+
+def _bandwidth(stages: _Stages, work: np.ndarray) -> float:
+    """The skeleton's recommended bandwidth, else the mean pairwise distance."""
+    sigma = recommended_bandwidth(stages.skeleton, stages.geodesics)
+    return sigma if sigma > 0.0 else float(_distances(work).mean())
 
 
 def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
@@ -142,153 +169,73 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         raise ValidationError(f"target dimension must satisfy d < p, got d={cfg.d}, p={p}")
     if cfg.d >= n:
         raise ValidationError(f"target dimension must satisfy d < n, got d={cfg.d}, n={n}")
-    work = x
-    pre_reduced = False
-    if n <= p or affine_rank(work) < p:
-        # exact distance-preserving reduction to the affine rank; a noise-free
-        # manifold of rank >= 2 then fills its own ambient space and the
-        # pipeline proceeds there
-        work = pre_reduce(work)
-        pre_reduced = True
-    if work.shape[1] > cfg.dim_cap:
+    work, pre_reduced = _working_cloud(x)
+    stages = _stages(work, cfg)
+    reason = stages.reason
+    if reason is not None:
+        mds_coords = metric_mds(_distances(work), cfg.d)
+    else:
+        skeletal = stages.skeleton.skeletal_points
+        q = stages.geodesics.block(skeletal)
+        q = 0.5 * (q + q.T)
+        np.fill_diagonal(q, 0.0)
+        d_eff = min(cfg.d, max(1, len(skeletal) - 1))
+        if d_eff < cfg.d:
+            warnings.warn(
+                f"only {len(skeletal)} skeletal points; reducing target dimension to {d_eff}",
+                DegeneracyWarning,
+                stacklevel=2,
+            )
+        mds_coords = metric_mds(q, d_eff)
+        if len(stages.skeleton.boundary_points) == n:
+            # every point is skeletal, so q is the full geodesic matrix
+            reason = "all points on the boundary"
+
+    params = {"alpha": cfg.alpha, "k": cfg.k, "d": cfg.d}
+    sigma = None
+    if reason is not None:
         warnings.warn(
-            f"cloud dimension {work.shape[1]} exceeds the tessellation cap {cfg.dim_cap}; "
-            "applying an approximate distance-preserving reduction first",
+            f"{reason}; falling back to metric MDS on all points",
             DegeneracyWarning,
             stacklevel=2,
         )
-        q = np.sqrt(pairwise_sq_dists(work))
-        work = pre_reduce(metric_mds(q, cfg.dim_cap))
-        pre_reduced = True
+        coords = mds_coords
+        params["fallback"] = reason
+    else:
+        kernel = cfg.kernel
+        sigma = kernel.bandwidth
+        if kernel.family == "gaussian" and sigma is None:
+            sigma = _bandwidth(stages, work)
+            kernel = kernel.with_bandwidth(sigma)
+        coords = nadaraya_embed(mds_coords, work[skeletal], work, kernel)
+        params.update(bandwidth=sigma, kernel=kernel.family, seed=cfg.seed)
 
-    if work.shape[1] < 2:
-        result = _mds_fallback(
-            work, cfg, "cloud lies on an exact one-dimensional manifold (no tessellation)"
-        )
-        result.pre_reduced = pre_reduced
-        return result
-
-    try:
-        graph = _build_graph(work, cfg)
-    except DegeneracyError as exc:
-        result = _mds_fallback(work, cfg, f"tessellation degenerate ({exc})")
-        result.pre_reduced = pre_reduced
-        return result
-
-    skeleton = skeleton_report(graph, cfg.k)
-    if len(skeleton.boundary_points) == graph.n:
-        geodesics = graph_distances(graph, range(graph.n))
-        coords = metric_mds_on_geodesics(geodesics, cfg.d)
-        emb = Embedding(
-            coords=coords,
-            algorithm="lsdr",
-            params={
-                "alpha": cfg.alpha,
-                "k": cfg.k,
-                "d": cfg.d,
-                "fallback": "all points on the boundary",
-            },
-        )
-        warnings.warn(
-            "every point is a boundary point; degrading to metric MDS on all points",
-            DegeneracyWarning,
-            stacklevel=2,
-        )
-        return LsdrResult(
-            embedding=emb,
-            skeleton=skeleton,
-            graph=graph,
-            geodesics=geodesics,
-            mds_coords=coords,
-            degenerate_fallback=True,
-            pre_reduced=pre_reduced,
-            working_points=work,
-        )
-
-    skeletal = skeleton.skeletal_points
-    geodesics = graph_distances(graph, skeletal)
-    q = geodesics.block(skeletal)
-    q = 0.5 * (q + q.T)
-    np.fill_diagonal(q, 0.0)
-    d_eff = min(cfg.d, max(1, len(skeletal) - 1))
-    if d_eff < cfg.d:
-        warnings.warn(
-            f"only {len(skeletal)} skeletal points; reducing target dimension to {d_eff}",
-            DegeneracyWarning,
-            stacklevel=2,
-        )
-    mds_coords = metric_mds(q, d_eff)
-
-    kernel = cfg.kernel
-    sigma = kernel.bandwidth
-    if kernel.family == "gaussian" and sigma is None:
-        sigma = recommended_bandwidth(skeleton, geodesics)
-        if sigma <= 0.0:
-            sigma = float(np.sqrt(pairwise_sq_dists(work)).mean())
-        kernel = kernel.with_bandwidth(sigma)
-    coords = nadaraya_embed(mds_coords, work[skeletal], work, kernel)
-
-    emb = Embedding(
-        coords=coords,
-        algorithm="lsdr",
-        params={
-            "alpha": cfg.alpha,
-            "k": cfg.k,
-            "d": cfg.d,
-            "bandwidth": sigma,
-            "kernel": kernel.family,
-            "seed": cfg.seed,
-        },
-    )
     return LsdrResult(
-        embedding=emb,
-        skeleton=skeleton,
-        graph=graph,
-        geodesics=geodesics,
+        embedding=Embedding(coords=coords, algorithm="lsdr", params=params),
+        skeleton=stages.skeleton,
+        graph=stages.graph,
+        geodesics=stages.geodesics,
         mds_coords=mds_coords,
         bandwidth=sigma,
-        degenerate_fallback=False,
+        degenerate_fallback=reason is not None,
         pre_reduced=pre_reduced,
         working_points=work,
     )
 
 
-def metric_mds_on_geodesics(geodesics: GeodesicDistances, d: int) -> np.ndarray:
-    """Metric MDS over the full geodesic distance matrix."""
-    q = geodesics.dists
-    if q.shape[0] != q.shape[1]:
-        raise ValidationError("full geodesic matrix required for the all-points fallback")
-    q = 0.5 * (q + q.T)
-    np.fill_diagonal(q, 0.0)
-    return metric_mds(q, d)
-
-
 def transform_bandwidth(x, alpha: float = 0.95, k: int = 3, seed: int = 0) -> float:
     """Dataset-level bandwidth via the skeleton rule (for the consistency index).
 
-    Runs the graph and skeleton stages at the given parameters and applies
-    the recommended-bandwidth formula. Degenerate clouds fall back to the
-    mean pairwise distance.
+    The bandwidth ``lsdr`` picks at these parameters: same working cloud,
+    same stages, same rule. Clouds without a tessellation fall back to the
+    mean pairwise distance of the working cloud.
     """
-    x = as_matrix(x, "data")
     cfg = LsdrConfig(d=1, alpha=alpha, k=k, seed=seed)
-    work = x
-    if work.shape[0] <= work.shape[1]:
-        work = pre_reduce(work)
-    if work.shape[1] > cfg.dim_cap:
-        q = np.sqrt(pairwise_sq_dists(work))
-        work = metric_mds(q, cfg.dim_cap)
-    try:
-        graph = _build_graph(work, cfg)
-        skeleton = skeleton_report(graph, k)
-        if 1 < len(skeleton.skeletal_points):
-            geodesics = graph_distances(graph, skeleton.skeletal_points)
-            sigma = recommended_bandwidth(skeleton, geodesics)
-            if sigma > 0.0:
-                return sigma
-    except DegeneracyError:
-        pass
-    return float(np.sqrt(pairwise_sq_dists(work)).mean())
+    work, _ = _working_cloud(as_matrix(x, "data"))
+    stages = _stages(work, cfg)
+    if stages.reason is not None:
+        return float(_distances(work).mean())
+    return _bandwidth(stages, work)
 
 
 class LsdrAdapter(AlgorithmAdapter):

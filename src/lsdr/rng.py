@@ -1,9 +1,10 @@
 """Named random sub-streams derived from a single seed.
 
-Every source of randomness in the package (tessellation jitter, dataset
-generators, transform subsampling) draws from ``substream(seed, name)`` so a
-single seed makes the whole run reproducible while the components stay
-independently replayable.
+The tessellation jitter draws from ``substream(seed, name)``. The dataset
+generators and the consistency index's transform subsample seed
+``numpy.random.default_rng`` directly with the seed and a fixed tag of their
+own. Either way a single seed makes the whole run reproducible while the
+components stay independently replayable.
 """
 
 import zlib

@@ -128,6 +128,17 @@ class TestIndex:
         assert report["tci"] == report["tci_contributions"][0]["residual"]
         assert report["tci_subsampled_lower_bound"] is True
 
+    def test_tci_bandwidth_of_a_one_column_cloud_is_the_mean_distance(self, tmp_path):
+        # no tessellation exists in one dimension: the bandwidth takes the
+        # same fallback as reduce, the mean pairwise distance
+        data = tmp_path / "line.csv"
+        t = np.random.default_rng(0).uniform(0.0, 5.0, 12)
+        data.write_text("x0\n" + "\n".join(repr(float(v)) for v in t) + "\n")
+        out = tmp_path / "idx.json"
+        assert run(["index", data, "--algo", "pca", "--tci", "--d", 1, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["tci_bandwidth"] == float(np.sqrt((t[:, None] - t[None, :]) ** 2).mean())
+
     def test_knn_metrics_on_identity(self, tmp_path):
         data = tmp_path / "c.csv"
         run(["generate", "--family", "uniform_hypercube", "--n", 25, "--p", 2,

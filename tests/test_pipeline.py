@@ -1,15 +1,27 @@
 """End-to-end pipeline behaviour: fidelity, determinism, degeneracies."""
 
+import contextlib
+import io
+import itertools
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lsdr.cli import main as cli_main
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
 from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
-from lsdr.errors import DegeneracyWarning, ValidationError
+from lsdr.errors import DegeneracyWarning, LsdrError, ValidationError
 from lsdr.graph import graph_distances
 from lsdr.indices import procrustes_fit
 from lsdr.numerics import pairwise_sq_dists
 from lsdr.pipeline import LsdrAdapter, LsdrConfig, lsdr, pre_reduce, transform_bandwidth
+from lsdr.serialize import write_point_cloud
 
 
 def spearman(a, b):
@@ -140,6 +152,24 @@ class TestDegenerateInputs:
         assert res.working_points.shape[1] == 2
         assert res.skeleton is not None
 
+    @pytest.mark.parametrize("shape", ["triangle", "squashed octagon"])
+    def test_all_boundary_cloud_falls_back_to_mds_on_the_full_geodesics(self, shape):
+        if shape == "triangle":
+            pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+        else:
+            t = np.arange(8) * np.pi / 4
+            pts = np.c_[np.cos(t), 0.9 * np.sin(t)]
+        n = len(pts)
+        with pytest.warns(DegeneracyWarning, match="all points on the boundary"):
+            res = lsdr(pts, LsdrConfig(d=1, seed=0))
+        assert res.degenerate_fallback
+        assert res.embedding.params["fallback"] == "all points on the boundary"
+        assert res.geodesics.sources == list(range(n))
+        q = graph_distances(res.graph, range(n)).dists
+        q = 0.5 * (q + q.T)
+        np.fill_diagonal(q, 0.0)
+        assert np.array_equal(res.embedding.coords, metric_mds(q, 1))
+
     def test_dimension_cap_triggers_approximate_pre_reduction(self):
         spec = DatasetSpec(
             "gaussian_clusters", 60, p=10, seed=2, params={"clusters": 2, "separation": 10.0}
@@ -210,7 +240,101 @@ class TestAdapters:
         assert np.array_equal(emb.coords, direct.coords)
 
     def test_transform_bandwidth_positive_and_deterministic(self):
+        # equal, bit for bit, to the bandwidth lsdr picks at the same
+        # parameters: on a plane (affine-rank trim), on the acceptance
+        # clusters (dimension cap) and on a spiral at non-default parameters
+        uv = np.random.default_rng(1).uniform(0, 1, (120, 2))
+        plane = uv @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        clusters = generate(
+            DatasetSpec(
+                "gaussian_clusters", 100, p=10, seed=3, params={"clusters": 3, "separation": 10.0}
+            )
+        )
         pts, _ = spiral_with_angle(DatasetSpec("spiral", 100, seed=1))
-        a = transform_bandwidth(pts, seed=0)
-        b = transform_bandwidth(pts, seed=0)
-        assert a == b > 0.0
+        cases = [(plane, 0.95, 3, 0), (clusters, 0.95, 3, 0), (pts, 0.95, 3, 0), (pts, 0.9, 4, 2)]
+        for x, alpha, k, seed in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegeneracyWarning)
+                a = transform_bandwidth(x, alpha, k, seed)
+                b = transform_bandwidth(x, alpha, k, seed)
+                res = lsdr(x, LsdrConfig(d=1, alpha=alpha, k=k, seed=seed))
+            assert a == b > 0.0
+            assert a == res.bandwidth
+
+
+def _degenerate_cloud(kind: str, p: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        t = rng.integers(-5, 6, rng.integers(p + 1, 12)).astype(float)
+        return np.outer(t, rng.standard_normal(p)) + rng.standard_normal(p)
+    if kind == "cospherical":
+        g = rng.standard_normal((rng.integers(p + 1, 12), p))
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+    if kind == "grid":
+        return np.array(list(itertools.product(range(3 if p < 4 else 2), repeat=p)), dtype=float)
+    if kind == "duplicated":
+        # one to p + 3 distinct rows, repeated at random
+        base = rng.standard_normal((rng.integers(1, p + 4), p))
+        return base[rng.integers(0, len(base), p + 5)]
+    return rng.standard_normal((p + 1, p))  # n = p + 1
+
+
+def _outcome(call):
+    try:
+        return call()
+    except LsdrError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _reduce_cli(x: np.ndarray, d: int):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "x.csv", Path(tmp) / "emb.csv"
+        write_point_cloud(data, x)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["reduce", str(data), "--d", str(d), "--strict", "--out", str(out)])
+        return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+def _entry_points(x: np.ndarray, d: int):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = _outcome(lambda: lsdr(x, LsdrConfig(d=d, seed=0)))
+        sigma = _outcome(lambda: transform_bandwidth(x, seed=0))
+        cli = _reduce_cli(x, d)
+    if not isinstance(res, tuple):
+        res = (
+            res.embedding.coords.tobytes(),
+            res.degenerate_fallback,
+            res.embedding.params.get("fallback"),
+            res.bandwidth,
+        )
+    return res, sigma, cli
+
+
+class TestEntryPointsOnDegenerateInput:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["collinear", "cospherical", "grid", "duplicated", "n = p + 1"]),
+        st.integers(2, 4),
+        st.integers(0, 10_000),
+        st.booleans(),
+    )
+    def test_fallback_or_typed_error_and_identical_bytes(self, kind, p, seed, widest):
+        x = _degenerate_cloud(kind, p, seed)
+        d = p - 1 if widest else 1
+        first = _entry_points(x, d)
+        assert _entry_points(x, d) == first
+        res, sigma, (code, emb_bytes, err) = first
+        if res[0] == "error":
+            assert code in (2, 4)
+            assert err.startswith("ERROR ") and err.count("\n") == 1
+            return
+        _, fell_back, reason, bandwidth = res
+        meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
+        if fell_back:
+            assert reason and bandwidth is None
+            assert code == 5 and meta["fallback"] == reason
+        else:
+            assert reason is None and code == 0 and "fallback" not in meta
+            assert sigma == bandwidth

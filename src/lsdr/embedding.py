@@ -29,6 +29,7 @@ __all__ = [
     "stress",
     "nadaraya_embed",
     "recommended_bandwidth",
+    "distinct_rows",
     "fit_out_of_sample",
     "embed_out_of_sample",
     "fit_reconstruction",
@@ -301,12 +302,11 @@ class KernelModel:
         )
 
 
-def fit_out_of_sample(train, train_embedding, kernel: KernelSpec) -> KernelModel:
-    """Solve the kernel interpolation system for the embedding coefficients.
+def distinct_rows(train, train_embedding) -> tuple[np.ndarray, np.ndarray]:
+    """Training points and their embeddings with exact duplicate points dropped.
 
-    Exact duplicate training points would make the kernel matrix singular;
-    they are dropped with a warning, keeping the first occurrence. The ridge
-    is 1e-8 trace(K)/n, a scale-invariant conditioning floor.
+    The first occurrence of each point is kept, in the original order, and
+    a warning names how many were dropped.
     """
     x = as_matrix(train, "training points")
     y = as_matrix(train_embedding, "training embedding")
@@ -316,10 +316,21 @@ def fit_out_of_sample(train, train_embedding, kernel: KernelSpec) -> KernelModel
     if keep.size < x.shape[0]:
         warnings.warn(
             f"dropped {x.shape[0] - keep.size} duplicate training point(s)",
-            stacklevel=2,
+            stacklevel=3,
         )
         keep = np.sort(keep)
         x, y = x[keep], y[keep]
+    return x, y
+
+
+def fit_out_of_sample(train, train_embedding, kernel: KernelSpec) -> KernelModel:
+    """Solve the kernel interpolation system for the embedding coefficients.
+
+    Exact duplicate training points would make the kernel matrix singular;
+    ``distinct_rows`` drops them with a warning. The ridge is 1e-8
+    trace(K)/n, a scale-invariant conditioning floor.
+    """
+    x, y = distinct_rows(train, train_embedding)
     k = kernel_matrix(kernel, x, x)
     n = k.shape[0]
     ridge = 1e-8 * float(np.trace(k)) / n

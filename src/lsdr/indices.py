@@ -15,7 +15,7 @@ import numpy as np
 from .embedding import (
     Embedding,
     KernelSpec,
-    fit_out_of_sample,
+    distinct_rows,
     fit_reconstruction,
     kernel_matrix,
     reconstruct,
@@ -73,21 +73,55 @@ def procrustes_fit(a, b) -> ProcrustesFit:
     rotation = u @ vt
     scale = float(np.sum(s)) / denom
     mu = a_mean - scale * rotation @ b_mean
-    residual = float(np.sum(at * at)) - float(np.sum(s)) ** 2 / denom
+    residual = _closed_form_residuals(at[None], s[None], denom)[0]
     return ProcrustesFit(mu=mu, scale=scale, rotation=rotation, residual=residual)
+
+
+def _closed_form_residuals(at: np.ndarray, s: np.ndarray, denom: float) -> list[float]:
+    """trace(At^T At) - (sum of s)^2 / denom for each demeaned target At of a stack.
+
+    ``s`` holds the singular values of each At^T Bt. The last step stays on
+    Python floats: scalar ``**`` goes through libm pow, which can differ from
+    the array square in the last bit.
+    """
+    traces = np.sum(at * at, axis=(1, 2))
+    return [float(t) - float(u) ** 2 / denom for t, u in zip(traces, np.sum(s, axis=1))]
 
 
 class AlgorithmAdapter:
     """A named dimensionality-reduction procedure with a uniform interface.
 
     Subclasses implement ``reduce(d, x) -> Embedding`` deterministically for
-    a fixed construction.
+    a fixed construction. ``reduce_stack`` reduces a whole stack of clouds,
+    one at a time unless a subclass can do better; the consistency index
+    feeds it its transformed clouds in chunks.
     """
 
     name: str = "adapter"
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
         raise NotImplementedError
+
+    def reduce_stack(self, d: int, clouds: np.ndarray) -> np.ndarray:
+        """Coordinates (B, n, d) of each cloud in a (B, n, p) stack."""
+        return np.stack([self.reduce(d, cloud).coords for cloud in clouds])
+
+
+def _pca(clouds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCA coordinates (B, n, d) and top-d eigenvalues (B, d) of a (B, n, p) stack."""
+    n, p = clouds.shape[1:]
+    if not 1 <= d <= p:
+        raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
+    if not np.all(np.isfinite(clouds)):
+        raise ValidationError("data contains non-finite entries")
+    centered = clouds - clouds.mean(axis=1, keepdims=True)
+    cov = np.swapaxes(centered, 1, 2) @ centered / max(n - 1, 1)
+    eigenvalues, eigenvectors = sym_eigen(cov)
+    components = eigenvectors[:, :, :d].copy()
+    lead_row = np.argmax(np.abs(components), axis=1)[:, None, :]
+    lead = np.take_along_axis(components, lead_row, axis=1)
+    np.negative(components, out=components, where=lead < 0)
+    return centered @ components, eigenvalues[:, :d]
 
 
 def pca_reduce(x, d: int) -> Embedding:
@@ -96,22 +130,11 @@ def pca_reduce(x, d: int) -> Embedding:
     The sign of each eigenvector is fixed by making its largest-magnitude
     entry positive, so the output is deterministic.
     """
-    x = as_matrix(x, "data")
-    n, p = x.shape
-    if not 1 <= d <= p:
-        raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / max(n - 1, 1)
-    eigenvalues, eigenvectors = sym_eigen(cov)
-    components = eigenvectors[:, :d].copy()
-    for col in range(d):
-        lead = components[np.argmax(np.abs(components[:, col])), col]
-        if lead < 0:
-            components[:, col] = -components[:, col]
+    coords, eigenvalues = _pca(as_matrix(x, "data")[None], d)
     return Embedding(
-        coords=centered @ components,
+        coords=coords[0],
         algorithm="pca",
-        params={"d": d, "eigenvalues": eigenvalues[:d].tolist()},
+        params={"d": d, "eigenvalues": eigenvalues[0].tolist()},
     )
 
 
@@ -121,6 +144,9 @@ class PcaAdapter(AlgorithmAdapter):
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
         return pca_reduce(x, d)
 
+    def reduce_stack(self, d: int, clouds: np.ndarray) -> np.ndarray:
+        return _pca(clouds, d)[0]
+
 
 class IdentityAdapter(AlgorithmAdapter):
     """Returns the first d coordinates unchanged; zero-trustability reference."""
@@ -128,10 +154,13 @@ class IdentityAdapter(AlgorithmAdapter):
     name = "identity"
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
-        x = as_matrix(x, "data")
-        if not 1 <= d <= x.shape[1]:
+        coords = self.reduce_stack(d, as_matrix(x, "data")[None])[0]
+        return Embedding(coords=coords, algorithm="identity", params={"d": d})
+
+    def reduce_stack(self, d: int, clouds: np.ndarray) -> np.ndarray:
+        if not 1 <= d <= clouds.shape[2]:
             raise ValidationError(f"identity adapter needs 1 <= d <= p, got {d}")
-        return Embedding(coords=x[:, :d].copy(), algorithm="identity", params={"d": d})
+        return clouds[:, :, :d].copy()
 
 
 def _sum_singular(m: np.ndarray) -> float:
@@ -186,6 +215,11 @@ class TciReport:
         return [t for t in self.contributions if t.failed]
 
 
+# Transforms per chunk of the consistency scan are sized so that each
+# (B, n, p) stack of transformed clouds holds about this many floats (2 MB).
+_STACK_FLOATS = 2**18
+
+
 def tractable_consistency_index(
     alg: AlgorithmAdapter,
     x,
@@ -202,7 +236,10 @@ def tractable_consistency_index(
     the algorithm and measures the Procrustes residual against the original
     output. The full set has n*p transforms; a seeded uniform subsample keeps
     the cost tractable, at the price of reporting a lower bound. Transforms
-    on which the algorithm fails are recorded and excluded.
+    run in chunks through ``alg.reduce_stack``; a chunk that raises or gives
+    a wrong-shaped or non-finite stack is rerun one transform at a time, so
+    transforms on which the algorithm fails are recorded, each with its own
+    message, and excluded.
     """
     x = as_matrix(x, "data")
     n, p = x.shape
@@ -217,37 +254,35 @@ def tractable_consistency_index(
         kernel_y = KernelSpec("gaussian", sigma_y)
     else:
         kernel_y = recon_kernel
-    model = fit_out_of_sample(x, base, recon_kernel)
-    recon = fit_reconstruction(
-        model.train_points,
-        model.train_embedding,
-        recon_kernel,
-        kernel_y,
-    )
+    train_x, train_y = distinct_rows(x, base)
+    recon = fit_reconstruction(train_x, train_y, recon_kernel, kernel_y)
     x_hat = reconstruct(recon, base)
     residual_part = x - x_hat
 
-    all_transforms = [(i, j) for i in range(n) for j in range(p)]
-    if transform_subsample is not None and transform_subsample < len(all_transforms):
+    n_total = n * p
+    if transform_subsample is not None and transform_subsample < n_total:
         rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x7C1])
-        chosen_idx = rng.choice(len(all_transforms), size=transform_subsample, replace=False)
-        chosen = [all_transforms[i] for i in np.sort(chosen_idx)]
+        chosen = np.sort(rng.choice(n_total, size=transform_subsample, replace=False))
         subsampled = True
     else:
-        chosen = all_transforms
+        chosen = np.arange(n_total)
         subsampled = False
+    points, axes = np.divmod(chosen, p)
+
+    def transformed(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The clouds x-tilde of the given transforms, stacked."""
+        stack = np.zeros((len(rows), n, p))
+        stack[np.arange(len(rows)), :, cols] = kernel_matrix(kernel, x_hat, x[rows]).T
+        stack += residual_part
+        return stack
 
     base_centered = base - base.mean(axis=0)
-    base_constant = float(np.sum(base_centered * base_centered)) <= 1e-24
-    contributions: list[TransformResult] = []
-    best = 0.0
-    for i, j in chosen:
-        bump = kernel_matrix(kernel, x_hat, x[i : i + 1])[:, 0]
-        transformed = np.zeros_like(x)
-        transformed[:, j] = bump
-        x_tilde = transformed + residual_part
+    denom = float(np.sum(base_centered * base_centered))
+    base_constant = denom <= 1e-24
+
+    def one_at_a_time(i: int, j: int) -> TransformResult:
         try:
-            moved = alg.reduce(d, x_tilde).coords
+            moved = alg.reduce(d, transformed(np.array([i]), np.array([j]))[0]).coords
             if base_constant:
                 # the similarity term vanishes; only the translation is free
                 centered = moved - moved.mean(axis=0)
@@ -255,17 +290,35 @@ def tractable_consistency_index(
             else:
                 residual = procrustes_fit(moved, base).residual
         except Exception as exc:  # noqa: BLE001 - any adapter failure is recorded
-            contributions.append(
-                TransformResult(point_index=i, axis=j, residual=None, failed=True, message=str(exc))
-            )
+            return TransformResult(point_index=i, axis=j, residual=None, failed=True, message=str(exc))
+        return TransformResult(point_index=i, axis=j, residual=residual)
+
+    chunk = max(1, _STACK_FLOATS // n_total)
+    contributions: list[TransformResult] = []
+    for start in range(0, len(chosen), chunk):
+        rows, cols = points[start : start + chunk], axes[start : start + chunk]
+        try:
+            moved = alg.reduce_stack(d, transformed(rows, cols))
+            if moved.shape != (len(rows),) + base.shape or not np.all(np.isfinite(moved)):
+                raise ValidationError("adapter stack is wrong-shaped or not finite")
+            at = moved - moved.mean(axis=1, keepdims=True)
+            if base_constant:
+                residuals = [float(t) for t in np.sum(at * at, axis=(1, 2))]
+            else:
+                _, s, _ = np.linalg.svd(np.swapaxes(at, 1, 2) @ base_centered)
+                residuals = _closed_form_residuals(at, s, denom)
+        except Exception:  # noqa: BLE001 - the chunk is rerun transform by transform
+            contributions += [one_at_a_time(int(i), int(j)) for i, j in zip(rows, cols)]
             continue
-        contributions.append(TransformResult(point_index=i, axis=j, residual=residual))
-        best = max(best, residual)
+        contributions += [
+            TransformResult(point_index=int(i), axis=int(j), residual=r)
+            for i, j, r in zip(rows, cols, residuals)
+        ]
     return TciReport(
-        value=best,
+        value=max([0.0] + [t.residual for t in contributions if not t.failed]),
         contributions=contributions,
         subsampled=subsampled,
-        n_transforms_total=len(all_transforms),
+        n_transforms_total=n_total,
     )
 
 

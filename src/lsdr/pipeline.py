@@ -11,7 +11,8 @@ an exact distance-preserving reduction and processed there; clouds wider
 than the tessellation's dimension cap get an approximate metric MDS step
 down to the cap. Only rank-one clouds, where no tessellation exists, degrade
 to plain metric MDS on all points, as do clouds whose every point lands on
-the boundary. ``transform_bandwidth`` takes the same working cloud, stages
+the boundary, clouds with no boundary point and clouds with fewer than two
+skeletal points. ``transform_bandwidth`` takes the same working cloud, stages
 and fallbacks, so its bandwidth is the one ``lsdr`` would use.
 """
 
@@ -151,8 +152,15 @@ def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
     except DegeneracyError as exc:
         return _Stages(f"tessellation degenerate ({exc})")
     graph = prune_edges(tess, euclidean_mcst(work, tess.edges), cfg.alpha)
-    skeleton = skeleton_report(graph, cfg.k)
-    return _Stages(None, graph, skeleton, graph_distances(graph, skeleton.skeletal_points))
+    try:
+        skeleton = skeleton_report(graph, cfg.k)
+    except DegeneracyError as exc:
+        return _Stages(str(exc), graph)
+    skeletal = skeleton.skeletal_points
+    if len(skeletal) < 2:
+        # the stage-3 MDS needs at least two points to place
+        return _Stages(f"only {len(skeletal)} skeletal point(s)", graph, skeleton)
+    return _Stages(None, graph, skeleton, graph_distances(graph, skeletal))
 
 
 def _bandwidth(stages: _Stages, work: np.ndarray) -> float:
@@ -179,7 +187,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         q = stages.geodesics.block(skeletal)
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
-        d_eff = min(cfg.d, max(1, len(skeletal) - 1))
+        d_eff = min(cfg.d, len(skeletal) - 1)
         if d_eff < cfg.d:
             warnings.warn(
                 f"only {len(skeletal)} skeletal points; reducing target dimension to {d_eff}",

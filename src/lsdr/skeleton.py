@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyWarning, ValidationError
+from .errors import DegeneracyError, DegeneracyWarning, ValidationError
 from .graph import ManifoldGraph, dijkstra_truncated, multi_source_distances
 
 __all__ = [
@@ -126,8 +126,14 @@ def mark_skeleton(g: ManifoldGraph, d_b: np.ndarray, k: int) -> list[int]:
 
 
 def skeleton_report(g: ManifoldGraph, k: int) -> SkeletonReport:
-    """Run boundary detection, boundary distances and skeletal marking."""
+    """Run boundary detection, boundary distances and skeletal marking.
+
+    A graph in which every edge lies in two or more surviving simplices has
+    no boundary point; that raises ``DegeneracyError``.
+    """
     boundary = detect_boundary(g)
+    if not boundary:
+        raise DegeneracyError("no boundary point: every edge lies in two or more surviving simplices")
     d_b = boundary_distances(g, boundary)
     if len(boundary) == g.n:
         warnings.warn(

@@ -1,11 +1,21 @@
 """Procrustes alignment, trustability/consistency indices and kNN metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsdr.embedding import Embedding, KernelSpec
+from lsdr import indices
+from lsdr.embedding import (
+    Embedding,
+    KernelSpec,
+    fit_out_of_sample,
+    fit_reconstruction,
+    kernel_matrix,
+    reconstruct,
+)
 from lsdr.errors import ValidationError
 from lsdr.indices import (
     AlgorithmAdapter,
@@ -18,6 +28,7 @@ from lsdr.indices import (
     tractable_consistency_index,
     trustability_index,
 )
+from lsdr.numerics import pairwise_sq_dists
 
 
 def random_orthogonal(rng, p):
@@ -201,6 +212,155 @@ class TestTractableConsistencyIndex:
             tractable_consistency_index(PcaAdapter(), x, 1, KernelSpec("gaussian", None))
 
 
+def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0):
+    """The consistency scan one transform at a time: a bump column added to
+    a zero matrix plus the residual part, ``alg.reduce`` and ``procrustes_fit``
+    per transform. Returns (point, axis, residual, message) per transform and
+    the running maximum, started at 0."""
+    n, p = x.shape
+    base = alg.reduce(d, x).coords
+    embed_scale = np.sqrt(pairwise_sq_dists(base))[np.triu_indices(n, 1)]
+    sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
+    model = fit_out_of_sample(x, base, kernel)
+    recon = fit_reconstruction(
+        model.train_points, model.train_embedding, kernel, KernelSpec("gaussian", sigma_y)
+    )
+    x_hat = reconstruct(recon, base)
+    residual_part = x - x_hat
+    all_transforms = [(i, j) for i in range(n) for j in range(p)]
+    chosen = all_transforms
+    if transform_subsample is not None and transform_subsample < len(all_transforms):
+        rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x7C1])
+        picked = rng.choice(len(all_transforms), size=transform_subsample, replace=False)
+        chosen = [all_transforms[k] for k in sorted(picked)]
+    base_centered = base - base.mean(axis=0)
+    base_constant = float(np.sum(base_centered * base_centered)) <= 1e-24
+    rows = []
+    best = 0.0
+    for i, j in chosen:
+        bump = kernel_matrix(kernel, x_hat, x[i : i + 1])[:, 0]
+        transformed = np.zeros_like(x)
+        transformed[:, j] = bump
+        x_tilde = transformed + residual_part
+        try:
+            moved = alg.reduce(d, x_tilde).coords
+            if base_constant:
+                centered = moved - moved.mean(axis=0)
+                residual = float(np.sum(centered * centered))
+            else:
+                residual = procrustes_fit(moved, base).residual
+        except Exception as exc:  # noqa: BLE001
+            rows.append((i, j, None, str(exc)))
+            continue
+        rows.append((i, j, residual, ""))
+        best = max(best, residual)
+    return rows, best
+
+
+def _as_rows(report):
+    return [(t.point_index, t.axis, t.residual, t.message) for t in report.contributions]
+
+
+class SerialPcaAdapter(AlgorithmAdapter):
+    """PCA through the default, one-cloud-at-a-time ``reduce_stack``."""
+
+    name = "serial-pca"
+
+    def reduce(self, d, x):
+        return pca_reduce(x, d)
+
+
+class ConstantBaseAdapter(AlgorithmAdapter):
+    """Zeros on the base cloud, PCA on every transformed one."""
+
+    name = "constant-base"
+
+    def __init__(self, base_cloud):
+        self.base_cloud = base_cloud
+
+    def reduce(self, d, x):
+        if np.array_equal(x, self.base_cloud):
+            return Embedding(coords=np.zeros((x.shape[0], d)), algorithm=self.name)
+        return pca_reduce(x, d)
+
+
+def _picked(x, every):
+    """A fixed pseudo-random choice of clouds: a hash of their bytes."""
+    return int(hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest(), 16) % every == 0
+
+
+class RefusingAdapter(SerialPcaAdapter):
+    """Raises on the clouds ``_picked`` chooses, naming each one."""
+
+    name = "refusing"
+
+    def reduce(self, d, x):
+        if _picked(x, 9):
+            raise RuntimeError(f"refused cloud {hashlib.sha1(x.tobytes()).hexdigest()[:12]}")
+        return pca_reduce(x, d)
+
+
+class NonFiniteAdapter(SerialPcaAdapter):
+    """Returns a NaN coordinate on the clouds ``_picked`` chooses."""
+
+    name = "non-finite"
+
+    def reduce(self, d, x):
+        emb = pca_reduce(x, d)
+        if _picked(x, 7):
+            emb.coords[0, 0] = np.nan
+        return emb
+
+
+class TestChunkedConsistencyIndex:
+    """The chunked scan gives the serial scan's residuals and value bit for bit."""
+
+    kernel = KernelSpec("gaussian", 1.0)
+
+    def _assert_matches_serial(self, alg, x, d, **kwargs):
+        report = tractable_consistency_index(alg, x, d, self.kernel, **kwargs)
+        rows, best = serial_consistency_scan(alg, x, d, self.kernel, **kwargs)
+        assert _as_rows(report) == rows
+        assert [t.failed for t in report.contributions] == [r[2] is None for r in rows]
+        assert report.value == best
+        return report
+
+    def test_pca_full_set_over_a_partial_last_chunk(self):
+        # 200 x 3 gives 600 transforms in chunks of 2**18 // 600 = 436
+        x = np.random.default_rng(4).standard_normal((200, 3)) * [3.0, 2.0, 0.5]
+        assert len(x) * 3 % (indices._STACK_FLOATS // x.size) != 0
+        report = self._assert_matches_serial(PcaAdapter(), x, 2)
+        assert len(report.contributions) == 600 and not report.failed_transforms
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (5, 2), (10, 3)])
+    def test_pca_subsample(self, p, d):
+        x = np.random.default_rng(p).standard_normal((60, p)) @ np.diag(np.linspace(3.0, 0.5, p))
+        report = self._assert_matches_serial(PcaAdapter(), x, d, transform_subsample=70, seed=2)
+        assert report.subsampled and len(report.contributions) == 70
+
+    def test_constant_base_through_the_default_stack(self):
+        x = np.random.default_rng(6).standard_normal((40, 3))
+        with pytest.warns(UserWarning, match="rank deficient"):
+            report = self._assert_matches_serial(ConstantBaseAdapter(x), x, 2)
+        assert report.value > 0.0
+
+    @pytest.mark.parametrize("adapter", [SerialPcaAdapter, RefusingAdapter, NonFiniteAdapter])
+    def test_failures_are_attributed_to_their_transforms(self, adapter, monkeypatch):
+        # chunks of 5 transforms: most run whole, a few are rerun one by one
+        x = np.random.default_rng(9).standard_normal((50, 3)) * [2.0, 1.0, 0.5]
+        monkeypatch.setattr(indices, "_STACK_FLOATS", 5 * x.size)
+        report = self._assert_matches_serial(adapter(), x, 2)
+        failed = report.failed_transforms
+        if adapter is SerialPcaAdapter:
+            assert not failed
+            return
+        assert 0 < len(failed) < len(report.contributions) // 4
+        expected = "refused cloud" if adapter is RefusingAdapter else "non-finite"
+        assert all(expected in t.message for t in failed)
+        kept = [t.residual for t in report.contributions if not t.failed]
+        assert report.value == max(kept)
+
+
 def brute_force_knn_metrics(x, y, k):
     """Direct transcription of the neighbourhood formulas with explicit sets."""
     n = len(x)
@@ -305,6 +465,37 @@ class TestPcaReduce:
         a = pca_reduce(x, 3).coords
         b = pca_reduce(x, 3).coords
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [3, 5, 10])
+    def test_stack_slices_equal_single_clouds_and_the_loop_form(self, p):
+        rng = np.random.default_rng(p)
+        clouds = rng.standard_normal((7, 50, p)) * rng.uniform(0.5, 3.0, (7, 1, p)) + 4.0
+        for d in (1, 2, p):
+            stacked = PcaAdapter().reduce_stack(d, clouds)
+            assert stacked.shape == (7, 50, d)
+            for cloud, coords in zip(clouds, stacked):
+                assert np.array_equal(coords, pca_reduce(cloud, d).coords)
+                assert np.array_equal(coords, loop_pca(cloud, d))
+
+    def test_stack_rejects_what_a_single_cloud_rejects(self):
+        clouds = np.random.default_rng(0).standard_normal((3, 10, 3))
+        with pytest.raises(ValidationError):
+            PcaAdapter().reduce_stack(4, clouds)
+        clouds[1, 2, 0] = np.inf
+        with pytest.raises(ValidationError):
+            PcaAdapter().reduce_stack(2, clouds)
+
+
+def loop_pca(x, d):
+    """PCA of one cloud with the eigenvector signs fixed column by column."""
+    n = len(x)
+    centered = x - x.mean(axis=0)
+    w, v = np.linalg.eigh(centered.T @ centered / (n - 1))
+    components = v[:, np.argsort(w)[::-1]][:, :d].copy()
+    for col in range(d):
+        if components[np.argmax(np.abs(components[:, col])), col] < 0:
+            components[:, col] = -components[:, col]
+    return centered @ components
 
 
 class TestIndexReport:

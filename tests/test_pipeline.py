@@ -170,6 +170,31 @@ class TestDegenerateInputs:
         np.fill_diagonal(q, 0.0)
         assert np.array_equal(res.embedding.coords, metric_mds(q, 1))
 
+    @pytest.mark.parametrize(
+        "shape, reason",
+        [("3x3 grid", "only 1 skeletal point(s)"), ("cospherical in R^4", "no boundary point")],
+    )
+    def test_cloud_without_a_skeleton_falls_back_at_every_entry_point(self, shape, reason):
+        if shape == "3x3 grid":
+            pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float)
+        else:
+            g = np.random.default_rng(1).standard_normal((6, 4))
+            pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+        with pytest.warns(DegeneracyWarning, match="falling back to metric MDS on all points"):
+            res = lsdr(pts, LsdrConfig(d=1, seed=0))
+        assert res.degenerate_fallback and res.bandwidth is None
+        assert res.embedding.params["fallback"].startswith(reason)
+        dist = np.sqrt(pairwise_sq_dists(pts))
+        assert np.array_equal(res.embedding.coords, metric_mds(dist, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            sigma = transform_bandwidth(pts, seed=0)
+            code, emb_bytes, err = _reduce_cli(pts, 1)
+        assert sigma == float(dist.mean())
+        assert code == 5 and err.startswith("ERROR degeneracy")
+        meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
+        assert meta["fallback"] == res.embedding.params["fallback"]
+
     def test_dimension_cap_triggers_approximate_pre_reduction(self):
         spec = DatasetSpec(
             "gaussian_clusters", 60, p=10, seed=2, params={"clusters": 2, "separation": 10.0}

@@ -44,7 +44,7 @@ from .indices import (
     tractable_consistency_index,
     trustability_index,
 )
-from .numerics import beta_quantile, pairwise_sq_dists, svd, sym_eigen
+from .numerics import beta_quantile, pairwise_sq_dists, sym_eigen
 from .pipeline import LsdrAdapter, LsdrConfig, LsdrResult, lsdr, pre_reduce
 from .skeleton import SkeletonReport, boundary_distances, detect_boundary, mark_skeleton
 
@@ -88,7 +88,6 @@ __all__ = [
     "trustability_index",
     "beta_quantile",
     "pairwise_sq_dists",
-    "svd",
     "sym_eigen",
     "LsdrAdapter",
     "LsdrConfig",

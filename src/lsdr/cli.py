@@ -193,8 +193,9 @@ def cmd_index(args, argv: list[str]) -> int:
             )
         report.extras["tci_bandwidth"] = sigma
     if args.knn:
-        emb = adapter.reduce(args.d, cloud)
-        tsi, trust, cont = knn_metrics(cloud, emb.coords, args.knn_k)
+        # the consistency index already reduced the cloud at this d
+        coords = report.tci.base if report.tci is not None else adapter.reduce(args.d, cloud).coords
+        tsi, trust, cont = knn_metrics(cloud, coords, args.knn_k)
         report.knn_k = args.knn_k
         report.tsi = tsi
         report.trustworthiness = trust

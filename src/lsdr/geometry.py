@@ -64,13 +64,21 @@ class SpanningTree:
     total_length: float = 0.0
 
 
-def affine_rank(points: np.ndarray, rel_tol: float = 1e-12) -> int:
-    """Rank of the centered cloud: the dimension of the affine hull."""
-    centered = points - points.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
+def singular_rank(s: np.ndarray) -> int:
+    """Rank of a centered cloud from its descending singular values.
+
+    A singular value counts when it exceeds 1e-12 times the largest one; a
+    zero cloud has rank 0.
+    """
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > 1e-12 * s[0]))
+
+
+def affine_rank(points: np.ndarray) -> int:
+    """Rank of the centered cloud: the dimension of the affine hull."""
+    centered = points - points.mean(axis=0)
+    return singular_rank(np.linalg.svd(centered, compute_uv=False))
 
 
 def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:

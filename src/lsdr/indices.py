@@ -203,12 +203,17 @@ class TransformResult:
 
 @dataclass
 class TciReport:
-    """Max residual over the evaluated transform set plus per-transform detail."""
+    """Max residual over the evaluated transform set plus per-transform detail.
+
+    ``base`` holds the output on the untransformed data, the coordinates
+    every residual is measured against.
+    """
 
     value: float
     contributions: list[TransformResult]
     subsampled: bool
     n_transforms_total: int
+    base: np.ndarray
 
     @property
     def failed_transforms(self) -> list[TransformResult]:
@@ -285,6 +290,7 @@ def tractable_consistency_index(
             moved = alg.reduce(d, transformed(np.array([i]), np.array([j]))[0]).coords
             if base_constant:
                 # the similarity term vanishes; only the translation is free
+                moved = as_matrix(moved, "transformed output")
                 centered = moved - moved.mean(axis=0)
                 residual = float(np.sum(centered * centered))
             else:
@@ -319,6 +325,7 @@ def tractable_consistency_index(
         contributions=contributions,
         subsampled=subsampled,
         n_transforms_total=n_total,
+        base=base,
     )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DatasetSpec, generate  # noqa: F401  (re-exported pipeline surface)
 from .embedding import (
     Embedding,
     KernelSpec,
@@ -30,7 +29,13 @@ from .embedding import (
     recommended_bandwidth,
 )
 from .errors import DegeneracyError, DegeneracyWarning, ValidationError
-from .geometry import DIMENSION_CAP, affine_rank, delaunay_tessellation, euclidean_mcst
+from .geometry import (
+    DIMENSION_CAP,
+    affine_rank,
+    delaunay_tessellation,
+    euclidean_mcst,
+    singular_rank,
+)
 from .graph import GeodesicDistances, ManifoldGraph, graph_distances, prune_edges
 from .indices import AlgorithmAdapter
 from .numerics import as_matrix, pairwise_sq_dists
@@ -43,8 +48,6 @@ __all__ = [
     "pre_reduce",
     "transform_bandwidth",
     "LsdrAdapter",
-    "DatasetSpec",
-    "generate",
 ]
 
 
@@ -104,7 +107,7 @@ def pre_reduce(x) -> np.ndarray:
     u, s, _ = np.linalg.svd(centered, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((x.shape[0], 1))
-    rank = max(1, int(np.count_nonzero(s > 1e-12 * s[0])))
+    rank = max(1, singular_rank(s))
     return u[:, :rank] * s[:rank]
 
 

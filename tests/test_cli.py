@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from lsdr import pipeline
 from lsdr.cli import main
 from lsdr.errors import DegeneracyWarning
 from lsdr.graph import parse_edge_list
-from lsdr.serialize import read_point_cloud
+from lsdr.serialize import read_point_cloud, write_json
 
 
 def run(args):
@@ -150,6 +151,27 @@ class TestIndex:
         assert report["tsi"] == 1.0
         assert report["trustworthiness"] == 1.0
         assert report["continuity"] == 1.0
+
+    def test_knn_reuses_the_consistency_base(self, tmp_path, monkeypatch):
+        data = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", 120, "--seed", 1, "--out", data])
+        args = ["index", data, "--algo", "lsdr", "--d", 2, "--transforms", 2]
+        calls = []
+        real = pipeline.lsdr
+        monkeypatch.setattr(pipeline, "lsdr", lambda *a, **k: calls.append(1) or real(*a, **k))
+        both = tmp_path / "both.json"
+        assert run(args + ["--tci", "--knn", "--out", both]) == 0
+        # the base reduction, then one per transform; --knn reduces nothing more
+        assert len(calls) == 3
+        tci, knn = tmp_path / "tci.json", tmp_path / "knn.json"
+        assert run(args + ["--tci", "--out", tci]) == 0
+        assert run(args + ["--knn", "--out", knn]) == 0
+        # the report a separate --knn reduction gives, byte for byte
+        expected = json.loads(tci.read_text())
+        for key in ("knn_k", "tsi", "trustworthiness", "continuity"):
+            expected[key] = json.loads(knn.read_text())[key]
+        write_json(tmp_path / "expected.json", expected)
+        assert both.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
 class TestErrorsAndRerun:

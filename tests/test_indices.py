@@ -1,6 +1,7 @@
 """Procrustes alignment, trustability/consistency indices and kNN metrics."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ class ConstantBaseAdapter(AlgorithmAdapter):
         return pca_reduce(x, d)
 
 
+class ConstantBaseNonFiniteAdapter(ConstantBaseAdapter):
+    """Zeros on the base cloud, a NaN coordinate on every transformed one."""
+
+    name = "constant-base-non-finite"
+
+    def reduce(self, d, x):
+        emb = super().reduce(d, x)
+        if not np.array_equal(x, self.base_cloud):
+            emb.coords[0, 0] = np.nan
+        return emb
+
+
 def _picked(x, every):
     """A fixed pseudo-random choice of clouds: a hash of their bytes."""
     return int(hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest(), 16) % every == 0
@@ -343,6 +356,17 @@ class TestChunkedConsistencyIndex:
         with pytest.warns(UserWarning, match="rank deficient"):
             report = self._assert_matches_serial(ConstantBaseAdapter(x), x, 2)
         assert report.value > 0.0
+
+    def test_non_finite_output_on_a_constant_base_is_a_failure(self):
+        x = np.random.default_rng(6).standard_normal((40, 3))
+        with pytest.warns(UserWarning, match="rank deficient"):
+            report = tractable_consistency_index(
+                ConstantBaseNonFiniteAdapter(x), x, 2, self.kernel, transform_subsample=3
+            )
+        assert len(report.failed_transforms) == 3
+        assert all(t.residual is None and "non-finite" in t.message for t in report.contributions)
+        assert report.value == 0.0
+        json.dumps(IndexReport("constant-base-non-finite", "x", 40, tci=report).to_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("adapter", [SerialPcaAdapter, RefusingAdapter, NonFiniteAdapter])
     def test_failures_are_attributed_to_their_transforms(self, adapter, monkeypatch):

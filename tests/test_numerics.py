@@ -1,4 +1,4 @@
-"""Factorizations, the Beta quantile and pairwise distances."""
+"""The eigendecomposition wrapper, the Beta CDF and quantile, and pairwise distances."""
 
 from math import lgamma
 
@@ -13,7 +13,6 @@ from lsdr.numerics import (
     beta_quantile,
     pairwise_sq_dists,
     regularized_incomplete_beta,
-    svd,
     sym_eigen,
 )
 
@@ -27,42 +26,6 @@ def quadrature_beta_quantile(a: float, b: float, alpha: float, ncells: int = 10*
     cdf = np.concatenate([[0.0], np.cumsum(pdf * np.diff(edges))])
     cdf /= cdf[-1]
     return float(np.interp(alpha, cdf, edges))
-
-
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.singular_values, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        res = svd(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 2.0, 1.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((5, 3))
-        res = svd(m)
-        assert np.abs(res.reconstruct() - m).max() < 1e-10 * np.linalg.norm(m)
-
-    def test_reconstruction_residual_up_to_50(self):
-        rng = np.random.default_rng(5)
-        for rows, cols in [(4, 7), (20, 20), (50, 31), (50, 50)]:
-            m = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 10)
-            res = svd(m)
-            fro = np.linalg.norm(m)
-            assert np.linalg.norm(res.reconstruct() - m) < 1e-10 * fro
-            r = res.singular_values.size
-            assert np.abs(res.u.T @ res.u - np.eye(r)).max() < 1e-10
-            assert np.abs(res.v.T @ res.v - np.eye(r)).max() < 1e-10
-            assert np.all(np.diff(res.singular_values) <= 1e-12)
-
-    def test_rank(self):
-        m = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-        assert svd(m).rank == 1
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            svd([[1.0, np.nan], [0.0, 1.0]])
 
 
 class TestSymEigen:
@@ -135,6 +98,11 @@ class TestBetaQuantile:
             beta_quantile(0.0, 1.0, 0.5)
         with pytest.raises(ValidationError):
             beta_quantile(1.0, 1.0, 1.0)
+        # scipy returns NaN for each of these; the wrapper raises instead
+        for a, b, x in [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, -2.0, 0.5),
+                        (1.0, 1.0, -0.1), (1.0, 1.0, 1.1), (1.0, 1.0, float("nan"))]:
+            with pytest.raises(ValidationError):
+                regularized_incomplete_beta(a, b, x)
 
 
 class TestPairwiseSqDists:

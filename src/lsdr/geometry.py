@@ -13,10 +13,10 @@ seeded jitter applied only inside this routine (reported coordinates and edge
 lengths always come from the unmodified input).
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.hierarchy import DisjointSet
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
@@ -28,24 +28,21 @@ __all__ = ["Tessellation", "SpanningTree", "delaunay_tessellation", "euclidean_m
 
 DIMENSION_CAP = 6
 
-Edge = tuple[int, int]
-
-
-def _edge(i: int, j: int) -> Edge:
-    return (i, j) if i < j else (j, i)
-
 
 @dataclass
 class Tessellation:
-    """Full-dimensional simplicial tessellation of a point cloud.
+    """Full-dimensional simplicial tessellation of a point cloud: one edge table.
 
-    ``simplices`` holds (p+1)-vertex index tuples, ``edges`` maps unordered
-    index pairs to Euclidean lengths measured on the original coordinates.
+    ``simplices`` is the (s, p+1) index array with ascending rows in
+    lexicographic order; ``edges`` the (m, 2) pairs i < j of their edges in
+    lexicographic order, and ``lengths`` their (m,) Euclidean lengths measured
+    on the original coordinates.
     """
 
     points: np.ndarray
-    simplices: list[tuple[int, ...]]
-    edges: dict[Edge, float]
+    simplices: np.ndarray
+    edges: np.ndarray
+    lengths: np.ndarray
 
     @property
     def n(self) -> int:
@@ -55,13 +52,42 @@ class Tessellation:
     def p(self) -> int:
         return self.points.shape[1]
 
+    def simplex_edge_ids(self) -> np.ndarray:
+        """(s, C(p+1, 2)) row of the edge table holding each edge of each simplex."""
+        i, j = np.triu_indices(self.p + 1, 1)
+        keys = self.simplices[:, i] * self.n + self.simplices[:, j]
+        return np.searchsorted(edge_keys(self.edges, self.n), keys)
+
 
 @dataclass
 class SpanningTree:
-    """Spanning tree as a set of unordered index pairs plus its total length."""
+    """Spanning tree: (n-1, 2) pairs i < j in lexicographic order, and its length."""
 
-    edges: set[Edge] = field(default_factory=set)
-    total_length: float = 0.0
+    edges: np.ndarray
+    total_length: float
+
+
+def edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """The key ``i * n + j`` of each pair; lexicographic pairs have ascending keys."""
+    return edges[:, 0] * n + edges[:, 1]
+
+
+def _lexicographic(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def edge_lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Euclidean length of each (i, j) row of ``edges``.
+
+    Squared coordinate differences are summed one coordinate after another,
+    the order ``pairwise_sq_dists`` uses, so each length equals
+    ``sqrt(pairwise_sq_dists(points))[i, j]`` bit for bit.
+    """
+    diff = points[edges[:, 0]] - points[edges[:, 1]]
+    sq = np.zeros(len(edges))
+    for column in diff.T:
+        sq += column * column
+    return np.sqrt(sq)
 
 
 def singular_rank(s: np.ndarray) -> int:
@@ -116,37 +142,13 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
         except QhullError as exc:
             raise DegeneracyError(f"tessellation failed even after jitter: {exc}") from exc
 
-    simplices = sorted(tuple(sorted(int(v) for v in s)) for s in tri.simplices)
-    edges: dict[Edge, float] = {}
-    for simplex in simplices:
-        for i, j in itertools.combinations(simplex, 2):
-            key = _edge(i, j)
-            if key not in edges:
-                edges[key] = float(np.linalg.norm(pts[i] - pts[j]))
-    return Tessellation(points=pts, simplices=simplices, edges=edges)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+    simplices = _lexicographic(np.sort(tri.simplices.astype(np.intp), axis=1))
+    i, j = np.triu_indices(p + 1, 1)
+    keys = np.unique(simplices[:, i] * n + simplices[:, j])
+    edges = np.column_stack(np.divmod(keys, n))
+    return Tessellation(
+        points=pts, simplices=simplices, edges=edges, lengths=edge_lengths(pts, edges)
+    )
 
 
 def euclidean_mcst(points, candidate_edges) -> SpanningTree:
@@ -157,18 +159,18 @@ def euclidean_mcst(points, candidate_edges) -> SpanningTree:
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
-    ranked = sorted(
-        (float(np.linalg.norm(pts[i] - pts[j])), i, j)
-        for i, j in (_edge(a, b) for a, b in candidate_edges)
-    )
-    uf = _UnionFind(n)
-    tree = SpanningTree()
-    for length, i, j in ranked:
-        if uf.union(i, j):
-            tree.edges.add((i, j))
-            tree.total_length += length
-            if len(tree.edges) == n - 1:
+    pairs = np.sort(np.asarray(candidate_edges, dtype=np.intp).reshape(-1, 2), axis=1)
+    lengths = edge_lengths(pts, pairs)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], lengths))
+    components = DisjointSet(range(n))
+    tree: list[int] = []
+    total_length = 0.0
+    for e, (i, j), length in zip(order.tolist(), pairs[order].tolist(), lengths[order].tolist()):
+        if components.merge(i, j):
+            tree.append(e)
+            total_length += length
+            if len(tree) == n - 1:
                 break
-    if len(tree.edges) != n - 1:
+    if len(tree) != n - 1:
         raise ValidationError("candidate edge set does not connect all points")
-    return tree
+    return SpanningTree(edges=_lexicographic(pairs[tree]), total_length=total_length)

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputParseError, ValidationError
-from .geometry import SpanningTree, Tessellation
+from .geometry import SpanningTree, Tessellation, edge_keys
 from .numerics import beta_quantile
 
 __all__ = [
@@ -28,34 +28,26 @@ __all__ = [
     "parse_edge_list",
 ]
 
-Edge = tuple[int, int]
-
 
 @dataclass
-class ManifoldGraph:
-    """Pruned tessellation graph with spanning-tree edges flagged."""
+class ManifoldGraph(Tessellation):
+    """Pruned tessellation: the surviving rows of its edge table and simplices.
 
-    points: np.ndarray
-    edges: dict[Edge, float]
-    simplices: list[tuple[int, ...]]
-    mcst_edges: set[Edge]
+    The layout is the tessellation's: ``edges`` holds (m, 2) pairs i < j in
+    lexicographic order with their (m,) ``lengths`` and ``simplices`` the
+    surviving (s, p+1) ascending rows in lexicographic order. ``mcst_edges``
+    are the protected spanning-tree pairs, also in lexicographic order.
+    """
+
+    mcst_edges: np.ndarray
     alpha: float
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.points.shape[1]
-
     def adjacency(self) -> list[list[tuple[int, float]]]:
+        """(neighbour, length) lists; lexicographic edges keep each list ascending."""
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for (i, j), length in self.edges.items():
+        for (i, j), length in zip(self.edges.tolist(), self.lengths.tolist()):
             adj[i].append((j, length))
             adj[j].append((i, length))
-        for nbrs in adj:
-            nbrs.sort()
         return adj
 
 
@@ -79,30 +71,26 @@ class GeodesicDistances:
 
 
 def _star_rejections(
-    vertex: int,
-    incident: list[Edge],
-    lengths: dict[Edge, float],
-    p: int,
-    alpha: float,
-    quantile_cache: dict[int, float],
-) -> set[Edge]:
-    """Edges of one vertex star whose length statistic exceeds the threshold.
+    star: list[int], sq: list[float], p: int, alpha: float, quantile_cache: dict[int, float]
+) -> list[int]:
+    """Edge ids of one vertex star whose length statistic exceeds the threshold.
 
-    The statistic for edge e_j is its squared length over the star's total
-    squared length; under a local Gaussian model it follows
-    Beta(p/2, (k-1)p/2) where k is the star size. Stars of size one are
-    exempt (the statistic is degenerate there).
+    ``sq`` holds each edge's squared length. The statistic for edge e_j is its
+    squared length over the star's total squared length, summed in edge-id
+    order; under a local Gaussian model it follows Beta(p/2, (k-1)p/2) where k
+    is the star size. Stars of size one are exempt (the statistic is
+    degenerate there).
     """
-    k = len(incident)
+    k = len(star)
     if k <= 1:
-        return set()
-    total = sum(lengths[e] ** 2 for e in incident)
+        return []
+    total = sum(sq[e] for e in star)
     if total <= 0.0:
-        return set()
+        return []
     if k not in quantile_cache:
         quantile_cache[k] = beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha)
     threshold = quantile_cache[k]
-    return {e for e in incident if lengths[e] ** 2 / total > threshold}
+    return [e for e in star if sq[e] / total > threshold]
 
 
 def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> ManifoldGraph:
@@ -120,46 +108,40 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if not mcst.edges <= set(tess.edges):
+    n, p = tess.n, tess.p
+    in_tree = np.isin(edge_keys(tess.edges, n), edge_keys(mcst.edges, n))
+    if np.count_nonzero(in_tree) != len(mcst.edges):
         raise ValidationError("spanning tree contains edges outside the tessellation")
 
-    n, p = tess.n, tess.p
-    lengths = dict(tess.edges)
-    incident: list[set[Edge]] = [set() for _ in range(n)]
-    for edge in lengths:
-        incident[edge[0]].add(edge)
-        incident[edge[1]].add(edge)
+    protected = in_tree.tolist()
+    # squares by Python's float power: numpy's square rounds differently on
+    # about one length in a thousand, which moves statistics at the threshold
+    sq = [length**2 for length in tess.lengths.tolist()]
+    stars: list[list[int]] = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(tess.edges.tolist()):
+        stars[i].append(e)
+        stars[j].append(e)
+    alive = [True] * len(sq)
 
     quantile_cache: dict[int, float] = {}
     changed = True
     while changed:
         changed = False
         for vertex in range(n):
-            snapshot = sorted(incident[vertex])
-            rejected = _star_rejections(vertex, snapshot, lengths, p, alpha, quantile_cache)
-            for edge in rejected:
-                if edge in mcst.edges or edge not in lengths:
-                    continue
-                del lengths[edge]
-                incident[edge[0]].discard(edge)
-                incident[edge[1]].discard(edge)
-                changed = True
+            star = stars[vertex] = [e for e in stars[vertex] if alive[e]]
+            for e in _star_rejections(star, sq, p, alpha, quantile_cache):
+                if not protected[e]:
+                    alive[e] = False
+                    changed = True
 
-    surviving = set(lengths)
-    simplices = [
-        s
-        for s in tess.simplices
-        if all(
-            ((a, b) if a < b else (b, a)) in surviving
-            for idx, a in enumerate(s)
-            for b in s[idx + 1 :]
-        )
-    ]
+    alive = np.array(alive)
+    surviving = alive[tess.simplex_edge_ids()].all(axis=1)
     return ManifoldGraph(
         points=tess.points,
-        edges=lengths,
-        simplices=simplices,
-        mcst_edges=set(mcst.edges),
+        edges=tess.edges[alive],
+        lengths=tess.lengths[alive],
+        simplices=tess.simplices[surviving],
+        mcst_edges=mcst.edges,
         alpha=alpha,
     )
 
@@ -170,9 +152,7 @@ def _csr(g: ManifoldGraph) -> csr_matrix:
     Zero-length edges (coincident points) stay as explicit entries, which
     ``scipy.sparse.csgraph`` treats as edges.
     """
-    ij = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
-    lengths = np.fromiter(g.edges.values(), dtype=float, count=len(g.edges))
-    return csr_matrix((lengths, (ij[:, 0], ij[:, 1])), shape=(g.n, g.n))
+    return csr_matrix((g.lengths, (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n))
 
 
 def dijkstra_truncated(
@@ -227,9 +207,9 @@ def dump_edge_list(g: ManifoldGraph) -> str:
     """Serialize the graph's edges: header ``n p alpha``, then ``i j length flag``."""
     buf = StringIO()
     buf.write(f"{g.n} {g.p} {g.alpha!r}\n")
-    for (i, j) in sorted(g.edges):
-        flag = 1 if (i, j) in g.mcst_edges else 0
-        buf.write(f"{i} {j} {g.edges[(i, j)]!r} {flag}\n")
+    flags = np.isin(edge_keys(g.edges, g.n), edge_keys(g.mcst_edges, g.n)).tolist()
+    for (i, j), length, flag in zip(g.edges.tolist(), g.lengths.tolist(), flags):
+        buf.write(f"{i} {j} {length!r} {int(flag)}\n")
     return buf.getvalue()
 
 
@@ -245,8 +225,8 @@ def parse_edge_list(text: str):
         n, p, alpha = int(head[0]), int(head[1]), float(head[2])
     except ValueError as exc:
         raise InputParseError(f"bad edge list header (line 1): {exc}") from exc
-    edges: dict[Edge, float] = {}
-    mcst: set[Edge] = set()
+    edges: dict[tuple[int, int], float] = {}
+    mcst: set[tuple[int, int]] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 4:

@@ -8,12 +8,12 @@ weighted average of the skeletal embeddings.
 
 Rank-deficient (noise-free) clouds are first trimmed to their affine rank by
 an exact distance-preserving reduction and processed there; clouds wider
-than the tessellation's dimension cap get an approximate metric MDS step
-down to the cap. Only rank-one clouds, where no tessellation exists, degrade
-to plain metric MDS on all points, as do clouds whose every point lands on
-the boundary, clouds with no boundary point and clouds with fewer than two
-skeletal points. ``transform_bandwidth`` takes the same working cloud, stages
-and fallbacks, so its bandwidth is the one ``lsdr`` would use.
+than the tessellation's dimension cap keep their first ``DIMENSION_CAP``
+principal components. Only rank-one clouds, where no tessellation exists,
+degrade to plain metric MDS on all points, as do clouds whose every point
+lands on the boundary, clouds with no boundary point and clouds with fewer
+than two skeletal points. ``transform_bandwidth`` takes the same working
+cloud, stages and fallbacks, so its bandwidth is the one ``lsdr`` would use.
 """
 
 import warnings
@@ -97,17 +97,16 @@ class LsdrResult:
 def pre_reduce(x) -> np.ndarray:
     """Distance-preserving reduction to the cloud's affine rank.
 
-    Classical scaling of the exact Euclidean distances reproduces the cloud
-    in as many dimensions as its centered rank, so all pairwise distances
-    survive; useful when n < p or when a caller wants the minimal exact
-    coordinates.
+    The principal-component scores of the centered cloud, as many columns as
+    its rank: classical scaling of the exact Euclidean distances (Gower 1966),
+    so all pairwise distances survive; useful when n < p or when a caller
+    wants the minimal exact coordinates.
     """
     x = as_matrix(x, "data")
-    centered = x - x.mean(axis=0)
-    u, s, _ = np.linalg.svd(centered, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    rank = singular_rank(s)
+    if rank == 0:
         return np.zeros((x.shape[0], 1))
-    rank = max(1, singular_rank(s))
     return u[:, :rank] * s[:rank]
 
 
@@ -116,25 +115,24 @@ def _distances(work: np.ndarray) -> np.ndarray:
 
 
 def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The cloud the stages run on, and whether it differs from ``x``."""
-    work = x
-    pre_reduced = False
-    if affine_rank(work) < work.shape[1]:
-        # exact distance-preserving reduction to the affine rank; a noise-free
-        # manifold of rank >= 2 then fills its own ambient space and the
-        # pipeline proceeds there
-        work = pre_reduce(work)
-        pre_reduced = True
+    """The cloud the stages run on, and whether it differs from ``x``.
+
+    Any cloud but a full-rank one within the cap becomes its principal
+    components: all of them (exact), or the first ``DIMENSION_CAP``.
+    """
+    p = x.shape[1]
+    if p <= DIMENSION_CAP and affine_rank(x) == p:
+        return x, False
+    work = pre_reduce(x)
     if work.shape[1] > DIMENSION_CAP:
         warnings.warn(
             f"cloud dimension {work.shape[1]} exceeds the tessellation cap {DIMENSION_CAP}; "
-            "applying an approximate distance-preserving reduction first",
+            f"keeping its first {DIMENSION_CAP} principal components",
             DegeneracyWarning,
             stacklevel=3,
         )
-        work = pre_reduce(metric_mds(_distances(work), DIMENSION_CAP))
-        pre_reduced = True
-    return work, pre_reduced
+        work = work[:, :DIMENSION_CAP]
+    return work, True
 
 
 @dataclass

@@ -54,26 +54,15 @@ class SkeletonReport:
 
 def detect_boundary(g: ManifoldGraph) -> list[int]:
     """Vertices incident to an edge lying in at most one surviving simplex."""
-    if not g.simplices:
+    if len(g.simplices) == 0:
         warnings.warn(
             "graph has no surviving simplices; every point is a boundary point",
             DegeneracyWarning,
             stacklevel=2,
         )
         return list(range(g.n))
-    counts: dict[tuple[int, int], int] = {edge: 0 for edge in g.edges}
-    for simplex in g.simplices:
-        for idx, a in enumerate(simplex):
-            for b in simplex[idx + 1 :]:
-                key = (a, b) if a < b else (b, a)
-                if key in counts:
-                    counts[key] += 1
-    boundary: set[int] = set()
-    for (i, j), count in counts.items():
-        if count <= 1:
-            boundary.add(i)
-            boundary.add(j)
-    return sorted(boundary)
+    counts = np.bincount(g.simplex_edge_ids().ravel(), minlength=len(g.edges))
+    return np.unique(g.edges[counts <= 1]).tolist()
 
 
 def boundary_distances(g: ManifoldGraph, boundary) -> np.ndarray:

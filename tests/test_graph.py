@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lsdr.errors import ValidationError
-from lsdr.geometry import delaunay_tessellation, euclidean_mcst
+from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
 from lsdr.graph import (
     ManifoldGraph,
     _star_rejections,
@@ -19,19 +19,25 @@ from lsdr.graph import (
 from lsdr.numerics import regularized_incomplete_beta
 from lsdr.skeleton import boundary_distances, detect_boundary
 
+from test_geometry import pair_set
 from test_numerics import quadrature_beta_quantile
 
 
 def build_graph(points, edges, simplices=(), mcst=(), alpha=0.95):
+    """A ManifoldGraph in the edge-table layout from unordered pairs and simplices."""
     pts = np.asarray(points, dtype=float)
-    lengths = {
-        (min(i, j), max(i, j)): float(np.linalg.norm(pts[i] - pts[j])) for i, j in edges
-    }
+
+    def table(pairs, width):
+        rows = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, width), axis=1)
+        return rows[np.lexsort(rows.T[::-1])]
+
+    pairs = table(edges, 2)
     return ManifoldGraph(
         points=pts,
-        edges=lengths,
-        simplices=[tuple(sorted(s)) for s in simplices],
-        mcst_edges={(min(i, j), max(i, j)) for i, j in mcst},
+        edges=pairs,
+        lengths=edge_lengths(pts, pairs),
+        simplices=table(simplices, pts.shape[1] + 1),
+        mcst_edges=table(mcst, 2),
         alpha=alpha,
     )
 
@@ -61,8 +67,8 @@ class TestPruneEdges:
         assert threshold == pytest.approx(0.527, abs=5e-4)
         assert 0.2 < threshold
         graph = prune_edges(tess, mcst, 0.95)
-        assert set(graph.edges) == set(tess.edges)
-        assert graph.simplices == tess.simplices
+        assert np.array_equal(graph.edges, tess.edges)
+        assert np.array_equal(graph.simplices, tess.simplices)
 
     def test_alpha_near_one_removes_nothing(self):
         rng = np.random.default_rng(12)
@@ -70,7 +76,7 @@ class TestPruneEdges:
         tess = delaunay_tessellation(pts)
         mcst = euclidean_mcst(pts, tess.edges)
         graph = prune_edges(tess, mcst, 1.0 - 1e-9)
-        assert set(graph.edges) == set(tess.edges)
+        assert np.array_equal(graph.edges, tess.edges)
 
     def test_noisy_circle_keeps_only_angular_neighbours(self):
         rng = np.random.default_rng(4)
@@ -85,8 +91,9 @@ class TestPruneEdges:
             sep = min((j - i) % n, (i - j) % n)
             assert sep <= 2, f"edge {(i, j)} spans {sep} angular positions"
         # the ring of consecutive neighbours survives intact
+        kept = pair_set(graph.edges)
         for i in range(n):
-            assert (min(i, (i + 1) % n), max(i, (i + 1) % n)) in graph.edges
+            assert (min(i, (i + 1) % n), max(i, (i + 1) % n)) in kept
 
     def test_mcst_edges_always_survive_and_graph_stays_connected(self):
         rng = np.random.default_rng(77)
@@ -97,7 +104,7 @@ class TestPruneEdges:
         mcst = euclidean_mcst(pts, tess.edges)
         for alpha in (0.5, 0.9, 0.99):
             graph = prune_edges(tess, mcst, alpha)
-            assert mcst.edges <= set(graph.edges)
+            assert pair_set(mcst.edges) <= pair_set(graph.edges)
             assert is_connected(graph)
 
     def test_surviving_simplices_have_all_edges(self):
@@ -106,7 +113,7 @@ class TestPruneEdges:
         tess = delaunay_tessellation(pts)
         mcst = euclidean_mcst(pts, tess.edges)
         graph = prune_edges(tess, mcst, 0.8)
-        surviving = set(graph.edges)
+        surviving = pair_set(graph.edges)
         for s in graph.simplices:
             for a in range(3):
                 for b in range(a + 1, 3):
@@ -117,16 +124,17 @@ class TestPruneEdges:
         rng = np.random.default_rng(23)
         pts = rng.uniform(0, 1, (60, 2))
         tess = delaunay_tessellation(pts)
+        sq = [length**2 for length in tess.lengths.tolist()]
         incident = {}
-        for e in tess.edges:
-            incident.setdefault(e[0], []).append(e)
-            incident.setdefault(e[1], []).append(e)
+        for e, (i, j) in enumerate(tess.edges.tolist()):
+            incident.setdefault(i, []).append(e)
+            incident.setdefault(j, []).append(e)
 
         def one_shot_survivors(alpha):
             rejected = set()
-            for v, inc in incident.items():
-                rejected |= _star_rejections(v, sorted(inc), tess.edges, tess.p, alpha, {})
-            return set(tess.edges) - rejected
+            for inc in incident.values():
+                rejected.update(_star_rejections(inc, sq, tess.p, alpha, {}))
+            return set(range(len(sq))) - rejected
 
         previous = None
         for alpha in (0.5, 0.7, 0.9, 0.99):
@@ -202,7 +210,15 @@ class TestGraphDistances:
             i, j = sorted(rng.choice(n, size=2, replace=False))
             if i != j and (i, j) not in edges:
                 edges[(i, j)] = int(rng.integers(1, 33)) / 8.0
-        g = ManifoldGraph(points=pts, edges=edges, simplices=[], mcst_edges=set(), alpha=0.9)
+        pairs = sorted(edges)
+        g = ManifoldGraph(
+            points=pts,
+            edges=np.array(pairs),
+            lengths=np.array([edges[e] for e in pairs]),
+            simplices=np.empty((0, 3), dtype=np.intp),
+            mcst_edges=np.empty((0, 2), dtype=np.intp),
+            alpha=0.9,
+        )
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for (i, j), w in edges.items():
@@ -273,8 +289,8 @@ class TestEdgeListFormat:
         graph = prune_edges(tess, mcst, 0.95)
         n, p, alpha, edges, mcst_edges = parse_edge_list(dump_edge_list(graph))
         assert (n, p, alpha) == (graph.n, graph.p, graph.alpha)
-        assert edges == graph.edges
-        assert mcst_edges == graph.mcst_edges
+        assert edges == dict(zip(map(tuple, graph.edges.tolist()), graph.lengths.tolist()))
+        assert mcst_edges == pair_set(graph.mcst_edges)
 
     def test_parse_errors_carry_line_numbers(self):
         from lsdr.errors import InputParseError

@@ -204,6 +204,8 @@ class TestDegenerateInputs:
             res = lsdr(x, LsdrConfig(d=1, seed=0))
         assert res.pre_reduced
         assert res.working_points.shape == (60, 6)
+        # the cap keeps the first six principal components, bit for bit
+        assert np.array_equal(res.working_points, pre_reduce(x)[:, :6])
         assert np.all(np.isfinite(res.embedding.coords))
 
     def test_rejects_d_not_below_p(self):

@@ -176,21 +176,14 @@ def cmd_index(args, argv: list[str]) -> int:
         sigma = args.bandwidth
         if sigma is None:
             sigma = transform_bandwidth(cloud, alpha=args.alpha, k=args.k, seed=args.seed)
-        try:
-            report.tci = tractable_consistency_index(
-                adapter,
-                cloud,
-                args.d,
-                KernelSpec("gaussian", sigma),
-                transform_subsample=args.transforms,
-                seed=args.seed,
-            )
-        except LsdrError as exc:
-            return _fail(
-                "numerical",
-                f"consistency index failed while fitting the reconstruction model: {exc}",
-                EXIT_NUMERICAL,
-            )
+        report.tci = tractable_consistency_index(
+            adapter,
+            cloud,
+            args.d,
+            KernelSpec("gaussian", sigma),
+            transform_subsample=args.transforms,
+            seed=args.seed,
+        )
         report.extras["tci_bandwidth"] = sigma
     if args.knn:
         # the consistency index already reduced the cloud at this d

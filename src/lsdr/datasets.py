@@ -14,20 +14,6 @@ from .errors import ValidationError
 
 __all__ = ["DatasetSpec", "generate", "spiral_with_angle", "FAMILIES"]
 
-FAMILIES = (
-    "spiral",
-    "swiss_roll",
-    "gaussian_clusters",
-    "uniform_hypercube",
-    "sphere_surface",
-    "grid",
-    "linked_circles",
-    "unlinked_circles",
-    "trefoil_knot",
-    "two_linear_clusters",
-    "circular_clusters",
-)
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -193,32 +179,24 @@ def _circular_clusters(spec: DatasetSpec, rng) -> np.ndarray:
     return np.vstack(rows)
 
 
+_GENERATORS = {
+    "spiral": lambda spec, rng: spiral_with_angle(spec)[0],
+    "swiss_roll": _swiss_roll,
+    "gaussian_clusters": _gaussian_clusters,
+    "uniform_hypercube": _uniform_hypercube,
+    "sphere_surface": _sphere_surface,
+    "grid": _grid,
+    "linked_circles": _linked_circles,
+    "unlinked_circles": _unlinked_circles,
+    "trefoil_knot": _trefoil_knot,
+    "two_linear_clusters": _two_linear_clusters,
+    "circular_clusters": _circular_clusters,
+}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate(spec: DatasetSpec) -> np.ndarray:
     """Generate the point cloud for ``spec``; exactly ``spec.n`` rows."""
-    rng = _rng(spec)
-    if spec.family == "spiral":
-        pts, _ = spiral_with_angle(spec)
-    elif spec.family == "swiss_roll":
-        pts = _swiss_roll(spec, rng)
-    elif spec.family == "gaussian_clusters":
-        pts = _gaussian_clusters(spec, rng)
-    elif spec.family == "uniform_hypercube":
-        pts = _uniform_hypercube(spec, rng)
-    elif spec.family == "sphere_surface":
-        pts = _sphere_surface(spec, rng)
-    elif spec.family == "grid":
-        pts = _grid(spec, rng)
-    elif spec.family == "linked_circles":
-        pts = _linked_circles(spec, rng)
-    elif spec.family == "unlinked_circles":
-        pts = _unlinked_circles(spec, rng)
-    elif spec.family == "trefoil_knot":
-        pts = _trefoil_knot(spec, rng)
-    elif spec.family == "two_linear_clusters":
-        pts = _two_linear_clusters(spec, rng)
-    elif spec.family == "circular_clusters":
-        pts = _circular_clusters(spec, rng)
-    else:  # pragma: no cover - guarded in DatasetSpec
-        raise ValidationError(f"unknown dataset family {spec.family!r}")
+    pts = _GENERATORS[spec.family](spec, _rng(spec))
     assert pts.shape[0] == spec.n
     return pts

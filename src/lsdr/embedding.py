@@ -62,13 +62,6 @@ class KernelSpec:
     def with_bandwidth(self, sigma: float) -> "KernelSpec":
         return KernelSpec(self.family, float(sigma))
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "bandwidth": self.bandwidth}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelSpec":
-        return cls(family=data["family"], bandwidth=data["bandwidth"])
-
 
 @dataclass
 class Embedding:
@@ -282,25 +275,6 @@ class KernelModel:
     alpha_coefficients: np.ndarray
     ridge: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "train_points": self.train_points.tolist(),
-            "train_embedding": self.train_embedding.tolist(),
-            "alpha_coefficients": self.alpha_coefficients.tolist(),
-            "ridge": self.ridge,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelModel":
-        return cls(
-            kernel=KernelSpec.from_dict(data["kernel"]),
-            train_points=np.asarray(data["train_points"], dtype=float),
-            train_embedding=np.asarray(data["train_embedding"], dtype=float),
-            alpha_coefficients=np.asarray(data["alpha_coefficients"], dtype=float),
-            ridge=float(data["ridge"]),
-        )
-
 
 def distinct_rows(train, train_embedding) -> tuple[np.ndarray, np.ndarray]:
     """Training points and their embeddings with exact duplicate points dropped.
@@ -360,8 +334,6 @@ class Reconstructor:
     with every embedding coordinate; ``c_matrix`` (d x p) holds those target
     covariances and ``constraint_rank`` reports the rank of the constraint
     system (deficiency triggers a pseudo-inverse and a warning).
-    ``to_dict`` writes exactly these fields; ``reconstruct`` reads all but
-    ``c_matrix`` and ``constraint_rank``.
     """
 
     kernel_y: KernelSpec
@@ -371,29 +343,6 @@ class Reconstructor:
     c_matrix: np.ndarray
     kernel_col_means: np.ndarray
     constraint_rank: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel_y": self.kernel_y.to_dict(),
-            "train_embedding": self.train_embedding.tolist(),
-            "column_means": self.column_means.tolist(),
-            "beta_coefficients": self.beta_coefficients.tolist(),
-            "c_matrix": self.c_matrix.tolist(),
-            "kernel_col_means": self.kernel_col_means.tolist(),
-            "constraint_rank": self.constraint_rank,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Reconstructor":
-        return cls(
-            kernel_y=KernelSpec.from_dict(data["kernel_y"]),
-            train_embedding=np.asarray(data["train_embedding"], dtype=float),
-            column_means=np.asarray(data["column_means"], dtype=float),
-            beta_coefficients=np.asarray(data["beta_coefficients"], dtype=float),
-            c_matrix=np.asarray(data["c_matrix"], dtype=float),
-            kernel_col_means=np.asarray(data["kernel_col_means"], dtype=float),
-            constraint_rank=int(data["constraint_rank"]),
-        )
 
 
 def fit_reconstruction(

@@ -232,7 +232,6 @@ def tractable_consistency_index(
     kernel: KernelSpec,
     transform_subsample: int | None = None,
     seed: int = 0,
-    reconstruction_kernel: KernelSpec | None = None,
 ) -> TciReport:
     """Worst-case output movement over the finite boundary transform set.
 
@@ -241,10 +240,12 @@ def tractable_consistency_index(
     the algorithm and measures the Procrustes residual against the original
     output. The full set has n*p transforms; a seeded uniform subsample keeps
     the cost tractable, at the price of reporting a lower bound. Transforms
-    run in chunks through ``alg.reduce_stack``; a chunk that raises or gives
-    a wrong-shaped or non-finite stack is rerun one transform at a time, so
-    transforms on which the algorithm fails are recorded, each with its own
-    message, and excluded.
+    run in chunks through one scan: ``alg.reduce_stack`` on the chunk's
+    stacked clouds, one check of its output and one residual rule. An output
+    that is wrong-shaped or not finite is a failure, as is an adapter that
+    raises. A failing chunk goes back through the same scan one transform at
+    a time, so each failing transform is recorded with its own message and
+    excluded.
     """
     x = as_matrix(x, "data")
     n, p = x.shape
@@ -252,15 +253,14 @@ def tractable_consistency_index(
         raise ValidationError("consistency index requires an explicit kernel bandwidth")
     base = alg.reduce(d, x).coords
 
-    recon_kernel = reconstruction_kernel or kernel
-    if recon_kernel.family == "gaussian":
+    if kernel.family == "gaussian":
         embed_scale = np.sqrt(pairwise_sq_dists(base))[np.triu_indices(n, 1)]
         sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
         kernel_y = KernelSpec("gaussian", sigma_y)
     else:
-        kernel_y = recon_kernel
+        kernel_y = kernel
     train_x, train_y = distinct_rows(x, base)
-    recon = fit_reconstruction(train_x, train_y, recon_kernel, kernel_y)
+    recon = fit_reconstruction(train_x, train_y, kernel, kernel_y)
     x_hat = reconstruct(recon, base)
     residual_part = x - x_hat
 
@@ -285,41 +285,32 @@ def tractable_consistency_index(
     denom = float(np.sum(base_centered * base_centered))
     base_constant = denom <= 1e-24
 
-    def one_at_a_time(i: int, j: int) -> TransformResult:
-        try:
-            moved = alg.reduce(d, transformed(np.array([i]), np.array([j]))[0]).coords
-            if base_constant:
-                # the similarity term vanishes; only the translation is free
-                moved = as_matrix(moved, "transformed output")
-                centered = moved - moved.mean(axis=0)
-                residual = float(np.sum(centered * centered))
-            else:
-                residual = procrustes_fit(moved, base).residual
-        except Exception as exc:  # noqa: BLE001 - any adapter failure is recorded
-            return TransformResult(point_index=i, axis=j, residual=None, failed=True, message=str(exc))
-        return TransformResult(point_index=i, axis=j, residual=residual)
-
-    chunk = max(1, _STACK_FLOATS // n_total)
-    contributions: list[TransformResult] = []
-    for start in range(0, len(chosen), chunk):
-        rows, cols = points[start : start + chunk], axes[start : start + chunk]
+    def scan(rows: np.ndarray, cols: np.ndarray) -> list[TransformResult]:
+        """Reduce and score the given transforms."""
         try:
             moved = alg.reduce_stack(d, transformed(rows, cols))
-            if moved.shape != (len(rows),) + base.shape or not np.all(np.isfinite(moved)):
-                raise ValidationError("adapter stack is wrong-shaped or not finite")
+            shape = (len(rows),) + base.shape
+            if moved.shape != shape:
+                raise ValidationError(f"adapter produced shape {moved.shape}, expected {shape}")
+            if not np.all(np.isfinite(moved)):
+                raise ValidationError("adapter output contains non-finite entries")
             at = moved - moved.mean(axis=1, keepdims=True)
             if base_constant:
+                # the similarity term vanishes; only the translation is free
                 residuals = [float(t) for t in np.sum(at * at, axis=(1, 2))]
             else:
                 _, s, _ = np.linalg.svd(np.swapaxes(at, 1, 2) @ base_centered)
                 residuals = _closed_form_residuals(at, s, denom)
-        except Exception:  # noqa: BLE001 - the chunk is rerun transform by transform
-            contributions += [one_at_a_time(int(i), int(j)) for i, j in zip(rows, cols)]
-            continue
-        contributions += [
-            TransformResult(point_index=int(i), axis=int(j), residual=r)
-            for i, j, r in zip(rows, cols, residuals)
-        ]
+        except Exception as exc:  # noqa: BLE001 - any adapter failure is recorded
+            if len(rows) > 1:
+                return [t for k in range(len(rows)) for t in scan(rows[k : k + 1], cols[k : k + 1])]
+            return [TransformResult(int(rows[0]), int(cols[0]), residual=None, failed=True, message=str(exc))]
+        return [TransformResult(int(i), int(j), residual=r) for i, j, r in zip(rows, cols, residuals)]
+
+    chunk = max(1, _STACK_FLOATS // n_total)
+    contributions: list[TransformResult] = []
+    for start in range(0, len(chosen), chunk):
+        contributions += scan(points[start : start + chunk], axes[start : start + chunk])
     return TciReport(
         value=max([0.0] + [t.residual for t in contributions if not t.failed]),
         contributions=contributions,

@@ -232,8 +232,8 @@ def test_11_consistency_index_ordering_pca_vs_lsdr():
         import warnings
 
         with warnings.catch_warnings():
-            # p=10 exceeds the tessellation cap: the documented approximate
-            # pre-reduction kicks in on every rerun
+            # p=10 exceeds the tessellation cap: every rerun keeps the
+            # first 6 principal components
             warnings.simplefilter("ignore")
             lsdr_report = tractable_consistency_index(
                 LsdrAdapter(seed=0), x, 2, kernel, transform_subsample=16, seed=0

@@ -140,6 +140,17 @@ class TestIndex:
         report = json.loads(out.read_text())
         assert report["tci_bandwidth"] == float(np.sqrt((t[:, None] - t[None, :]) ** 2).mean())
 
+    @pytest.mark.parametrize("flags", [["--tci", "--bandwidth", 1], ["--knn"]])
+    def test_target_dimension_above_p_is_a_usage_error(self, tmp_path, capsys, flags):
+        data = tmp_path / "c.csv"
+        run(["generate", "--family", "uniform_hypercube", "--n", 20, "--p", 3,
+             "--seed", 4, "--out", data])
+        capsys.readouterr()
+        assert run(["index", data, "--algo", "pca", "--d", 5, *flags,
+                    "--out", tmp_path / "idx.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR usage: ")
+
     def test_knn_metrics_on_identity(self, tmp_path):
         data = tmp_path / "c.csv"
         run(["generate", "--family", "uniform_hypercube", "--n", 25, "--p", 2,

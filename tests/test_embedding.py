@@ -287,17 +287,6 @@ class TestOutOfSample:
         # solve used K + ridge I, so the defect is ridge * alpha
         assert np.allclose(resid, -model.ridge * model.alpha_coefficients, atol=1e-10)
 
-    def test_round_trips_through_json_dict(self):
-        from lsdr.embedding import KernelModel
-
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((8, 2))
-        y = rng.standard_normal((8, 1))
-        model = fit_out_of_sample(x, y, KernelSpec("gaussian", 1.2))
-        back = KernelModel.from_dict(model.to_dict())
-        q = rng.standard_normal((3, 2))
-        assert np.allclose(embed_out_of_sample(back, q), embed_out_of_sample(model, q))
-
     def test_bregman_indicator_kernel_interpolates_categorical_codes(self):
         # equality kernel: K is the identity on distinct rows, so training
         # points reproduce exactly and unseen codes map to zero
@@ -379,14 +368,3 @@ class TestReconstruction:
         col_means = np.exp(-pairwise_sq_dists(latent) / (2 * sigma_y**2)).mean(axis=0)
         expected = x.mean(axis=0) + (k_row - col_means) @ recon.beta_coefficients
         assert np.allclose(reconstruct(recon, yq), expected, atol=1e-10)
-
-    def test_round_trips_through_json_dict(self):
-        from lsdr.embedding import Reconstructor
-
-        x, latent = swiss_roll(20, seed=2)
-        recon = fit_reconstruction(
-            x, latent, KernelSpec("gaussian", 3.0), KernelSpec("gaussian", 2.0)
-        )
-        back = Reconstructor.from_dict(recon.to_dict())
-        assert np.allclose(back.beta_coefficients, recon.beta_coefficients)
-        assert np.allclose(reconstruct(back, latent[3]), reconstruct(recon, latent[3]))

@@ -215,9 +215,9 @@ class TestTractableConsistencyIndex:
 
 def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0):
     """The consistency scan one transform at a time: a bump column added to
-    a zero matrix plus the residual part, ``alg.reduce`` and ``procrustes_fit``
-    per transform. Returns (point, axis, residual, message) per transform and
-    the running maximum, started at 0."""
+    a zero matrix plus the residual part, ``alg.reduce``, the output checks
+    and ``procrustes_fit`` per transform. Returns (point, axis, residual,
+    message) per transform and the running maximum, started at 0."""
     n, p = x.shape
     base = alg.reduce(d, x).coords
     embed_scale = np.sqrt(pairwise_sq_dists(base))[np.triu_indices(n, 1)]
@@ -245,6 +245,13 @@ def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0)
         x_tilde = transformed + residual_part
         try:
             moved = alg.reduce(d, x_tilde).coords
+            if moved.shape != base.shape:
+                # the library reduces a stack of one cloud and names its shape
+                raise ValidationError(
+                    f"adapter produced shape {(1,) + moved.shape}, expected {(1,) + base.shape}"
+                )
+            if not np.all(np.isfinite(moved)):
+                raise ValidationError("adapter output contains non-finite entries")
             if base_constant:
                 centered = moved - moved.mean(axis=0)
                 residual = float(np.sum(centered * centered))
@@ -295,6 +302,17 @@ class ConstantBaseNonFiniteAdapter(ConstantBaseAdapter):
         if not np.array_equal(x, self.base_cloud):
             emb.coords[0, 0] = np.nan
         return emb
+
+
+class ConstantBaseWrongShapeAdapter(ConstantBaseAdapter):
+    """Zeros on the base cloud, an (n - 1, d + 1) array on every transformed one."""
+
+    name = "constant-base-wrong-shape"
+
+    def reduce(self, d, x):
+        if np.array_equal(x, self.base_cloud):
+            return super().reduce(d, x)
+        return pca_reduce(x[1:], d + 1)
 
 
 def _picked(x, every):
@@ -357,16 +375,22 @@ class TestChunkedConsistencyIndex:
             report = self._assert_matches_serial(ConstantBaseAdapter(x), x, 2)
         assert report.value > 0.0
 
-    def test_non_finite_output_on_a_constant_base_is_a_failure(self):
+    @pytest.mark.parametrize(
+        "adapter, message",
+        [
+            (ConstantBaseNonFiniteAdapter, "non-finite"),
+            (ConstantBaseWrongShapeAdapter, "adapter produced shape (1, 39, 3), expected (1, 40, 2)"),
+        ],
+        ids=["non-finite", "wrong-shape"],
+    )
+    def test_non_finite_output_on_a_constant_base_is_a_failure(self, adapter, message):
         x = np.random.default_rng(6).standard_normal((40, 3))
         with pytest.warns(UserWarning, match="rank deficient"):
-            report = tractable_consistency_index(
-                ConstantBaseNonFiniteAdapter(x), x, 2, self.kernel, transform_subsample=3
-            )
+            report = tractable_consistency_index(adapter(x), x, 2, self.kernel, transform_subsample=3)
         assert len(report.failed_transforms) == 3
-        assert all(t.residual is None and "non-finite" in t.message for t in report.contributions)
+        assert all(t.residual is None and message in t.message for t in report.contributions)
         assert report.value == 0.0
-        json.dumps(IndexReport("constant-base-non-finite", "x", 40, tci=report).to_dict(), allow_nan=False)
+        json.dumps(IndexReport(adapter.name, "x", 40, tci=report).to_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("adapter", [SerialPcaAdapter, RefusingAdapter, NonFiniteAdapter])
     def test_failures_are_attributed_to_their_transforms(self, adapter, monkeypatch):

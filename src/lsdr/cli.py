@@ -66,6 +66,14 @@ def _write_manifest(path: Path, command: str, argv: list[str], seed: int, output
     )
 
 
+def _refuse_overwriting_input(source: str, outputs: list[Path]) -> None:
+    """Stop before anything is read or written if an output is the input file."""
+    source_path = Path(source).resolve()
+    for path in outputs:
+        if path.resolve() == source_path:
+            raise ValidationError(f"output {path} would overwrite the input {source}")
+
+
 def _dataset_spec(args) -> DatasetSpec:
     params = {}
     if args.clusters is not None:
@@ -100,6 +108,16 @@ def cmd_generate(args, argv: list[str]) -> int:
 
 def cmd_reduce(args, argv: list[str]) -> int:
     started = time.time()
+    if args.algo == "pca" and args.dump_graph:
+        raise ValidationError("--dump-graph needs --algo lsdr; pca builds no graph")
+    out = Path(args.out)
+    paired = out.with_name(out.stem + "_paired.csv")
+    script = out.with_suffix(".gp")
+    skel_path = out.with_name(out.stem + "_skeleton.json")
+    graph_path = out.with_name(out.stem + "_graph.txt")
+    manifest = out.with_suffix(".manifest.json")
+    optional = {script: args.plot, skel_path: args.algo == "lsdr", graph_path: args.dump_graph}
+    _refuse_overwriting_input(args.input, [out, paired, manifest] + [p for p, used in optional.items() if used])
     cloud = read_point_cloud(args.input)
     outputs = []
     degenerate = False
@@ -110,12 +128,11 @@ def cmd_reduce(args, argv: list[str]) -> int:
         skeleton = None
         graph = None
     else:
-        kernel = KernelSpec("gaussian", args.bandwidth)
         cfg = LsdrConfig(
             d=args.d,
             alpha=args.alpha,
             k=args.k,
-            kernel=kernel,
+            bandwidth=args.bandwidth,
             seed=args.seed,
         )
         result = lsdr(cloud, cfg)
@@ -124,28 +141,22 @@ def cmd_reduce(args, argv: list[str]) -> int:
         graph = result.graph
         degenerate = result.degenerate_fallback
 
-    out = Path(args.out)
     write_embedding(out, emb)
     outputs.append(str(out))
-    paired = out.with_name(out.stem + "_paired.csv")
     write_paired(paired, cloud, emb)
     outputs.append(str(paired))
     if args.plot:
-        script = out.with_suffix(".gp")
         script.write_text(GNUPLOT_TEMPLATE.format(paired=paired.name))
         outputs.append(str(script))
     if skeleton is not None:
-        skel_path = out.with_name(out.stem + "_skeleton.json")
         write_json(skel_path, skeleton.to_dict())
         outputs.append(str(skel_path))
     if args.dump_graph:
         if graph is None:
             return _fail("degeneracy", "no graph available to dump (fallback path taken)", EXIT_DEGENERATE)
-        graph_path = out.with_name(out.stem + "_graph.txt")
         graph_path.write_text(dump_edge_list(graph))
         outputs.append(str(graph_path))
 
-    manifest = out.with_suffix(".manifest.json")
     _write_manifest(manifest, "reduce", argv, args.seed, outputs, started)
     if degenerate and args.strict:
         return _fail("degeneracy", "degeneracy fallback taken under --strict", EXIT_DEGENERATE)
@@ -163,6 +174,10 @@ def _resolve_adapter(args):
 
 def cmd_index(args, argv: list[str]) -> int:
     started = time.time()
+    out = Path(args.out)
+    summary = out.with_suffix(".csv")
+    manifest = out.with_suffix(".manifest.json")
+    _refuse_overwriting_input(args.input, [out, summary, manifest])
     cloud = read_point_cloud(args.input)
     adapter = _resolve_adapter(args)
     report = IndexReport(
@@ -194,12 +209,9 @@ def cmd_index(args, argv: list[str]) -> int:
         report.trustworthiness = trust
         report.continuity = cont
 
-    out = Path(args.out)
     write_json(out, report.to_dict())
     header, row = report.csv_row()
-    summary = out.with_suffix(".csv")
     summary.write_text(header + "\n" + row + "\n")
-    manifest = out.with_suffix(".manifest.json")
     _write_manifest(manifest, "index", argv, args.seed, [str(out), str(summary)], started)
     print(f"wrote {out}")
     return EXIT_OK

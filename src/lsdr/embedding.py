@@ -47,7 +47,8 @@ class KernelSpec:
     ``gaussian`` is exp(-|x - x'|^2 / (2 sigma^2)); ``bregman-indicator`` is
     the 0/1 equality kernel for categorical data; ``linear`` is the plain dot
     product (useful as the identity-reduction limit). Bandwidth is only
-    meaningful for the Gaussian family.
+    meaningful for the Gaussian family; when given it must be positive and
+    finite.
     """
 
     family: str = "gaussian"
@@ -56,11 +57,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("gaussian", "bregman-indicator", "linear"):
             raise ValidationError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
-
-    def with_bandwidth(self, sigma: float) -> "KernelSpec":
-        return KernelSpec(self.family, float(sigma))
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 @dataclass
@@ -218,9 +216,9 @@ def nadaraya_embed(
         raise ValidationError("need at least one skeletal point")
     weights = kernel_matrix(kernel, x_all, x_skel)
     totals = weights.sum(axis=1)
-    dead = np.flatnonzero(totals <= 0.0)
-    out = np.empty((x_all.shape[0], y_skel.shape[1]))
     alive = totals > 0.0
+    dead = np.flatnonzero(~alive)
+    out = np.empty((x_all.shape[0], y_skel.shape[1]))
     out[alive] = (weights[alive] @ y_skel) / totals[alive, None]
     if dead.size:
         warnings.warn(
@@ -237,19 +235,12 @@ def recommended_bandwidth(skeleton: SkeletonReport, geodesics: GeodesicDistances
 
     For each skeletal point combine its boundary distance with the graph
     distance to its nearest other skeletal point; the maximum over skeletal
-    points is the bandwidth. With a single skeletal point the inner minimum
-    is undefined and the rule degrades to that point's boundary distance.
+    points is the bandwidth, so the rule needs two skeletal points.
     """
     skeletal = skeleton.skeletal_points
-    if not skeletal:
-        raise ValidationError("skeleton report has no skeletal points")
+    if len(skeletal) < 2:
+        raise ValidationError(f"bandwidth rule needs two skeletal points, got {len(skeletal)}")
     d_b = skeleton.boundary_distance
-    if len(skeletal) == 1:
-        warnings.warn(
-            "single skeletal point: bandwidth falls back to its boundary distance",
-            stacklevel=2,
-        )
-        return float(d_b[skeletal[0]])
     between = geodesics.block(skeletal)
     np.fill_diagonal(between, np.inf)
     best = 0.0

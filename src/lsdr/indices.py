@@ -163,17 +163,12 @@ class IdentityAdapter(AlgorithmAdapter):
         return clouds[:, :, :d].copy()
 
 
-def _sum_singular(m: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
 def trustability_index(alg: AlgorithmAdapter, x) -> float:
     """Procrustes discrepancy of the algorithm's full-dimensional output.
 
-    Computed from sums of singular values of the centered cross-products, it
-    is exactly the similarity-alignment residual between Y = reduce(p, X)
-    and X, and therefore zero (up to roundoff) whenever the output is a
-    translated, scaled rotation of the input.
+    The similarity-alignment residual of X onto Y = reduce(p, X), in the
+    closed form of ``procrustes_fit``, and therefore zero (up to roundoff)
+    whenever the output is a translated, scaled rotation of the input.
     """
     x = as_matrix(x, "data")
     n, p = x.shape
@@ -183,11 +178,7 @@ def trustability_index(alg: AlgorithmAdapter, x) -> float:
     y = alg.reduce(p, x).coords
     if y.shape != (n, p):
         raise ValidationError(f"adapter produced shape {y.shape}, expected {(n, p)}")
-    yt = y - y.mean(axis=0)
-    sum_xx = _sum_singular(xt.T @ xt)
-    sum_xy = _sum_singular(xt.T @ yt)
-    sum_yy = _sum_singular(yt.T @ yt)
-    return sum_yy - sum_xy**2 / sum_xx
+    return procrustes_fit(y, x).residual
 
 
 @dataclass

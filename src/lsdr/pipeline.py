@@ -12,8 +12,11 @@ than the tessellation's dimension cap keep their first ``DIMENSION_CAP``
 principal components. Only rank-one clouds, where no tessellation exists,
 degrade to plain metric MDS on all points, as do clouds whose every point
 lands on the boundary, clouds with no boundary point and clouds with fewer
-than two skeletal points. ``transform_bandwidth`` takes the same working
-cloud, stages and fallbacks, so its bandwidth is the one ``lsdr`` would use.
+than d + 1 skeletal points, too few for metric MDS to place d dimensions.
+Every embedding therefore has exactly d columns. The kernel is always the
+Gaussian; only its bandwidth is a choice. ``transform_bandwidth`` takes the
+same working cloud, stages and fallbacks at d = 1, so its bandwidth is the
+one ``lsdr`` would use.
 """
 
 import warnings
@@ -53,16 +56,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LsdrConfig:
-    """Pruning level, neighbour count, target dimension and kernel choice.
+    """Target dimension, pruning level, neighbour count and kernel bandwidth.
 
-    ``bandwidth`` of the kernel may stay None to use the recommended rule
-    computed from the skeleton. ``seed`` feeds the tessellation jitter.
+    ``bandwidth`` of the Gaussian kernel may stay None to use the recommended
+    rule computed from the skeleton. ``seed`` feeds the tessellation jitter.
     """
 
     d: int
     alpha: float = 0.95
     k: int = 3
-    kernel: KernelSpec = KernelSpec("gaussian", None)
+    bandwidth: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -72,6 +75,7 @@ class LsdrConfig:
             raise ValidationError(f"neighbour count must be at least 1, got {self.k}")
         if self.d < 1:
             raise ValidationError(f"target dimension must be at least 1, got {self.d}")
+        KernelSpec("gaussian", self.bandwidth)  # rejects a bandwidth outside (0, inf)
 
 
 @dataclass
@@ -158,8 +162,8 @@ def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
     except DegeneracyError as exc:
         return _Stages(str(exc), graph)
     skeletal = skeleton.skeletal_points
-    if len(skeletal) < 2:
-        # the stage-3 MDS needs at least two points to place
+    if len(skeletal) <= cfg.d:
+        # metric MDS places d dimensions only from at least d + 1 points
         return _Stages(f"only {len(skeletal)} skeletal point(s)", graph, skeleton)
     return _Stages(None, graph, skeleton, graph_distances(graph, skeletal))
 
@@ -188,14 +192,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         q = stages.geodesics.block(skeletal)
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
-        d_eff = min(cfg.d, len(skeletal) - 1)
-        if d_eff < cfg.d:
-            warnings.warn(
-                f"only {len(skeletal)} skeletal points; reducing target dimension to {d_eff}",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-        mds_coords = metric_mds(q, d_eff)
+        mds_coords = metric_mds(q, cfg.d)
         if len(stages.skeleton.boundary_points) == n:
             # every point is skeletal, so q is the full geodesic matrix
             reason = "all points on the boundary"
@@ -211,13 +208,9 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         coords = mds_coords
         params["fallback"] = reason
     else:
-        kernel = cfg.kernel
-        sigma = kernel.bandwidth
-        if kernel.family == "gaussian" and sigma is None:
-            sigma = _bandwidth(stages, work)
-            kernel = kernel.with_bandwidth(sigma)
-        coords = nadaraya_embed(mds_coords, work[skeletal], work, kernel)
-        params.update(bandwidth=sigma, kernel=kernel.family, seed=cfg.seed)
+        sigma = _bandwidth(stages, work) if cfg.bandwidth is None else cfg.bandwidth
+        coords = nadaraya_embed(mds_coords, work[skeletal], work, KernelSpec("gaussian", sigma))
+        params.update(bandwidth=sigma, kernel="gaussian", seed=cfg.seed)
 
     return LsdrResult(
         embedding=Embedding(coords=coords, algorithm="lsdr", params=params),
@@ -252,12 +245,11 @@ class LsdrAdapter(AlgorithmAdapter):
 
     name = "lsdr"
 
-    def __init__(self, alpha: float = 0.95, k: int = 3, kernel: KernelSpec | None = None, seed: int = 0):
+    def __init__(self, alpha: float = 0.95, k: int = 3, seed: int = 0):
         self.alpha = alpha
         self.k = k
-        self.kernel = kernel or KernelSpec("gaussian", None)
         self.seed = seed
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
-        cfg = LsdrConfig(d=d, alpha=self.alpha, k=self.k, kernel=self.kernel, seed=self.seed)
+        cfg = LsdrConfig(d=d, alpha=self.alpha, k=self.k, seed=self.seed)
         return lsdr(x, cfg).embedding

@@ -185,6 +185,38 @@ class TestIndex:
         assert both.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
+class TestUsageErrorsWriteNothing:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["index", "x.csv", "--algo", "pca", "--knn", "--d", 1, "--out", "x.json"],
+             "would overwrite the input x.csv"),
+            (["reduce", "x.csv", "--d", 1, "--out", "x.csv"], "would overwrite the input x.csv"),
+            (["reduce", "x.csv", "--algo", "pca", "--d", 1, "--dump-graph", "--out", "emb.csv"],
+             "--dump-graph needs --algo lsdr"),
+        ]
+        + [
+            (args + ["--bandwidth", bandwidth], "bandwidth must be positive and finite")
+            for bandwidth in ("nan", "inf", 0, -1)
+            for args in (
+                ["reduce", "x.csv", "--d", 1, "--out", "emb.csv"],
+                ["index", "x.csv", "--algo", "pca", "--tci", "--d", 1, "--out", "idx.json"],
+            )
+        ],
+    )  # fmt: skip
+    def test_refused_before_anything_is_written(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        run(["generate", "--family", "spiral", "--n", 60, "--seed", 1, "--out", "x.csv"])
+        (tmp_path / "x.manifest.json").unlink()
+        data = (tmp_path / "x.csv").read_bytes()
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR usage: ") and message in err[0]
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+        assert (tmp_path / "x.csv").read_bytes() == data
+
+
 class TestErrorsAndRerun:
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -209,11 +209,12 @@ class TestRecommendedBandwidth:
         geo = GeodesicDistances(sources=list(range(n)), dists=dists)
         assert recommended_bandwidth(rep, geo) == pytest.approx(np.sqrt(2.0))
 
-    def test_single_skeletal_point_falls_back_with_warning(self):
+    def test_single_skeletal_point_is_rejected(self):
+        # the pipeline never asks: a skeleton of at most d points falls back
         rep = self._report([0], [0.0, 0.7], [1])
         geo = GeodesicDistances(sources=[1], dists=np.array([[1.0, 0.0]]))
-        with pytest.warns(UserWarning, match="single skeletal"):
-            assert recommended_bandwidth(rep, geo) == pytest.approx(0.7)
+        with pytest.raises(ValidationError, match="needs two skeletal points"):
+            recommended_bandwidth(rep, geo)
 
     def test_matches_direct_re_evaluation_on_spiral(self):
         spec = DatasetSpec("spiral", 200, seed=4)

@@ -18,7 +18,7 @@ from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
 from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
 from lsdr.errors import DegeneracyWarning, LsdrError, ValidationError
 from lsdr.graph import graph_distances
-from lsdr.indices import procrustes_fit
+from lsdr.indices import procrustes_fit, tractable_consistency_index
 from lsdr.numerics import pairwise_sq_dists
 from lsdr.pipeline import LsdrAdapter, LsdrConfig, lsdr, pre_reduce, transform_bandwidth
 from lsdr.serialize import write_point_cloud
@@ -195,6 +195,31 @@ class TestDegenerateInputs:
         meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
         assert meta["fallback"] == res.embedding.params["fallback"]
 
+    def test_skeleton_of_at_most_d_points_falls_back_at_every_entry_point(self):
+        # two skeletal points: a skeleton at d = 1, too few for d = 3
+        rng = np.random.default_rng(4)
+        rng.integers(2, 5), rng.integers(7, 14), rng.integers(2, 4)  # p = 4, n = 13, d = 3
+        x = rng.normal(size=(13, 4))
+        with pytest.warns(DegeneracyWarning, match="falling back to metric MDS on all points"):
+            res = lsdr(x, LsdrConfig(d=3, seed=0))
+        assert res.degenerate_fallback and res.bandwidth is None
+        assert res.embedding.params["fallback"] == "only 2 skeletal point(s)"
+        assert np.array_equal(res.embedding.coords, metric_mds(np.sqrt(pairwise_sq_dists(x)), 3))
+        one = lsdr(x, LsdrConfig(d=1, seed=0))
+        assert not one.degenerate_fallback and len(one.skeleton.skeletal_points) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            sigma = transform_bandwidth(x, seed=0)
+            code, emb_bytes, err = _reduce_cli(x, 3)
+            tci = tractable_consistency_index(
+                LsdrAdapter(seed=0), x, 3, KernelSpec("gaussian", sigma), transform_subsample=8
+            )
+        assert sigma == one.bandwidth
+        assert code == 5 and err.startswith("ERROR degeneracy")
+        meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
+        assert meta["fallback"] == "only 2 skeletal point(s)"
+        assert tci.failed_transforms == []
+
     def test_dimension_cap_triggers_approximate_pre_reduction(self):
         spec = DatasetSpec(
             "gaussian_clusters", 60, p=10, seed=2, params={"clusters": 2, "separation": 10.0}
@@ -331,6 +356,7 @@ def _entry_points(x: np.ndarray, d: int):
         cli = _reduce_cli(x, d)
     if not isinstance(res, tuple):
         res = (
+            res.embedding.coords.shape,
             res.embedding.coords.tobytes(),
             res.degenerate_fallback,
             res.embedding.params.get("fallback"),
@@ -357,7 +383,8 @@ class TestEntryPointsOnDegenerateInput:
             assert code in (2, 4)
             assert err.startswith("ERROR ") and err.count("\n") == 1
             return
-        _, fell_back, reason, bandwidth = res
+        shape, _, fell_back, reason, bandwidth = res
+        assert shape == (len(x), d)
         meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
         if fell_back:
             assert reason and bandwidth is None

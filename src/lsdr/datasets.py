@@ -17,7 +17,12 @@ __all__ = ["DatasetSpec", "generate", "spiral_with_angle", "FAMILIES"]
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Family name, size, noise scale and family-specific parameters."""
+    """Family name, size, noise scale and family-specific parameters.
+
+    ``params`` may set ``turns`` (spiral), ``clusters`` (gaussian and
+    circular clusters), ``separation`` (gaussian and two linear clusters)
+    and ``gaps`` (gaussian clusters); every other shape constant is fixed.
+    """
 
     family: str
     n: int
@@ -49,8 +54,7 @@ def spiral_with_angle(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     rng = _rng(spec)
     turns = float(spec.params.get("turns", 1.25))
-    r0 = float(spec.params.get("r0", 1.0))
-    pitch = float(spec.params.get("pitch", 0.5))
+    r0, pitch = 1.0, 0.5
     noise = 0.6 if spec.noise is None else spec.noise
     span = turns * 2.0 * np.pi
     total_arc = r0 * span + 0.5 * pitch * span**2
@@ -64,7 +68,7 @@ def spiral_with_angle(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _swiss_roll(spec: DatasetSpec, rng) -> np.ndarray:
     noise = 0.05 if spec.noise is None else spec.noise
-    height = float(spec.params.get("height", 10.0))
+    height = 10.0
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, spec.n)
     h = rng.uniform(0.0, height, spec.n)
     pts = np.c_[t * np.cos(t), h, t * np.sin(t)]
@@ -155,7 +159,7 @@ def _trefoil_knot(spec: DatasetSpec, rng) -> np.ndarray:
 
 def _two_linear_clusters(spec: DatasetSpec, rng) -> np.ndarray:
     noise = 0.15 if spec.noise is None else spec.noise
-    length = float(spec.params.get("length", 10.0))
+    length = 10.0
     separation = float(spec.params.get("separation", 2.0))
     half = spec.n // 2
     xs_a = rng.uniform(0.0, length, half)
@@ -169,7 +173,7 @@ def _two_linear_clusters(spec: DatasetSpec, rng) -> np.ndarray:
 def _circular_clusters(spec: DatasetSpec, rng) -> np.ndarray:
     noise = 0.1 if spec.noise is None else spec.noise
     clusters = int(spec.params.get("clusters", 6))
-    radius = float(spec.params.get("radius", 5.0))
+    radius = 5.0
     angles = 2.0 * np.pi * np.arange(clusters) / clusters
     centers = np.c_[radius * np.cos(angles), radius * np.sin(angles), np.zeros(clusters)]
     sizes = [spec.n // clusters] * clusters

@@ -42,22 +42,20 @@ MDS_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth.
+    """The Gaussian kernel exp(-|x - x'|^2 / (2 sigma^2)) and its bandwidth.
 
-    ``gaussian`` is exp(-|x - x'|^2 / (2 sigma^2)); ``bregman-indicator`` is
-    the 0/1 equality kernel for categorical data; ``linear`` is the plain dot
-    product (useful as the identity-reduction limit). Bandwidth is only
-    meaningful for the Gaussian family; when given it must be positive and
-    finite.
+    The Gaussian is the package's only kernel; ``family`` names it for the
+    record and rejects anything else. The bandwidth is required and must be
+    positive and finite.
     """
 
     family: str = "gaussian"
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "bregman-indicator", "linear"):
-            raise ValidationError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+        if self.family != "gaussian":
+            raise ValidationError(f"unknown kernel family {self.family!r}; only 'gaussian' exists")
+        if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
             raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
@@ -82,25 +80,17 @@ class Embedding:
 
 
 def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
-    """Cross-kernel matrix k(a_i, b_j).
+    """Gaussian cross-kernel matrix k(a_i, b_j).
 
-    The distance-based families read ``pairwise_sq_dists``, so equal points
-    are exactly 0 apart: ``kernel_matrix(spec, x, x)`` is exactly symmetric,
-    the Gaussian diagonal is exactly 1, and the indicator kernel calls two
-    points equal only when they lie within 1e-12 of each other.
+    The squared distances come from ``pairwise_sq_dists``, so equal points
+    are exactly 0 apart: ``kernel_matrix(spec, x, x)`` is exactly symmetric
+    with a diagonal of exactly 1.
     """
     a = as_matrix(a, "kernel input a")
     b = as_matrix(b, "kernel input b")
     if a.shape[1] != b.shape[1]:
         raise ValidationError("kernel inputs must share their dimension")
-    if spec.family == "linear":
-        return a @ b.T
-    sq = pairwise_sq_dists(a, b)
-    if spec.family == "bregman-indicator":
-        return np.where(sq <= 1e-24, 1.0, 0.0)
-    if spec.bandwidth is None:
-        raise ValidationError("gaussian kernel requires a bandwidth")
-    return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    return np.exp(-pairwise_sq_dists(a, b) / (2.0 * spec.bandwidth**2))
 
 
 def _validate_distance_matrix(q) -> np.ndarray:
@@ -323,8 +313,7 @@ class Reconstructor:
     expansion over the training embeddings. ``beta_coefficients`` (n x p) is
     the minimum-norm solution making the training residuals uncorrelated
     with every embedding coordinate; ``c_matrix`` (d x p) holds those target
-    covariances and ``constraint_rank`` reports the rank of the constraint
-    system (deficiency triggers a pseudo-inverse and a warning).
+    covariances.
     """
 
     kernel_y: KernelSpec
@@ -333,7 +322,6 @@ class Reconstructor:
     beta_coefficients: np.ndarray
     c_matrix: np.ndarray
     kernel_col_means: np.ndarray
-    constraint_rank: int
 
 
 def fit_reconstruction(
@@ -388,7 +376,6 @@ def fit_reconstruction(
         beta_coefficients=beta,
         c_matrix=c,
         kernel_col_means=k_y.mean(axis=0),
-        constraint_rank=rank,
     )
 
 

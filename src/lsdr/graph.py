@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import InputParseError, ValidationError
+from .errors import ValidationError
 from .geometry import SpanningTree, Tessellation, edge_keys
 from .numerics import beta_quantile
 
@@ -25,7 +25,6 @@ __all__ = [
     "prune_edges",
     "graph_distances",
     "dump_edge_list",
-    "parse_edge_list",
 ]
 
 
@@ -70,16 +69,24 @@ class GeodesicDistances:
         return self.dists[np.ix_([self._rows[v] for v in vertices], vertices)]
 
 
-def _star_rejections(
-    star: list[int], sq: list[float], p: int, alpha: float, quantile_cache: dict[int, float]
-) -> list[int]:
+def _star_thresholds(p: int, alpha: float, max_star: int) -> list[float]:
+    """Beta(p/2, (k-1)p/2) quantiles at level alpha, indexed by star size k.
+
+    Sizes 0 and 1 hold inf: those stars are exempt from the test.
+    """
+    return [np.inf, np.inf] + [
+        beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha) for k in range(2, max_star + 1)
+    ]
+
+
+def _star_rejections(star: list[int], sq: list[float], thresholds: list[float]) -> list[int]:
     """Edge ids of one vertex star whose length statistic exceeds the threshold.
 
     ``sq`` holds each edge's squared length. The statistic for edge e_j is its
     squared length over the star's total squared length, summed in edge-id
     order; under a local Gaussian model it follows Beta(p/2, (k-1)p/2) where k
-    is the star size. Stars of size one are exempt (the statistic is
-    degenerate there).
+    is the star size, and ``thresholds[k]`` is its quantile. Stars of size one
+    are exempt (the statistic is degenerate there).
     """
     k = len(star)
     if k <= 1:
@@ -87,9 +94,7 @@ def _star_rejections(
     total = sum(sq[e] for e in star)
     if total <= 0.0:
         return []
-    if k not in quantile_cache:
-        quantile_cache[k] = beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha)
-    threshold = quantile_cache[k]
+    threshold = thresholds[k]
     return [e for e in star if sq[e] / total > threshold]
 
 
@@ -122,14 +127,14 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
         stars[i].append(e)
         stars[j].append(e)
     alive = [True] * len(sq)
+    thresholds = _star_thresholds(p, alpha, max(map(len, stars), default=0))
 
-    quantile_cache: dict[int, float] = {}
     changed = True
     while changed:
         changed = False
         for vertex in range(n):
             star = stars[vertex] = [e for e in stars[vertex] if alive[e]]
-            for e in _star_rejections(star, sq, p, alpha, quantile_cache):
+            for e in _star_rejections(star, sq, thresholds):
                 if not protected[e]:
                     alive[e] = False
                     changed = True
@@ -211,33 +216,3 @@ def dump_edge_list(g: ManifoldGraph) -> str:
     for (i, j), length, flag in zip(g.edges.tolist(), g.lengths.tolist(), flags):
         buf.write(f"{i} {j} {length!r} {int(flag)}\n")
     return buf.getvalue()
-
-
-def parse_edge_list(text: str):
-    """Parse the edge-list format back into (n, p, alpha, edges, mcst_edges)."""
-    lines = text.strip().splitlines()
-    if not lines:
-        raise InputParseError("edge list is empty (line 1)")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InputParseError("edge list header must be 'n p alpha' (line 1)")
-    try:
-        n, p, alpha = int(head[0]), int(head[1]), float(head[2])
-    except ValueError as exc:
-        raise InputParseError(f"bad edge list header (line 1): {exc}") from exc
-    edges: dict[tuple[int, int], float] = {}
-    mcst: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 4:
-            raise InputParseError(f"edge line must be 'i j length flag' (line {lineno})")
-        try:
-            i, j, length, flag = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise InputParseError(f"bad edge line (line {lineno}): {exc}") from exc
-        if not 0 <= i < j < n:
-            raise InputParseError(f"edge indices out of range (line {lineno})")
-        edges[(i, j)] = length
-        if flag:
-            mcst.add((i, j))
-    return n, p, alpha, edges, mcst

@@ -11,6 +11,7 @@ solved here in closed form.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .embedding import (
     Embedding,
@@ -240,16 +241,11 @@ def tractable_consistency_index(
     """
     x = as_matrix(x, "data")
     n, p = x.shape
-    if kernel.family == "gaussian" and kernel.bandwidth is None:
-        raise ValidationError("consistency index requires an explicit kernel bandwidth")
     base = alg.reduce(d, x).coords
 
-    if kernel.family == "gaussian":
-        embed_scale = np.sqrt(pairwise_sq_dists(base))[np.triu_indices(n, 1)]
-        sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
-        kernel_y = KernelSpec("gaussian", sigma_y)
-    else:
-        kernel_y = kernel
+    embed_scale = pdist(base)
+    sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
+    kernel_y = KernelSpec("gaussian", sigma_y)
     train_x, train_y = distinct_rows(x, base)
     recon = fit_reconstruction(train_x, train_y, kernel, kernel_y)
     x_hat = reconstruct(recon, base)
@@ -403,21 +399,9 @@ class IndexReport:
         return data
 
     def csv_row(self) -> tuple[str, str]:
-        """Header and one data row shaped like the summary tables."""
-        header = "dataset,algorithm,n,ti,ti_normalized,tci,tci_normalized,tsi,trustworthiness,continuity"
-        fmt = lambda v: "" if v is None else repr(float(v))
-        row = ",".join(
-            [
-                self.dataset,
-                self.algorithm,
-                str(self.n),
-                fmt(self.ti),
-                fmt(None if self.ti is None else self.ti / self.n),
-                fmt(None if self.tci is None else self.tci.value),
-                fmt(None if self.tci is None else self.tci.value / self.n),
-                fmt(self.tsi),
-                fmt(self.trustworthiness),
-                fmt(self.continuity),
-            ]
-        )
-        return header, row
+        """Header and one data row shaped like the summary tables, read from ``to_dict``."""
+        data = self.to_dict()
+        values = ("ti", "ti_normalized", "tci", "tci_normalized", "tsi", "trustworthiness", "continuity")
+        row = [data["dataset"], data["algorithm"], str(data["n"])]
+        row += ["" if data.get(key) is None else repr(float(data[key])) for key in values]
+        return ",".join(("dataset", "algorithm", "n") + values), ",".join(row)

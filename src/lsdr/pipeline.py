@@ -75,7 +75,8 @@ class LsdrConfig:
             raise ValidationError(f"neighbour count must be at least 1, got {self.k}")
         if self.d < 1:
             raise ValidationError(f"target dimension must be at least 1, got {self.d}")
-        KernelSpec("gaussian", self.bandwidth)  # rejects a bandwidth outside (0, inf)
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 @dataclass

@@ -42,15 +42,6 @@ class SkeletonReport:
             "k_neighbours": int(self.k_neighbours),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SkeletonReport":
-        return cls(
-            boundary_points=[int(i) for i in data["boundary_points"]],
-            boundary_distance=np.asarray(data["boundary_distance"], dtype=float),
-            skeletal_points=[int(i) for i in data["skeletal_points"]],
-            k_neighbours=int(data["k_neighbours"]),
-        )
-
 
 def detect_boundary(g: ManifoldGraph) -> list[int]:
     """Vertices incident to an edge lying in at most one surviving simplex."""

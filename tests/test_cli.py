@@ -8,8 +8,9 @@ import pytest
 from lsdr import pipeline
 from lsdr.cli import main
 from lsdr.errors import DegeneracyWarning
-from lsdr.graph import parse_edge_list
 from lsdr.serialize import read_point_cloud, write_json
+
+from test_graph import assert_dump_matches
 
 
 def run(args):
@@ -65,10 +66,34 @@ class TestReduce:
         out = tmp_path / "emb.csv"
         assert run(["reduce", data, "--algo", "lsdr", "--d", 1, "--dump-graph", "--out", out]) == 0
         text = (tmp_path / "emb_graph.txt").read_text()
-        n, p, alpha, edges, mcst = parse_edge_list(text)
-        assert n == 120 and p == 2 and alpha == 0.95
-        assert mcst <= set(edges)
-        assert len(edges) >= n - 1
+        graph = pipeline.lsdr(read_point_cloud(data), pipeline.LsdrConfig(d=1)).graph
+        assert (graph.n, graph.p, graph.alpha) == (120, 2, 0.95)
+        assert_dump_matches(text, graph)
+        assert len(graph.edges) >= graph.n - 1
+
+    def test_graph_dump_of_a_fallback_without_a_graph(self, tmp_path):
+        # a rank-one cloud takes the fallback before any graph exists: the
+        # dump is skipped, the manifest is still written and replays
+        data = tmp_path / "line.csv"
+        t = np.linspace(0.0, 1.0, 30)
+        data.write_text("x0,x1\n" + "\n".join(f"{float(v)!r},{float(2 * v + 1)!r}" for v in t) + "\n")
+        out = tmp_path / "emb.csv"
+        paired = tmp_path / "emb_paired.csv"
+        args = ["reduce", data, "--d", 1, "--dump-graph", "--out", out]
+        with pytest.warns(DegeneracyWarning):
+            assert run(args) == 0
+        assert not (tmp_path / "emb_graph.txt").exists()
+        manifest = json.loads((tmp_path / "emb.manifest.json").read_text())
+        assert manifest["outputs"] == sorted([str(out), str(paired)])
+        first = {path: path.read_bytes() for path in (out, paired)}
+        out.unlink()
+        paired.unlink()
+        with pytest.warns(DegeneracyWarning):
+            assert run(["rerun", tmp_path / "emb.manifest.json"]) == 0
+        assert {path: path.read_bytes() for path in (out, paired)} == first
+        with pytest.warns(DegeneracyWarning):
+            assert run(args + ["--strict"]) == 5
+        assert not (tmp_path / "emb_graph.txt").exists()
 
     def test_pca_reduce_writes_embedding(self, tmp_path):
         data = tmp_path / "c.csv"

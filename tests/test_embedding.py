@@ -118,10 +118,13 @@ class TestKernelMatrix:
         assert np.all(np.diag(k) == 1.0)
         assert np.array_equal(k, k.T)
 
-    def test_indicator_kernel_separates_points_far_from_the_origin(self):
-        x = np.random.default_rng(5).standard_normal((20, 3)) + 1000.0
-        k = kernel_matrix(KernelSpec("bregman-indicator"), x, x + 1e-7)
-        assert np.all(k == 0.0)
+    @pytest.mark.parametrize(
+        "family, bandwidth",
+        [("linear", 1.0), ("bregman-indicator", 1.0), ("gaussian", None), ("gaussian", 0.0), ("gaussian", np.inf)],
+    )
+    def test_spec_accepts_only_a_gaussian_with_a_positive_finite_bandwidth(self, family, bandwidth):
+        with pytest.raises(ValidationError):
+            KernelSpec(family, bandwidth)
 
 
 class TestStress:
@@ -288,26 +291,8 @@ class TestOutOfSample:
         # solve used K + ridge I, so the defect is ridge * alpha
         assert np.allclose(resid, -model.ridge * model.alpha_coefficients, atol=1e-10)
 
-    def test_bregman_indicator_kernel_interpolates_categorical_codes(self):
-        # equality kernel: K is the identity on distinct rows, so training
-        # points reproduce exactly and unseen codes map to zero
-        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        y = np.array([[5.0], [-3.0], [7.0]])
-        model = fit_out_of_sample(x, y, KernelSpec("bregman-indicator"))
-        assert np.allclose(embed_out_of_sample(model, x), y, atol=1e-6)
-        unseen = embed_out_of_sample(model, np.array([[9.0, 9.0]]))
-        assert unseen[0, 0] == pytest.approx(0.0, abs=1e-12)
-
 
 class TestReconstruction:
-    def test_identity_reduction_linear_kernel_reconstructs_exactly(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((20, 3))
-        lin = KernelSpec("linear")
-        recon = fit_reconstruction(x, x.copy(), lin, lin)
-        back = reconstruct(recon, x)
-        assert np.abs(back - x).max() < 1e-8
-
     def test_constant_embedding_reconstructs_column_means(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((12, 3))

@@ -12,11 +12,11 @@ from lsdr.graph import (
     _star_rejections,
     dump_edge_list,
     graph_distances,
+    _star_thresholds,
     multi_source_distances,
-    parse_edge_list,
     prune_edges,
 )
-from lsdr.numerics import regularized_incomplete_beta
+from lsdr.numerics import beta_quantile, regularized_incomplete_beta
 from lsdr.skeleton import boundary_distances, detect_boundary
 
 from test_geometry import pair_set
@@ -131,9 +131,10 @@ class TestPruneEdges:
             incident.setdefault(j, []).append(e)
 
         def one_shot_survivors(alpha):
+            thresholds = _star_thresholds(tess.p, alpha, max(map(len, incident.values())))
             rejected = set()
             for inc in incident.values():
-                rejected.update(_star_rejections(inc, sq, tess.p, alpha, {}))
+                rejected.update(_star_rejections(inc, sq, thresholds))
             return set(range(len(sq))) - rejected
 
         previous = None
@@ -142,6 +143,11 @@ class TestPruneEdges:
             if previous is not None:
                 assert previous <= survivors
             previous = survivors
+
+    def test_thresholds_are_the_beta_quantiles_by_star_size(self):
+        thresholds = _star_thresholds(3, 0.9, 5)
+        assert thresholds[:2] == [np.inf, np.inf]
+        assert thresholds[2:] == [beta_quantile(1.5, (k - 1) * 1.5, 0.9) for k in range(2, 6)]
 
     def test_statistic_follows_beta_law(self):
         # small-sample version of the distribution acceptance check
@@ -280,6 +286,24 @@ class TestGraphDistances:
             graph_distances(g, [])
 
 
+def assert_dump_matches(text: str, graph: ManifoldGraph) -> None:
+    """``text`` is the header ``n p alpha``, then ``i j repr(length) flag`` per edge.
+
+    The edges come in the graph's order; the flag is 1 exactly for the
+    spanning-tree edges.
+    """
+    mcst = pair_set(graph.mcst_edges)
+    edges = list(map(tuple, graph.edges.tolist()))
+    lines = text.splitlines()
+    assert text.endswith("\n")
+    assert lines[0] == f"{graph.n} {graph.p} {graph.alpha!r}"
+    assert lines[1:] == [
+        f"{i} {j} {length!r} {int((i, j) in mcst)}"
+        for (i, j), length in zip(edges, graph.lengths.tolist())
+    ]
+    assert mcst <= set(edges)
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(52)
@@ -287,15 +311,11 @@ class TestEdgeListFormat:
         tess = delaunay_tessellation(pts)
         mcst = euclidean_mcst(pts, tess.edges)
         graph = prune_edges(tess, mcst, 0.95)
-        n, p, alpha, edges, mcst_edges = parse_edge_list(dump_edge_list(graph))
-        assert (n, p, alpha) == (graph.n, graph.p, graph.alpha)
+        text = dump_edge_list(graph)
+        assert_dump_matches(text, graph)
+        head, *rows = [line.split() for line in text.splitlines()]
+        assert (int(head[0]), int(head[1]), float(head[2])) == (graph.n, graph.p, graph.alpha)
+        edges = {(int(i), int(j)): float(length) for i, j, length, _ in rows}
         assert edges == dict(zip(map(tuple, graph.edges.tolist()), graph.lengths.tolist()))
-        assert mcst_edges == pair_set(graph.mcst_edges)
-
-    def test_parse_errors_carry_line_numbers(self):
-        from lsdr.errors import InputParseError
-
-        with pytest.raises(InputParseError, match="line 1"):
-            parse_edge_list("")
-        with pytest.raises(InputParseError, match="line 2"):
-            parse_edge_list("3 2 0.95\n0 1 not-a-number 0")
+        flagged = {(int(i), int(j)) for i, j, _, flag in rows if flag == "1"}
+        assert flagged == pair_set(graph.mcst_edges)

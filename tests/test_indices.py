@@ -23,6 +23,8 @@ from lsdr.indices import (
     IdentityAdapter,
     IndexReport,
     PcaAdapter,
+    TciReport,
+    TransformResult,
     knn_metrics,
     pca_reduce,
     procrustes_fit,
@@ -555,6 +557,30 @@ class TestIndexReport:
         assert fields[0] == "demo" and fields[1] == "pca"
         assert float(fields[3]) == 2.5
         assert float(fields[4]) == 0.025
+
+    @pytest.mark.parametrize(
+        "report, row",
+        [
+            (
+                IndexReport(
+                    "lsdr", "roll", 7, ti=0.1, knn_k=3, tsi=0.9, trustworthiness=0.8, continuity=0.7,
+                    tci=TciReport(
+                        value=0.3,
+                        contributions=[TransformResult(2, 0, 0.3), TransformResult(5, 1, None, True, "boom")],
+                        subsampled=True,
+                        n_transforms_total=14,
+                        base=np.zeros((7, 2)),
+                    ),
+                    extras={"tci_bandwidth": 1.5},
+                ),
+                "roll,lsdr,7,0.1,0.014285714285714287,0.3,0.04285714285714286,0.9,0.8,0.7",
+            ),
+            (IndexReport("pca", "demo", 100, ti=2.5), "demo,pca,100,2.5,0.025,,,,,"),
+        ],
+    )  # fmt: skip
+    def test_csv_row_bytes(self, report, row):
+        header = "dataset,algorithm,n,ti,ti_normalized,tci,tci_normalized,tsi,trustworthiness,continuity"
+        assert report.csv_row() == (header, row)
 
     def test_json_dict_has_normalized_values(self):
         report = IndexReport(algorithm="pca", dataset="demo", n=50, ti=5.0)

@@ -1,5 +1,7 @@
 """Boundary detection and skeletal marking against hull and Dijkstra oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -7,8 +9,8 @@ from scipy.spatial import ConvexHull
 from lsdr.errors import DegeneracyWarning
 from lsdr.geometry import delaunay_tessellation, euclidean_mcst
 from lsdr.graph import graph_distances, prune_edges
+from lsdr.serialize import write_json
 from lsdr.skeleton import (
-    SkeletonReport,
     boundary_distances,
     detect_boundary,
     graph_neighbours,
@@ -151,16 +153,19 @@ class TestMarkSkeleton:
 
 
 class TestSkeletonReport:
-    def test_report_round_trips_through_json_dict(self):
+    def test_report_round_trips_through_json_dict(self, tmp_path):
         rng = np.random.default_rng(19)
         pts = rng.uniform(0, 1, (40, 2))
         g = tessellation_graph(pts, alpha=0.95)
         rep = skeleton_report(g, 3)
-        back = SkeletonReport.from_dict(rep.to_dict())
-        assert back.boundary_points == rep.boundary_points
-        assert back.skeletal_points == rep.skeletal_points
-        assert np.allclose(back.boundary_distance, rep.boundary_distance)
-        assert back.k_neighbours == rep.k_neighbours
+        path = tmp_path / "emb_skeleton.json"
+        write_json(path, rep.to_dict())
+        back = json.loads(path.read_text())
+        assert sorted(back) == ["boundary_distance", "boundary_points", "k_neighbours", "skeletal_points"]
+        assert back["boundary_points"] == rep.boundary_points
+        assert back["skeletal_points"] == rep.skeletal_points
+        assert back["boundary_distance"] == rep.boundary_distance.tolist()
+        assert back["k_neighbours"] == rep.k_neighbours
 
     def test_nonempty_skeleton_whenever_interior_exists(self):
         for seed in range(5):

@@ -20,6 +20,7 @@ from .indices import (
     IdentityAdapter,
     IndexReport,
     PcaAdapter,
+    check_knn_k,
     knn_metrics,
     tractable_consistency_index,
     trustability_index,
@@ -178,6 +179,8 @@ def cmd_index(args, argv: list[str]) -> int:
     manifest = out.with_suffix(".manifest.json")
     _refuse_overwriting_input(args.input, [out, summary, manifest])
     cloud = read_point_cloud(args.input)
+    if args.knn:
+        check_knn_k(cloud.shape[0], args.knn_k)
     adapter = _resolve_adapter(args)
     report = IndexReport(
         algorithm=adapter.name,

@@ -21,7 +21,8 @@ class DatasetSpec:
 
     ``params`` may set ``turns`` (spiral), ``clusters`` (gaussian and
     circular clusters), ``separation`` (gaussian and two linear clusters)
-    and ``gaps`` (gaussian clusters); every other shape constant is fixed.
+    and ``gaps`` (gaussian clusters); every other shape constant is fixed,
+    and a key the family's generator does not read is rejected.
     """
 
     family: str
@@ -36,6 +37,9 @@ class DatasetSpec:
             raise ValidationError(f"unknown dataset family {self.family!r}")
         if self.n < 1:
             raise ValidationError(f"dataset size must be positive, got {self.n}")
+        unknown = [str(key) for key in self.params if key not in _PARAMS.get(self.family, ())]
+        if unknown:
+            raise ValidationError(f"dataset family {self.family!r} takes no parameter {', '.join(unknown)}")
 
 
 def _rng(spec: DatasetSpec) -> np.random.Generator:
@@ -197,6 +201,13 @@ _GENERATORS = {
     "circular_clusters": _circular_clusters,
 }
 FAMILIES = tuple(_GENERATORS)
+# the ``params`` keys each generator reads; families missing here read none
+_PARAMS = {
+    "spiral": ("turns",),
+    "gaussian_clusters": ("clusters", "separation", "gaps"),
+    "two_linear_clusters": ("separation",),
+    "circular_clusters": ("clusters",),
+}
 
 
 def generate(spec: DatasetSpec) -> np.ndarray:

@@ -35,6 +35,7 @@ __all__ = [
     "TransformResult",
     "TciReport",
     "tractable_consistency_index",
+    "check_knn_k",
     "knn_metrics",
     "IndexReport",
 ]
@@ -78,6 +79,15 @@ def procrustes_fit(a, b) -> ProcrustesFit:
     return ProcrustesFit(mu=mu, scale=scale, rotation=rotation, residual=residual)
 
 
+def _square_sums(stack: np.ndarray) -> np.ndarray:
+    """Sum of the squared entries of each (n, q) cloud of a (B, n, q) stack.
+
+    The squares are laid out C-contiguously whatever the stack's layout, so
+    each cloud is summed in the order of its own C-contiguous array.
+    """
+    return np.sum(np.multiply(stack, stack, order="C"), axis=(1, 2))
+
+
 def _closed_form_residuals(at: np.ndarray, s: np.ndarray, denom: float) -> list[float]:
     """trace(At^T At) - (sum of s)^2 / denom for each demeaned target At of a stack.
 
@@ -85,8 +95,22 @@ def _closed_form_residuals(at: np.ndarray, s: np.ndarray, denom: float) -> list[
     Python floats: scalar ``**`` goes through libm pow, which can differ from
     the array square in the last bit.
     """
-    traces = np.sum(at * at, axis=(1, 2))
-    return [float(t) - float(u) ** 2 / denom for t, u in zip(traces, np.sum(s, axis=1))]
+    return [float(t) - float(u) ** 2 / denom for t, u in zip(_square_sums(at), np.sum(s, axis=1))]
+
+
+def _points_first(b: int, n: int, q: int) -> np.ndarray:
+    """An all-zero (b, n, q) stack of clouds whose memory is ordered (n, b, q).
+
+    A reduction over points then adds whole rows of b * q contiguous floats
+    one point after another, which is also the order numpy uses for a single
+    C-contiguous (n, q) cloud: each cloud of the stack rounds exactly as it
+    would alone, and the inner loop is long. A one-column cloud is the
+    exception, because numpy sums its contiguous column pairwise, so a
+    one-column stack keeps the C layout.
+    """
+    if q == 1:
+        return np.zeros((b, n, 1))
+    return np.zeros((n, b, q)).swapaxes(0, 1)
 
 
 class AlgorithmAdapter:
@@ -109,7 +133,13 @@ class AlgorithmAdapter:
 
 
 def _pca(clouds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCA coordinates (B, n, d) and top-d eigenvalues (B, d) of a (B, n, p) stack."""
+    """PCA coordinates (B, n, d) and top-d eigenvalues (B, d) of a (B, n, p) stack.
+
+    The coordinates go into a ``_points_first`` stack, the layout of the
+    clouds the consistency index feeds in: every slice then equals the
+    single-cloud result bit for bit, while the means over points run over
+    long contiguous rows.
+    """
     n, p = clouds.shape[1:]
     if not 1 <= d <= p:
         raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
@@ -122,7 +152,8 @@ def _pca(clouds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     lead_row = np.argmax(np.abs(components), axis=1)[:, None, :]
     lead = np.take_along_axis(components, lead_row, axis=1)
     np.negative(components, out=components, where=lead < 0)
-    return centered @ components, eigenvalues[:, :d]
+    coords = np.matmul(centered, components, out=_points_first(len(clouds), n, d))
+    return coords, eigenvalues[:, :d]
 
 
 def pca_reduce(x, d: int) -> Embedding:
@@ -212,8 +243,9 @@ class TciReport:
         return [t for t in self.contributions if t.failed]
 
 
-# Transforms per chunk of the consistency scan are sized so that each
-# (B, n, p) stack of transformed clouds holds about this many floats (2 MB).
+# Chunked work is sized to about this many floats (2 MB) per array: the
+# (B, n, p) stack of transformed clouds per chunk of the consistency scan,
+# and the rows of squared distances per block of the kNN metrics.
 _STACK_FLOATS = 2**18
 
 
@@ -237,7 +269,11 @@ def tractable_consistency_index(
     that is wrong-shaped or not finite is a failure, as is an adapter that
     raises. A failing chunk goes back through the same scan one transform at
     a time, so each failing transform is recorded with its own message and
-    excluded.
+    excluded. Each chunk's clouds are stacked points-first, one-column clouds
+    excepted (``_points_first``), and the residuals square the centred output
+    in C order: every reduction over points then adds in the order it takes
+    for a single cloud, so the residuals equal the one-transform-at-a-time
+    scan's bit for bit.
     """
     x = as_matrix(x, "data")
     n, p = x.shape
@@ -261,11 +297,17 @@ def tractable_consistency_index(
         subsampled = False
     points, axes = np.divmod(chosen, p)
 
+    chunk = max(1, _STACK_FLOATS // n_total)
+    # the residual part of a whole chunk, laid out as its stacks are, so that
+    # adding it runs over long contiguous rows
+    residual_stack = _points_first(min(chunk, len(chosen)), n, p)
+    residual_stack += residual_part
+
     def transformed(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The clouds x-tilde of the given transforms, stacked."""
-        stack = np.zeros((len(rows), n, p))
+        """The clouds x-tilde of the given transforms, stacked points-first."""
+        stack = _points_first(len(rows), n, p)
         stack[np.arange(len(rows)), :, cols] = kernel_matrix(kernel, x_hat, x[rows]).T
-        stack += residual_part
+        stack += residual_stack[: len(rows)]
         return stack
 
     base_centered = base - base.mean(axis=0)
@@ -284,7 +326,7 @@ def tractable_consistency_index(
             at = moved - moved.mean(axis=1, keepdims=True)
             if base_constant:
                 # the similarity term vanishes; only the translation is free
-                residuals = [float(t) for t in np.sum(at * at, axis=(1, 2))]
+                residuals = [float(t) for t in _square_sums(at)]
             else:
                 _, s, _ = np.linalg.svd(np.swapaxes(at, 1, 2) @ base_centered)
                 residuals = _closed_form_residuals(at, s, denom)
@@ -294,7 +336,6 @@ def tractable_consistency_index(
             return [TransformResult(int(rows[0]), int(cols[0]), residual=None, failed=True, message=str(exc))]
         return [TransformResult(int(i), int(j), residual=r) for i, j, r in zip(rows, cols, residuals)]
 
-    chunk = max(1, _STACK_FLOATS // n_total)
     contributions: list[TransformResult] = []
     for start in range(0, len(chosen), chunk):
         contributions += scan(points[start : start + chunk], axes[start : start + chunk])
@@ -307,19 +348,64 @@ def tractable_consistency_index(
     )
 
 
-def _neighbour_ranks(points: np.ndarray) -> np.ndarray:
-    """ranks[i, j] = rank of j among the neighbours of i (nearest = 1, self = 0).
+def check_knn_k(n: int, k: int) -> None:
+    """Reject a neighbourhood size k outside 1 <= k <= n/2 or k = n - 1.
 
-    Ranks come from exact squared Euclidean distances; the stable sort breaks
-    ties by ascending index, and self is forced first even among duplicates.
+    The normaliser n k (2n - 3k - 1) of trustworthiness and continuity bounds
+    their penalties only while 2k <= n: past that the values leave [0, 1],
+    and at 2n - 3k - 1 = 0 they are undefined. At k = n - 1 every point is
+    every other point's neighbour and all three metrics are 1.
     """
-    n = points.shape[0]
-    sq = pairwise_sq_dists(points)
-    np.fill_diagonal(sq, -1.0)
-    order = np.argsort(sq, axis=1, kind="stable")
-    ranks = np.empty((n, n), dtype=int)
-    ranks[np.arange(n)[:, None], order] = np.arange(n)
-    return ranks
+    if not (1 <= k and (2 * k <= n or k == n - 1)):
+        raise ValidationError(f"k must satisfy 1 <= k <= n/2 or k = n - 1, got k={k}, n={n}")
+
+
+def _neighbourhoods(points: np.ndarray, own: np.ndarray, k: int):
+    """Distances, sorted distances and neighbourhoods of the rows ``own``.
+
+    Row i holds the squared distances from point own[i] to every point, its
+    own entry set to -1, below every distance; ``ordered`` holds each row
+    sorted. The mask keeps the k + 1 smallest entries of each row, the point
+    and its k neighbours, ties broken by ascending index: every entry up to
+    the (k + 1)-th smallest value, except in a row with more entries equal to
+    that value than there is room for, which keeps only the first of those.
+    """
+    dist = pairwise_sq_dists(points[own], points)
+    dist[np.arange(len(own)), own] = -1.0
+    ordered = np.sort(dist, axis=1)
+    kth = ordered[:, k, None]
+    near = dist <= kth
+    if k + 1 < len(points):
+        crowded = np.flatnonzero(ordered[:, k + 1] == ordered[:, k])
+        rows, kth = dist[crowded], kth[crowded]
+        tied = rows == kth
+        room = k + 1 - np.count_nonzero(rows < kth, axis=1, keepdims=True)
+        near[crowded] = (rows < kth) | (tied & (np.cumsum(tied, axis=1) <= room))
+    return dist, ordered, near
+
+
+def _rank_sum(dist: np.ndarray, ordered: np.ndarray, picked: np.ndarray) -> int:
+    """Sum of the ranks of the picked entries of ``dist`` within their rows.
+
+    An entry's rank counts the entries of its row strictly below it, found
+    by bisecting the sorted row ``ordered``, plus the equal ones at a lower
+    index, so the row's own point (at -1) has rank 0 and its nearest
+    neighbour rank 1.
+    """
+    rows, cols = np.nonzero(picked)
+    values = dist[rows, cols]
+    bounds = np.searchsorted(rows, np.arange(len(dist) + 1))
+    below = np.empty(len(values), dtype=np.intp)
+    for row, start, stop in zip(ordered, bounds[:-1], bounds[1:]):
+        below[start:stop] = row.searchsorted(values[start:stop])
+    total = int(below.sum())
+    # an entry has a tie when the next value of its sorted row equals it; the
+    # last value of a row is compared with itself, and its count finds nothing
+    n = dist.shape[1]
+    tied = ordered[rows, np.minimum(below + 1, n - 1)] == values
+    for r, c, v in zip(rows[tied], cols[tied], values[tied]):
+        total += int(np.count_nonzero(dist[r, :c] == v))
+    return total
 
 
 def knn_metrics(x, y, k: int) -> tuple[float, float, float]:
@@ -328,24 +414,30 @@ def knn_metrics(x, y, k: int) -> tuple[float, float, float]:
     Separability is the average fraction of high-dimensional k-neighbours
     kept in the embedding. Trustworthiness penalizes intruders (embedding
     neighbours that are not data neighbours) by their data rank; continuity
-    penalizes the points an embedding drops, by their embedding rank.
+    penalizes the points an embedding drops, by their embedding rank. Ranks
+    come from exact squared Euclidean distances, ties broken by ascending
+    index; ``check_knn_k`` gives the valid k. Rows are taken in blocks, so
+    memory grows with n, not n^2.
     """
     x = as_matrix(x, "data")
     y = as_matrix(y, "embedding")
     n = x.shape[0]
     if y.shape[0] != n:
         raise ValidationError("data and embedding disagree on count")
-    if not 1 <= k < n:
-        raise ValidationError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    rank_x = _neighbour_ranks(x)
-    rank_y = _neighbour_ranks(y)
-    near_x = (rank_x > 0) & (rank_x <= k)
-    near_y = (rank_y > 0) & (rank_y <= k)
-    dropped = near_x & ~near_y
-    intruders = near_y & ~near_x
-    missed = int(np.count_nonzero(dropped))
-    trust_penalty = int(np.sum(rank_x[intruders] - k))
-    cont_penalty = int(np.sum(rank_y[dropped] - k))
+    check_knn_k(n, k)
+    missed = trust_penalty = cont_penalty = 0
+    block = max(1, _STACK_FLOATS // n)
+    for start in range(0, n, block):
+        own = np.arange(start, min(start + block, n))
+        dist_x, ordered_x, near_x = _neighbourhoods(x, own, k)
+        dist_y, ordered_y, near_y = _neighbourhoods(y, own, k)
+        dropped = near_x & ~near_y
+        intruders = near_y & ~near_x
+        n_dropped = int(np.count_nonzero(dropped))
+        missed += n_dropped
+        # every row drops as many points as it gains intruders
+        trust_penalty += _rank_sum(dist_x, ordered_x, intruders) - k * n_dropped
+        cont_penalty += _rank_sum(dist_y, ordered_y, dropped) - k * n_dropped
     tsi = 1.0 - missed / (n * k)
     norm = n * k * (2 * n - 3 * k - 1)
     trust = 1.0 - 2.0 * trust_penalty / norm if trust_penalty else 1.0

@@ -40,6 +40,13 @@ class TestGenerate:
         run(["generate", "--family", "spiral", "--n", 50, "--seed", 3, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_flag_the_family_does_not_read_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "spiral.csv"
+        assert run(["generate", "--family", "spiral", "--clusters", 3, "--n", 50, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ERROR usage: dataset family 'spiral' takes no parameter clusters"]
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.csv"
         run(["generate", "--family", "grid", "--n", 25, "--seed", 0, "--out", out])
@@ -188,6 +195,22 @@ class TestIndex:
         assert report["trustworthiness"] == 1.0
         assert report["continuity"] == 1.0
 
+    @pytest.mark.parametrize("k, code", [(0, 2), (4, 0), (5, 2), (6, 2), (7, 0), (8, 2)])
+    def test_knn_k_is_at_most_half_of_n_or_everyone(self, tmp_path, capsys, k, code):
+        data = tmp_path / "c.csv"
+        run(["generate", "--family", "uniform_hypercube", "--n", 8, "--p", 3,
+             "--seed", 2, "--out", data])
+        capsys.readouterr()
+        out = tmp_path / "idx.json"
+        assert run(["index", data, "--algo", "pca", "--knn", "--knn-k", k, "--d", 2, "--out", out]) == code
+        if code:
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"ERROR usage: k must satisfy 1 <= k <= n/2 or k = n - 1, got k={k}, n=8"]
+            assert not out.exists()
+        else:
+            report = json.loads(out.read_text())
+            assert all(0.0 <= report[key] <= 1.0 for key in ("tsi", "trustworthiness", "continuity"))
+
     def test_knn_reuses_the_consistency_base(self, tmp_path, monkeypatch):
         data = tmp_path / "roll.csv"
         run(["generate", "--family", "swiss_roll", "--n", 120, "--seed", 1, "--out", data])
@@ -219,6 +242,8 @@ class TestUsageErrorsWriteNothing:
             (["reduce", "x.csv", "--d", 1, "--out", "x.csv"], "would overwrite the input x.csv"),
             (["reduce", "x.csv", "--algo", "pca", "--d", 1, "--dump-graph", "--out", "emb.csv"],
              "--dump-graph needs --algo lsdr"),
+            (["index", "x.csv", "--algo", "pca", "--tci", "--knn", "--knn-k", 31, "--d", 1,
+              "--out", "idx.json"], "k must satisfy 1 <= k <= n/2 or k = n - 1, got k=31, n=60"),
         ]
         + [
             (args + ["--bandwidth", bandwidth], "bandwidth must be positive and finite")

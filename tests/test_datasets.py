@@ -21,6 +21,21 @@ def test_unknown_family_rejected():
         DatasetSpec("moebius", 10)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("gaussian_clusters", {"separaton": 50.0}),
+        ("spiral", {"clusters": 3}),
+        ("spiral", {"r0": 3.0, "pitch": 2.0}),
+        ("swiss_roll", {"height": 20.0}),
+        ("circular_clusters", {"clusters": 4, "radius": 2.0}),
+    ],
+)
+def test_parameters_the_family_does_not_read_are_rejected(family, params):
+    with pytest.raises(ValidationError, match="takes no parameter"):
+        DatasetSpec(family, 30, params=params)
+
+
 class TestSpiral:
     def test_clean_radius_monotone_in_angle(self):
         spec = DatasetSpec("spiral", 200, seed=3)

@@ -365,9 +365,15 @@ class TestChunkedConsistencyIndex:
         report = self._assert_matches_serial(PcaAdapter(), x, 2)
         assert len(report.contributions) == 600 and not report.failed_transforms
 
-    @pytest.mark.parametrize("p, d", [(3, 1), (5, 2), (10, 3)])
-    def test_pca_subsample(self, p, d):
-        x = np.random.default_rng(p).standard_normal((60, p)) @ np.diag(np.linspace(3.0, 0.5, p))
+    # (1, 1) and (2, 2) sit on either side of the layout rule of
+    # ``_points_first``: a one-column stack is C-ordered, a wider one points-first
+    @pytest.mark.parametrize(
+        "p, d, n",
+        [(3, 1, 60), (5, 2, 60), (10, 3, 60), (1, 1, 100), (2, 2, 60)],
+        ids=["3-1", "5-2", "10-3", "1-1", "2-2"],
+    )
+    def test_pca_subsample(self, p, d, n):
+        x = np.random.default_rng(p).standard_normal((n, p)) @ np.diag(np.linspace(3.0, 0.5, p))
         report = self._assert_matches_serial(PcaAdapter(), x, d, transform_subsample=70, seed=2)
         assert report.subsampled and len(report.contributions) == 70
 
@@ -485,6 +491,30 @@ class TestKnnMetrics:
         x = np.random.default_rng(0).standard_normal((5, 2))
         with pytest.raises(ValidationError):
             knn_metrics(x, x, 5)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10])
+    def test_k_is_at_most_half_of_n_or_everyone(self, n):
+        # past n/2 the normaliser no longer bounds the penalties: at n = 8 the
+        # values left [0, 1] (k = 6) or divided by zero (k = 5)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3))
+        y = rng.standard_normal((n, 2))
+        for k in range(-1, n + 2):
+            if 1 <= k <= n / 2 or k == n - 1:
+                assert all(0.0 <= v <= 1.0 for v in knn_metrics(x, y, k))
+            else:
+                with pytest.raises(ValidationError, match="1 <= k <= n/2 or k = n - 1"):
+                    knn_metrics(x, y, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_on_integer_grids(self, n, p, d, seed):
+        # few distinct coordinates: repeated points and many equal distances
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, (n, p)).astype(float)
+        y = rng.integers(0, 3, (n, d)).astype(float)
+        for k in sorted({*range(1, n // 2 + 1), n - 1}):
+            assert knn_metrics(x, y, k) == brute_force_knn_metrics(x, y, k)
 
 
 class TestPcaReduce:

@@ -75,7 +75,7 @@ def procrustes_fit(a, b) -> ProcrustesFit:
     rotation = u @ vt
     scale = float(np.sum(s)) / denom
     mu = a_mean - scale * rotation @ b_mean
-    residual = _closed_form_residuals(at[None], s[None], denom)[0]
+    residual = _closed_form_residuals(_square_sums(at[None]), s[None], denom)[0]
     return ProcrustesFit(mu=mu, scale=scale, rotation=rotation, residual=residual)
 
 
@@ -88,38 +88,24 @@ def _square_sums(stack: np.ndarray) -> np.ndarray:
     return np.sum(np.multiply(stack, stack, order="C"), axis=(1, 2))
 
 
-def _closed_form_residuals(at: np.ndarray, s: np.ndarray, denom: float) -> list[float]:
-    """trace(At^T At) - (sum of s)^2 / denom for each demeaned target At of a stack.
+def _closed_form_residuals(traces: np.ndarray, s: np.ndarray, denom: float) -> list[float]:
+    """trace(At^T At) - (sum of s)^2 / denom for each demeaned target At.
 
-    ``s`` holds the singular values of each At^T Bt. The last step stays on
-    Python floats: scalar ``**`` goes through libm pow, which can differ from
-    the array square in the last bit.
+    ``traces`` holds each trace(At^T At) and ``s`` the singular values of each
+    At^T Bt. The last step stays on Python floats: scalar ``**`` goes through
+    libm pow, which can differ from the array square in the last bit.
     """
-    return [float(t) - float(u) ** 2 / denom for t, u in zip(_square_sums(at), np.sum(s, axis=1))]
-
-
-def _points_first(b: int, n: int, q: int) -> np.ndarray:
-    """An all-zero (b, n, q) stack of clouds whose memory is ordered (n, b, q).
-
-    A reduction over points then adds whole rows of b * q contiguous floats
-    one point after another, which is also the order numpy uses for a single
-    C-contiguous (n, q) cloud: each cloud of the stack rounds exactly as it
-    would alone, and the inner loop is long. A one-column cloud is the
-    exception, because numpy sums its contiguous column pairwise, so a
-    one-column stack keeps the C layout.
-    """
-    if q == 1:
-        return np.zeros((b, n, 1))
-    return np.zeros((n, b, q)).swapaxes(0, 1)
+    return [float(t) - float(u) ** 2 / denom for t, u in zip(traces, np.sum(s, axis=1))]
 
 
 class AlgorithmAdapter:
     """A named dimensionality-reduction procedure with a uniform interface.
 
     Subclasses implement ``reduce(d, x) -> Embedding`` deterministically for
-    a fixed construction. ``reduce_stack`` reduces a whole stack of clouds,
-    one at a time unless a subclass can do better; the consistency index
-    feeds it its transformed clouds in chunks.
+    a fixed construction. The consistency index scores its transformed
+    clouds in chunks through ``transform_terms``, which by default stacks
+    them and reduces the stack with ``reduce_stack``: one cloud at a time,
+    unless a subclass can do better.
     """
 
     name: str = "adapter"
@@ -131,29 +117,35 @@ class AlgorithmAdapter:
         """Coordinates (B, n, d) of each cloud in a (B, n, p) stack."""
         return np.stack([self.reduce(d, cloud).coords for cloud in clouds])
 
+    def transform_terms(
+        self,
+        d: int,
+        residual_part: np.ndarray,
+        bumps: np.ndarray,
+        axes: np.ndarray,
+        base_centered: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two terms the consistency residual reads, for a chunk of transforms.
 
-def _pca(clouds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCA coordinates (B, n, d) and top-d eigenvalues (B, d) of a (B, n, p) stack.
-
-    The coordinates go into a ``_points_first`` stack, the layout of the
-    clouds the consistency index feeds in: every slice then equals the
-    single-cloud result bit for bit, while the means over points run over
-    long contiguous rows.
-    """
-    n, p = clouds.shape[1:]
-    if not 1 <= d <= p:
-        raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
-    if not np.all(np.isfinite(clouds)):
-        raise ValidationError("data contains non-finite entries")
-    centered = clouds - clouds.mean(axis=1, keepdims=True)
-    cov = np.swapaxes(centered, 1, 2) @ centered / max(n - 1, 1)
-    eigenvalues, eigenvectors = sym_eigen(cov)
-    components = eigenvectors[:, :, :d].copy()
-    lead_row = np.argmax(np.abs(components), axis=1)[:, None, :]
-    lead = np.take_along_axis(components, lead_row, axis=1)
-    np.negative(components, out=components, where=lead < 0)
-    coords = np.matmul(centered, components, out=_points_first(len(clouds), n, d))
-    return coords, eigenvalues[:, :d]
+        Cloud b is ``residual_part`` (n, p) with the bump ``bumps[b]`` (n,)
+        added to column ``axes[b]``. With At its centred (n, d) output and Bt
+        = ``base_centered``, returns trace(At^T At) (B,) and At^T Bt (B, d, d).
+        An output of the wrong shape or with non-finite entries raises
+        ``ValidationError``.
+        """
+        n, p = residual_part.shape
+        chunk = len(bumps)
+        clouds = np.zeros((chunk, n, p))
+        clouds[np.arange(chunk), :, axes] = bumps
+        clouds += residual_part
+        moved = self.reduce_stack(d, clouds)
+        shape = (chunk,) + base_centered.shape
+        if moved.shape != shape:
+            raise ValidationError(f"adapter produced shape {moved.shape}, expected {shape}")
+        if not np.all(np.isfinite(moved)):
+            raise ValidationError("adapter output contains non-finite entries")
+        at = moved - moved.mean(axis=1, keepdims=True)
+        return _square_sums(at), np.swapaxes(at, 1, 2) @ base_centered
 
 
 def pca_reduce(x, d: int) -> Embedding:
@@ -162,11 +154,19 @@ def pca_reduce(x, d: int) -> Embedding:
     The sign of each eigenvector is fixed by making its largest-magnitude
     entry positive, so the output is deterministic.
     """
-    coords, eigenvalues = _pca(as_matrix(x, "data")[None], d)
+    x = as_matrix(x, "data")
+    n, p = x.shape
+    if not 1 <= d <= p:
+        raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
+    centered = x - x.mean(axis=0)
+    eigenvalues, eigenvectors = sym_eigen(centered.T @ centered / max(n - 1, 1))
+    components = eigenvectors[:, :d].copy()
+    lead = components[np.argmax(np.abs(components), axis=0), np.arange(d)]
+    np.negative(components, out=components, where=lead < 0)
     return Embedding(
-        coords=coords[0],
+        coords=centered @ components,
         algorithm="pca",
-        params={"d": d, "eigenvalues": eigenvalues[0].tolist()},
+        params={"d": d, "eigenvalues": eigenvalues[:d].tolist()},
     )
 
 
@@ -176,8 +176,46 @@ class PcaAdapter(AlgorithmAdapter):
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
         return pca_reduce(x, d)
 
-    def reduce_stack(self, d: int, clouds: np.ndarray) -> np.ndarray:
-        return _pca(clouds, d)[0]
+    def transform_terms(self, d, residual_part, bumps, axes, base_centered):
+        """The same two terms in closed form: one p x p eigenproblem per transform.
+
+        Cloud b centres to Rc + kc e_j^T, with Rc the centred residual part,
+        kc the centred bump and j its axis, so its scatter matrix is a
+        rank-one update of Rc^T Rc:
+
+            C_b = Rc^T Rc + g e_j^T + e_j g^T + (kc^T kc) e_j e_j^T,  g = Rc^T kc.
+
+        PCA's output is At = (Rc + kc e_j^T) V with V the top-d eigenvectors
+        of C_b, so trace(At^T At) is the sum of the top-d eigenvalues and
+        At^T Bt = V^T (Rc^T Bt + e_j kc^T Bt): no (n, p) cloud and no (n, d)
+        output is formed. Every product of a bump over the points is a
+        row-by-row einsum, and the products of Rc are the same in every
+        chunk, so a transform's terms do not depend on the chunk it is scored
+        in. A scatter matrix with non-finite entries raises
+        ``ValidationError``.
+        """
+        p = residual_part.shape[1]
+        if not 1 <= d <= p:
+            raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
+        chunk = len(bumps)
+        rc = residual_part - residual_part.mean(axis=0)
+        kc = bumps - bumps.mean(axis=1, keepdims=True)
+        # the columns of Rc and of Bt, each contiguous along the points
+        columns = np.ascontiguousarray(np.hstack([rc, base_centered]).T)
+        products = np.einsum("bn,qn->bq", kc, columns)
+        g, kc_bt = products[:, :p], products[:, p:]
+        rows = np.arange(chunk)
+        scatter = np.repeat((rc.T @ rc)[None], chunk, axis=0)
+        scatter[rows, :, axes] += g
+        scatter[rows, axes, :] += g
+        scatter[rows, axes, axes] += np.einsum("bn,bn->b", kc, kc)
+        cross = np.repeat((rc.T @ base_centered)[None], chunk, axis=0)
+        cross[rows, axes, :] += kc_bt
+        if not (np.all(np.isfinite(scatter)) and np.all(np.isfinite(cross))):
+            raise ValidationError("pca scatter matrix contains non-finite entries")
+        eigenvalues, eigenvectors = np.linalg.eigh(scatter)
+        top = eigenvectors[:, :, p - d :]
+        return np.sum(eigenvalues[:, p - d :], axis=1), np.einsum("bqi,bqk->bik", top, cross)
 
 
 class IdentityAdapter(AlgorithmAdapter):
@@ -244,8 +282,9 @@ class TciReport:
 
 
 # Chunked work is sized to about this many floats (2 MB) per array: the
-# (B, n, p) stack of transformed clouds per chunk of the consistency scan,
-# and the rows of squared distances per block of the kNN metrics.
+# (B, n, p) stack of transformed clouds per chunk of the consistency scan
+# (PCA's closed form forms only the chunk's (B, n) bumps), and the rows of
+# squared distances per block of the kNN metrics.
 _STACK_FLOATS = 2**18
 
 
@@ -264,16 +303,20 @@ def tractable_consistency_index(
     the algorithm and measures the Procrustes residual against the original
     output. The full set has n*p transforms; a seeded uniform subsample keeps
     the cost tractable, at the price of reporting a lower bound. Transforms
-    run in chunks through one scan: ``alg.reduce_stack`` on the chunk's
-    stacked clouds, one check of its output and one residual rule. An output
-    that is wrong-shaped or not finite is a failure, as is an adapter that
-    raises. A failing chunk goes back through the same scan one transform at
-    a time, so each failing transform is recorded with its own message and
-    excluded. Each chunk's clouds are stacked points-first, one-column clouds
-    excepted (``_points_first``), and the residuals square the centred output
-    in C order: every reduction over points then adds in the order it takes
-    for a single cloud, so the residuals equal the one-transform-at-a-time
-    scan's bit for bit.
+    run in chunks through one scan: ``alg.transform_terms`` gives each
+    transform's trace(At^T At) and At^T Bt, and one residual rule scores them.
+    An output that is wrong-shaped or not finite is a failure, as is an
+    adapter that raises. A failing chunk goes back through the same scan one
+    transform at a time, so each failing transform is recorded with its own
+    message and excluded.
+
+    Through the default ``transform_terms`` (the pipeline, identity and user
+    adapters) every reduction over points adds in the order it takes for a
+    single cloud, so the residuals equal the one-transform-at-a-time scan's
+    bit for bit. PCA's terms are in closed form (``PcaAdapter``): each
+    residual lies within 1e-12 * trace(At^T At) of the rerun's, the roundoff
+    of a top-d eigenvalue sum against a sum of squared coordinates, and does
+    not depend on the chunk it is scored in.
     """
     x = as_matrix(x, "data")
     n, p = x.shape
@@ -298,18 +341,6 @@ def tractable_consistency_index(
     points, axes = np.divmod(chosen, p)
 
     chunk = max(1, _STACK_FLOATS // n_total)
-    # the residual part of a whole chunk, laid out as its stacks are, so that
-    # adding it runs over long contiguous rows
-    residual_stack = _points_first(min(chunk, len(chosen)), n, p)
-    residual_stack += residual_part
-
-    def transformed(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The clouds x-tilde of the given transforms, stacked points-first."""
-        stack = _points_first(len(rows), n, p)
-        stack[np.arange(len(rows)), :, cols] = kernel_matrix(kernel, x_hat, x[rows]).T
-        stack += residual_stack[: len(rows)]
-        return stack
-
     base_centered = base - base.mean(axis=0)
     denom = float(np.sum(base_centered * base_centered))
     base_constant = denom <= 1e-24
@@ -317,19 +348,14 @@ def tractable_consistency_index(
     def scan(rows: np.ndarray, cols: np.ndarray) -> list[TransformResult]:
         """Reduce and score the given transforms."""
         try:
-            moved = alg.reduce_stack(d, transformed(rows, cols))
-            shape = (len(rows),) + base.shape
-            if moved.shape != shape:
-                raise ValidationError(f"adapter produced shape {moved.shape}, expected {shape}")
-            if not np.all(np.isfinite(moved)):
-                raise ValidationError("adapter output contains non-finite entries")
-            at = moved - moved.mean(axis=1, keepdims=True)
+            bumps = kernel_matrix(kernel, x[rows], x_hat)
+            traces, cross = alg.transform_terms(d, residual_part, bumps, cols, base_centered)
             if base_constant:
                 # the similarity term vanishes; only the translation is free
-                residuals = [float(t) for t in _square_sums(at)]
+                residuals = [float(t) for t in traces]
             else:
-                _, s, _ = np.linalg.svd(np.swapaxes(at, 1, 2) @ base_centered)
-                residuals = _closed_form_residuals(at, s, denom)
+                _, s, _ = np.linalg.svd(cross)
+                residuals = _closed_form_residuals(traces, s, denom)
         except Exception as exc:  # noqa: BLE001 - any adapter failure is recorded
             if len(rows) > 1:
                 return [t for k in range(len(rows)) for t in scan(rows[k : k + 1], cols[k : k + 1])]

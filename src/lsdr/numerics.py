@@ -37,30 +37,23 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, or of each matrix in a stack.
+    """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues in descending order and the matrix whose columns are
-    the matching orthonormal eigenvectors; a (B, k, k) stack gives (B, k)
-    eigenvalues and (B, k, k) eigenvectors. A matrix asymmetric beyond
+    the matching orthonormal eigenvectors. A matrix asymmetric beyond
     1e-10 * max(1, |m|) is rejected.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 3:
-        m = as_matrix(m, "sym_eigen input")
-    elif m.size == 0 or not np.all(np.isfinite(m)):
-        raise ValidationError(f"sym_eigen input stack must be non-empty and finite, got shape {m.shape}")
-    if m.shape[-2] != m.shape[-1]:
+    m = as_matrix(m, "sym_eigen input")
+    if m.shape[0] != m.shape[1]:
         raise ValidationError(f"sym_eigen input must be square, got shape {m.shape}")
-    tol = 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if np.any(np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1)) > tol):
+    if float(np.abs(m - m.T).max()) > 1e-10 * max(1.0, float(np.abs(m).max())):
         raise ValidationError("sym_eigen input is not symmetric within tolerance")
     w, v = np.linalg.eigh(m)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    # reorder the rows of the transpose, so that each eigenvector matrix is
+    order = np.argsort(w)[::-1]
+    # reorder the rows of the transpose, so that the eigenvector matrix is
     # column-major as ``v[:, order]`` makes it: products with a matrix of
     # another layout take another BLAS path and round differently
-    vt = np.take_along_axis(np.swapaxes(v, -2, -1), order[..., :, None], axis=-2)
-    return np.take_along_axis(w, order, axis=-1), np.swapaxes(vt, -2, -1)
+    return w[order], v.T[order].T
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

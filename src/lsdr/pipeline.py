@@ -92,7 +92,6 @@ class LsdrResult:
     skeleton: SkeletonReport | None
     graph: ManifoldGraph | None
     geodesics: GeodesicDistances | None = None
-    mds_coords: np.ndarray | None = None
     bandwidth: float | None = None
     degenerate_fallback: bool = False
     pre_reduced: bool = False
@@ -218,7 +217,6 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         skeleton=stages.skeleton,
         graph=stages.graph,
         geodesics=stages.geodesics,
-        mds_coords=mds_coords,
         bandwidth=sigma,
         degenerate_fallback=reason is not None,
         pre_reduced=pre_reduced,

@@ -278,6 +278,16 @@ class TestErrorsAndRerun:
             run(["generate", "--family", "no-such-family", "--n", 10])
         assert exc.value.code == 2
 
+    def test_a_cloud_too_large_to_scale_is_a_usage_error(self, tmp_path, capsys):
+        # no path of reduce or index ends in exit 4 (numerical): the stress
+        # check of metric MDS is the only NumericalError, and a cloud whose
+        # stress would overflow has already overflowed classical scaling
+        line = tmp_path / "line.csv"
+        line.write_text("x0,x1\n" + "".join(f"{t * 3e151!r},{t * 6e151!r}\n" for t in range(30)))
+        with np.errstate(over="ignore"):
+            assert run(["reduce", line, "--d", 1, "--out", tmp_path / "emb.csv"]) == 2
+        assert capsys.readouterr().err == "ERROR usage: sym_eigen input contains non-finite entries\n"
+
     def test_rerun_reproduces_outputs_byte_for_byte(self, tmp_path):
         out = tmp_path / "d.csv"
         run(["generate", "--family", "spiral", "--n", 60, "--seed", 9, "--out", out])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsdr import indices
+from lsdr.datasets import DatasetSpec, generate
 from lsdr.embedding import (
     Embedding,
     KernelSpec,
@@ -17,7 +18,7 @@ from lsdr.embedding import (
     kernel_matrix,
     reconstruct,
 )
-from lsdr.errors import ValidationError
+from lsdr.errors import DegeneracyWarning, ValidationError
 from lsdr.indices import (
     AlgorithmAdapter,
     IdentityAdapter,
@@ -32,6 +33,7 @@ from lsdr.indices import (
     trustability_index,
 )
 from lsdr.numerics import pairwise_sq_dists
+from lsdr.pipeline import transform_bandwidth
 
 
 def random_orthogonal(rng, p):
@@ -219,7 +221,8 @@ def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0)
     """The consistency scan one transform at a time: a bump column added to
     a zero matrix plus the residual part, ``alg.reduce``, the output checks
     and ``procrustes_fit`` per transform. Returns (point, axis, residual,
-    message) per transform and the running maximum, started at 0."""
+    message) per transform, the running maximum, started at 0, and the
+    trace(At^T At) of each centred output At (None for a failure)."""
     n, p = x.shape
     base = alg.reduce(d, x).coords
     embed_scale = np.sqrt(pairwise_sq_dists(base))[np.triu_indices(n, 1)]
@@ -239,6 +242,7 @@ def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0)
     base_centered = base - base.mean(axis=0)
     base_constant = float(np.sum(base_centered * base_centered)) <= 1e-24
     rows = []
+    traces = []
     best = 0.0
     for i, j in chosen:
         bump = kernel_matrix(kernel, x_hat, x[i : i + 1])[:, 0]
@@ -254,17 +258,17 @@ def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0)
                 )
             if not np.all(np.isfinite(moved)):
                 raise ValidationError("adapter output contains non-finite entries")
-            if base_constant:
-                centered = moved - moved.mean(axis=0)
-                residual = float(np.sum(centered * centered))
-            else:
-                residual = procrustes_fit(moved, base).residual
+            centered = moved - moved.mean(axis=0)
+            trace = float(np.sum(centered * centered))
+            residual = trace if base_constant else procrustes_fit(moved, base).residual
         except Exception as exc:  # noqa: BLE001
             rows.append((i, j, None, str(exc)))
+            traces.append(None)
             continue
         rows.append((i, j, residual, ""))
+        traces.append(trace)
         best = max(best, residual)
-    return rows, best
+    return rows, best, traces
 
 
 def _as_rows(report):
@@ -345,37 +349,81 @@ class NonFiniteAdapter(SerialPcaAdapter):
         return emb
 
 
+# the clouds the chunked scan is checked on: the full set of 600 transforms
+# over a partial last chunk (2**18 // 600 = 436 per chunk), then 70-transform
+# subsamples of five shapes (p, d, n), among them a one-column cloud
+SCAN_CLOUDS = {
+    "600": (np.random.default_rng(4).standard_normal((200, 3)) * [3.0, 2.0, 0.5], 2, {}),
+    **{
+        f"{p}-{d}": (
+            np.random.default_rng(p).standard_normal((n, p)) @ np.diag(np.linspace(3.0, 0.5, p)),
+            d,
+            {"transform_subsample": 70, "seed": 2},
+        )
+        for p, d, n in [(3, 1, 60), (5, 2, 60), (10, 3, 60), (1, 1, 100), (2, 2, 60)]
+    },
+}
+
+
 class TestChunkedConsistencyIndex:
-    """The chunked scan gives the serial scan's residuals and value bit for bit."""
+    """The chunked scan gives the serial scan's residuals and value bit for bit
+    through the default ``transform_terms``, and within 1e-12 * T_b through
+    PCA's closed form, T_b = trace(At^T At) of the transform's output."""
 
     kernel = KernelSpec("gaussian", 1.0)
 
     def _assert_matches_serial(self, alg, x, d, **kwargs):
         report = tractable_consistency_index(alg, x, d, self.kernel, **kwargs)
-        rows, best = serial_consistency_scan(alg, x, d, self.kernel, **kwargs)
+        rows, best, _ = serial_consistency_scan(alg, x, d, self.kernel, **kwargs)
         assert _as_rows(report) == rows
         assert [t.failed for t in report.contributions] == [r[2] is None for r in rows]
         assert report.value == best
         return report
 
-    def test_pca_full_set_over_a_partial_last_chunk(self):
-        # 200 x 3 gives 600 transforms in chunks of 2**18 // 600 = 436
-        x = np.random.default_rng(4).standard_normal((200, 3)) * [3.0, 2.0, 0.5]
-        assert len(x) * 3 % (indices._STACK_FLOATS // x.size) != 0
-        report = self._assert_matches_serial(PcaAdapter(), x, 2)
-        assert len(report.contributions) == 600 and not report.failed_transforms
+    def _assert_closed_form_near_serial(self, x, d, kernel, **kwargs):
+        report = tractable_consistency_index(PcaAdapter(), x, d, kernel, **kwargs)
+        rows, best, traces = serial_consistency_scan(SerialPcaAdapter(), x, d, kernel, **kwargs)
+        assert [(t.point_index, t.axis, t.message) for t in report.contributions] == [
+            (i, j, message) for i, j, _, message in rows
+        ]
+        assert not report.failed_transforms and None not in traces
+        for t, (_, _, residual, _), trace in zip(report.contributions, rows, traces):
+            assert abs(t.residual - residual) <= 1e-12 * trace
+        assert abs(report.value - best) <= 1e-12 * max(traces)
+        return report
 
-    # (1, 1) and (2, 2) sit on either side of the layout rule of
-    # ``_points_first``: a one-column stack is C-ordered, a wider one points-first
-    @pytest.mark.parametrize(
-        "p, d, n",
-        [(3, 1, 60), (5, 2, 60), (10, 3, 60), (1, 1, 100), (2, 2, 60)],
-        ids=["3-1", "5-2", "10-3", "1-1", "2-2"],
-    )
-    def test_pca_subsample(self, p, d, n):
-        x = np.random.default_rng(p).standard_normal((n, p)) @ np.diag(np.linspace(3.0, 0.5, p))
-        report = self._assert_matches_serial(PcaAdapter(), x, d, transform_subsample=70, seed=2)
+    def test_pca_full_set_over_a_partial_last_chunk(self):
+        x, d, _ = SCAN_CLOUDS["600"]
+        assert len(x) * 3 % (indices._STACK_FLOATS // x.size) != 0
+        report = self._assert_matches_serial(SerialPcaAdapter(), x, d)
+        assert len(report.contributions) == 600 and not report.failed_transforms
+        self._assert_closed_form_near_serial(x, d, self.kernel)
+
+    @pytest.mark.parametrize("name", ["3-1", "5-2", "10-3", "1-1", "2-2"])
+    def test_pca_subsample(self, name):
+        x, d, kwargs = SCAN_CLOUDS[name]
+        report = self._assert_matches_serial(SerialPcaAdapter(), x, d, **kwargs)
         assert report.subsampled and len(report.contributions) == 70
+        self._assert_closed_form_near_serial(x, d, self.kernel, **kwargs)
+
+    def test_pca_closed_form_on_the_acceptance_clusters(self):
+        # the cloud and kernel of acceptance criterion 11
+        spec = DatasetSpec("gaussian_clusters", 100, p=10, seed=3, params={"clusters": 3, "separation": 10.0})
+        x = generate(spec)
+        with pytest.warns(DegeneracyWarning, match="exceeds the tessellation cap"):
+            kernel = KernelSpec("gaussian", transform_bandwidth(x, seed=0))
+        report = self._assert_closed_form_near_serial(x, 2, kernel)
+        assert len(report.contributions) == 1000
+
+    @pytest.mark.parametrize("name", list(SCAN_CLOUDS))
+    def test_pca_residuals_do_not_depend_on_the_chunk(self, name, monkeypatch):
+        x, d, kwargs = SCAN_CLOUDS[name]
+        whole = tractable_consistency_index(PcaAdapter(), x, d, self.kernel, **kwargs)
+        for per_chunk in (1, 5):
+            monkeypatch.setattr(indices, "_STACK_FLOATS", per_chunk * x.size)
+            report = tractable_consistency_index(PcaAdapter(), x, d, self.kernel, **kwargs)
+            assert _as_rows(report) == _as_rows(whole)
+            assert report.value == whole.value
 
     def test_constant_base_through_the_default_stack(self):
         x = np.random.default_rng(6).standard_normal((40, 3))
@@ -415,6 +463,57 @@ class TestChunkedConsistencyIndex:
         assert all(expected in t.message for t in failed)
         kept = [t.residual for t in report.contributions if not t.failed]
         assert report.value == max(kept)
+
+
+class TestPcaTransformTerms:
+    """PCA's closed-form terms against reducing each transformed cloud."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(8, 60),
+        st.integers(1, 6),
+        st.data(),
+        st.floats(0.05, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_the_rerun(self, n, p, data, bandwidth, seed):
+        # Where the d-th and (d+1)-th eigenvalues of a transformed cloud's
+        # scatter matrix tie, its top-d PCA subspace is undefined, and so are
+        # both outputs. So the residual part has the separated singular values
+        # c * 2^(p-1), ..., c * 2, c, with c large enough that, by Weyl's
+        # inequality, the rank-one update of a bump of height at most 1 moves
+        # no eigenvalue by more than a quarter of the smallest gap 3 c^2.
+        d = data.draw(st.integers(1, p), label="d")
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, p))]))
+        sigma = 2.0 ** np.arange(p - 1, -1, -1)
+        c = 8.0 * (sigma[0] * np.sqrt(n) + n) / 3.0
+        residual_part = (basis[:, 1:] * (c * sigma)) @ random_orthogonal(rng, p).T
+        residual_part += c * rng.standard_normal(p)
+        rows = rng.integers(0, n, 12)
+        kernel = KernelSpec("gaussian", bandwidth * c * sigma[0] / np.sqrt(n))
+        bumps = kernel_matrix(kernel, residual_part[rows], residual_part)
+        axes = rng.integers(0, p, 12)
+        base_centered = pca_reduce(residual_part, d).coords
+        denom = float(np.sum(base_centered * base_centered))
+
+        terms = (d, residual_part, bumps, axes, base_centered)
+        traces, cross = PcaAdapter().transform_terms(*terms)
+        rerun_traces, rerun_cross = SerialPcaAdapter().transform_terms(*terms)
+        assert np.all(np.abs(traces - rerun_traces) <= 1e-12 * rerun_traces)
+        residuals = indices._closed_form_residuals(traces, np.linalg.svd(cross)[1], denom)
+        rerun = indices._closed_form_residuals(rerun_traces, np.linalg.svd(rerun_cross)[1], denom)
+        assert np.all(np.abs(np.subtract(residuals, rerun)) <= 1e-12 * rerun_traces)
+
+    def test_rejects_what_the_rerun_rejects(self):
+        residual_part = np.random.default_rng(0).standard_normal((10, 3))
+        bumps = np.ones((2, 10))
+        axes = np.array([0, 2])
+        with pytest.raises(ValidationError, match="1 <= d <= p"):
+            PcaAdapter().transform_terms(4, residual_part, bumps, axes, np.zeros((10, 4)))
+        residual_part[4, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            PcaAdapter().transform_terms(2, residual_part, bumps, axes, np.zeros((10, 2)))
 
 
 def brute_force_knn_metrics(x, y, k):

@@ -13,10 +13,13 @@ seeded jitter applied only inside this routine (reported coordinates and edge
 lengths always come from the unmodified input).
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import DisjointSet
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
@@ -27,6 +30,7 @@ from .rng import substream
 __all__ = ["Tessellation", "SpanningTree", "delaunay_tessellation", "euclidean_mcst"]
 
 DIMENSION_CAP = 6
+QHULL_COORDINATE_LIMIT = 2.0**64
 
 
 @dataclass
@@ -72,6 +76,21 @@ def edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return edges[:, 0] * n + edges[:, 1]
 
 
+def vertex_stars(edges: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Each edge once per endpoint, grouped by vertex, edge ids ascending within one.
+
+    Returns each incidence's position in ``edges.ravel()`` (edge id times two
+    plus the endpoint), its vertex, its column within that vertex's star, and
+    the (n,) star sizes.
+    """
+    ends = edges.ravel()
+    position = np.argsort(ends, kind="stable")
+    owner = ends[position]
+    counts = np.bincount(owner, minlength=n)
+    column = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return position, owner, column, counts
+
+
 def _lexicographic(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
@@ -112,9 +131,12 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
 
     The exact coordinates go to Qhull first; if that fails on a degenerate
     configuration, a seeded jitter of magnitude 1e-9 times the bounding-box
-    diagonal is applied to the coordinates handed to Qhull. The returned
-    structure refers to the original coordinates only, so results are
-    deterministic given the point order and the jitter seed.
+    diagonal is applied to the coordinates handed to Qhull. A cloud with a
+    coordinate beyond ``QHULL_COORDINATE_LIMIT`` in magnitude reaches Qhull
+    scaled by a power of two that brings its largest coordinate into [0.5, 1)
+    (an exact scaling; unscaled, Qhull crashes the process on such clouds).
+    The returned structure refers to the original coordinates only, so
+    results are deterministic given the point order and the jitter seed.
     """
     pts = as_matrix(points, "points")
     n, p = pts.shape
@@ -131,12 +153,16 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
             "no full-dimensional tessellation exists"
         )
 
+    qhull_pts = pts
+    top = float(np.abs(pts).max())
+    if top > QHULL_COORDINATE_LIMIT:
+        qhull_pts = np.ldexp(pts, -int(np.frexp(top)[1]))
     try:
-        tri = _QhullDelaunay(pts)
+        tri = _QhullDelaunay(qhull_pts)
     except QhullError:
-        bbox_diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        bbox_diag = float(np.linalg.norm(qhull_pts.max(axis=0) - qhull_pts.min(axis=0)))
         rng = substream(jitter_seed, "tessellation-jitter")
-        jittered = pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (1e-9 * bbox_diag)
+        jittered = qhull_pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (1e-9 * bbox_diag)
         try:
             tri = _QhullDelaunay(jittered)
         except QhullError as exc:
@@ -156,21 +182,27 @@ def euclidean_mcst(points, candidate_edges) -> SpanningTree:
 
     Ties in edge length are broken by lexicographic vertex index so the tree
     is reproducible. The candidate set must connect all points.
+
+    The candidates are ranked once by (length, i, j) and the ranks 1..m go to
+    ``scipy.sparse.csgraph.minimum_spanning_tree`` as weights. Distinct
+    weights have exactly one minimum spanning tree, which is the tree
+    Kruskal's loop builds in rank order; self-pairs and all but the lowest
+    rank of a repeated pair are dropped first, as that loop would skip them.
+    ``total_length`` is the tree's lengths summed one after another in rank
+    order.
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
     pairs = np.sort(np.asarray(candidate_edges, dtype=np.intp).reshape(-1, 2), axis=1)
     lengths = edge_lengths(pts, pairs)
     order = np.lexsort((pairs[:, 1], pairs[:, 0], lengths))
-    components = DisjointSet(range(n))
-    tree: list[int] = []
-    total_length = 0.0
-    for e, (i, j), length in zip(order.tolist(), pairs[order].tolist(), lengths[order].tolist()):
-        if components.merge(i, j):
-            tree.append(e)
-            total_length += length
-            if len(tree) == n - 1:
-                break
+    order = order[pairs[order, 0] != pairs[order, 1]]
+    _, first = np.unique(edge_keys(pairs[order], n), return_index=True)
+    order = order[np.sort(first)]
+    ranks = np.arange(1.0, len(order) + 1.0)
+    graph = csr_matrix((ranks, (pairs[order, 0], pairs[order, 1])), shape=(n, n))
+    tree = order[np.sort(minimum_spanning_tree(graph).data).astype(np.intp) - 1]
     if len(tree) != n - 1:
         raise ValidationError("candidate edge set does not connect all points")
+    total_length = functools.reduce(operator.add, lengths[tree].tolist(), 0.0)
     return SpanningTree(edges=_lexicographic(pairs[tree]), total_length=total_length)

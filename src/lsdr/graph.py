@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ValidationError
-from .geometry import SpanningTree, Tessellation, edge_keys
+from .geometry import SpanningTree, Tessellation, edge_keys, vertex_stars
 from .numerics import beta_quantile
 
 __all__ = [
@@ -40,14 +40,6 @@ class ManifoldGraph(Tessellation):
 
     mcst_edges: np.ndarray
     alpha: float
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """(neighbour, length) lists; lexicographic edges keep each list ascending."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for (i, j), length in zip(self.edges.tolist(), self.lengths.tolist()):
-            adj[i].append((j, length))
-            adj[j].append((i, length))
-        return adj
 
 
 @dataclass
@@ -83,19 +75,49 @@ def _star_rejections(star: list[int], sq: list[float], thresholds: list[float]) 
     """Edge ids of one vertex star whose length statistic exceeds the threshold.
 
     ``sq`` holds each edge's squared length. The statistic for edge e_j is its
-    squared length over the star's total squared length, summed in edge-id
-    order; under a local Gaussian model it follows Beta(p/2, (k-1)p/2) where k
-    is the star size, and ``thresholds[k]`` is its quantile. Stars of size one
-    are exempt (the statistic is degenerate there).
+    squared length over the star's total squared length; under a local
+    Gaussian model it follows Beta(p/2, (k-1)p/2) where k is the star size,
+    and ``thresholds[k]`` is its quantile. Stars of size one are exempt (the
+    statistic is degenerate there). The total is a left fold in edge-id
+    order: ``sum()`` compensates its rounding from Python 3.12 on and
+    ``math.fsum`` rounds once, so either would move statistics that sit at
+    the threshold.
     """
     k = len(star)
     if k <= 1:
         return []
-    total = sum(sq[e] for e in star)
+    total = 0.0
+    for e in star:
+        total += sq[e]
     if total <= 0.0:
         return []
     threshold = thresholds[k]
     return [e for e in star if sq[e] / total > threshold]
+
+
+def _first_scan(
+    sq: np.ndarray,
+    owner: np.ndarray,
+    column: np.ndarray,
+    counts: np.ndarray,
+    thresholds: list[float],
+) -> np.ndarray:
+    """Which incidences the scan of their vertex's full star rejects.
+
+    ``sq`` holds the squared length of each incidence and the other arrays
+    place it, as ``vertex_stars`` returns them. Each total is summed column
+    by column over a zero-padded (n, K) table of the stars, which is the
+    left fold of ``_star_rejections`` bit for bit, so the two reject the
+    same edges of a star with all its edges alive.
+    """
+    table = np.zeros((len(counts), counts.max(initial=0)))
+    table[owner, column] = sq
+    total = np.zeros(len(counts))
+    for entries in table.T:
+        total += entries
+    total = total[owner]
+    stat = np.divide(sq, total, out=np.zeros_like(sq), where=total > 0.0)
+    return stat > np.array(thresholds)[counts][owner]
 
 
 def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> ManifoldGraph:
@@ -110,6 +132,13 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     exposes the next outlier. An edge can be rejected from either endpoint's
     star; spanning-tree membership always overrides a rejection. Simplices
     that lose any edge are dropped.
+
+    The sweeps visit only the vertices whose scan can remove an edge, with
+    the same result as scanning every vertex: one array pass scans every
+    full star at once, and a sweep then visits the vertices whose full star
+    rejects an unprotected edge (first sweep only) and those whose star lost
+    an edge since their last scan, in ascending order. A star unchanged since
+    a scan that removed nothing can only reject protected edges again.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
@@ -122,22 +151,32 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     # squares by Python's float power: numpy's square rounds differently on
     # about one length in a thousand, which moves statistics at the threshold
     sq = [length**2 for length in tess.lengths.tolist()]
-    stars: list[list[int]] = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(tess.edges.tolist()):
-        stars[i].append(e)
-        stars[j].append(e)
-    alive = [True] * len(sq)
-    thresholds = _star_thresholds(p, alpha, max(map(len, stars), default=0))
+    position, owner, column, counts = vertex_stars(tess.edges, n)
+    ids = position // 2
+    thresholds = _star_thresholds(p, alpha, int(counts.max(initial=0)))
+    rejects = _first_scan(np.array(sq)[ids], owner, column, counts, thresholds) & ~in_tree[ids]
 
-    changed = True
-    while changed:
-        changed = False
-        for vertex in range(n):
-            star = stars[vertex] = [e for e in stars[vertex] if alive[e]]
+    sweep = np.unique(owner[rejects]).tolist()
+    bounds = np.append(0, np.cumsum(counts)).tolist()
+    ids, ends = ids.tolist(), tess.edges.ravel().tolist()
+    alive = [True] * len(sq)
+    while sweep:
+        queued, rescan = set(sweep), set()
+        while sweep:
+            vertex = heapq.heappop(sweep)
+            star = [e for e in ids[bounds[vertex] : bounds[vertex + 1]] if alive[e]]
             for e in _star_rejections(star, sq, thresholds):
-                if not protected[e]:
-                    alive[e] = False
-                    changed = True
+                if protected[e]:
+                    continue
+                alive[e] = False
+                # an endpoint this sweep has passed (or is at) waits for the next one
+                for u in ends[2 * e : 2 * e + 2]:
+                    if u <= vertex:
+                        rescan.add(u)
+                    elif u not in queued:
+                        queued.add(u)
+                        heapq.heappush(sweep, u)
+        sweep = sorted(rescan)
 
     alive = np.array(alive)
     surviving = alive[tess.simplex_edge_ids()].all(axis=1)
@@ -158,32 +197,6 @@ def _csr(g: ManifoldGraph) -> csr_matrix:
     ``scipy.sparse.csgraph`` treats as edges.
     """
     return csr_matrix((g.lengths, (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n))
-
-
-def dijkstra_truncated(
-    adj: list[list[tuple[int, float]]], source: int, settle: int
-) -> list[tuple[float, int]]:
-    """Settle the ``settle`` nearest vertices from ``source`` (source included).
-
-    Returns (distance, vertex) pairs in settling order; ties resolved by
-    vertex index through the heap ordering.
-    """
-    dist = {source: 0.0}
-    done: list[tuple[float, int]] = []
-    settled = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap and len(done) < settle:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        done.append((d, u))
-        for v, w in adj[u]:
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return done
 
 
 def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:

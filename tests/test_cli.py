@@ -1,10 +1,15 @@
 """Command-line interface: outputs, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsdr
 from lsdr import pipeline
 from lsdr.cli import main
 from lsdr.errors import DegeneracyWarning
@@ -287,6 +292,22 @@ class TestErrorsAndRerun:
         with np.errstate(over="ignore"):
             assert run(["reduce", line, "--d", 1, "--out", tmp_path / "emb.csv"]) == 2
         assert capsys.readouterr().err == "ERROR usage: sym_eigen input contains non-finite entries\n"
+
+    @pytest.mark.parametrize("scale", [1e120, 1e130])
+    def test_a_cloud_of_huge_coordinates_reduces_in_its_own_process(self, tmp_path, scale):
+        # Qhull used to crash the interpreter on these clouds (exit 139)
+        pts = np.random.default_rng(0).standard_normal((40, 3)) * scale
+        cloud = tmp_path / "big.csv"
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in pts.tolist())
+        cloud.write_text("x0,x1,x2\n" + rows)
+        env = dict(os.environ, PYTHONPATH=str(Path(lsdr.__file__).parents[1]))
+        argv = ["reduce", str(cloud), "--d", "2", "--out", str(tmp_path / "emb.csv")]
+        done = subprocess.run(
+            [sys.executable, "-m", "lsdr.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        coords = read_point_cloud(tmp_path / "emb.csv")
+        assert coords.shape == (40, 2) and np.isfinite(coords).all()
 
     def test_rerun_reproduces_outputs_byte_for_byte(self, tmp_path):
         out = tmp_path / "d.csv"

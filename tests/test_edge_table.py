@@ -2,9 +2,10 @@
 
 The oracle walks the same Qhull simplices with Python containers: the edges
 of every simplex's vertex pairs in a dict, Kruskal over sorted (length, i, j)
-tuples, the vertex-sequential pruning sweep over sets of pairs, survival of
-simplices by membership and boundary counts in a dict. Its edge lengths are
-read from ``sqrt(pairwise_sq_dists)``, so every comparison is exact.
+tuples, the vertex-sequential pruning sweep over sets of pairs (star totals
+as left folds), survival of simplices by membership and boundary counts in a
+dict. Its edge lengths are read from ``sqrt(pairwise_sq_dists)``, so every
+comparison is exact.
 """
 
 import itertools
@@ -71,7 +72,9 @@ def loop_layer(pts: np.ndarray, alpha: float) -> dict:
             k = len(star)
             if k <= 1:
                 continue
-            total = sum(lengths[e] ** 2 for e in star)
+            total = 0.0
+            for e in star:
+                total += lengths[e] ** 2
             if total <= 0.0:
                 continue
             if k not in quantiles:

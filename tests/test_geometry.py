@@ -4,9 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import DisjointSet
 
+from lsdr import geometry
 from lsdr.errors import DegeneracyError, ValidationError
-from lsdr.geometry import delaunay_tessellation, euclidean_mcst
+from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
+from lsdr.numerics import pairwise_sq_dists
 
 
 def pair_set(pairs) -> set:
@@ -75,6 +80,34 @@ def kruskal_complete_graph(points):
     return total
 
 
+def disjoint_set_kruskal(points, candidate_edges):
+    """Reference: Kruskal's loop, merging through ``DisjointSet`` in (length, i, j) order.
+
+    Returns the tree's lexicographic pairs and its lengths summed in merge order.
+    """
+    pts = np.asarray(points, dtype=float)
+    pairs = np.sort(np.asarray(candidate_edges, dtype=np.intp).reshape(-1, 2), axis=1)
+    lengths = edge_lengths(pts, pairs)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], lengths))
+    components = DisjointSet(range(len(pts)))
+    tree, total = [], 0.0
+    for e in order.tolist():
+        if components.merge(*pairs[e].tolist()):
+            tree.append(e)
+            total += float(lengths[e])
+    if len(tree) != len(pts) - 1:
+        raise ValidationError("candidate edge set does not connect all points")
+    rows = pairs[tree]
+    return rows[np.lexsort(rows.T[::-1])], total
+
+
+def assert_kruskal_tree(points, candidates):
+    rows, total = disjoint_set_kruskal(points, candidates)
+    tree = euclidean_mcst(points, candidates)
+    assert np.array_equal(tree.edges, rows)
+    assert tree.total_length == total
+
+
 class TestDelaunay:
     def test_minimal_triangle(self):
         tess = delaunay_tessellation([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]])
@@ -117,6 +150,26 @@ class TestDelaunay:
         assert np.array_equal(a.simplices, b.simplices)
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.lengths, b.lengths)
+
+    @pytest.mark.parametrize("scale", [2.0**70, 1e40, 1e60, 1e100])
+    def test_huge_coordinates_tessellate_like_the_unit_cloud(self, scale):
+        # unscaled, Qhull fails on this cloud from 1e60 on, and from 1e120 on
+        # it crashes the process (see the reduce test in test_cli)
+        pts = np.random.default_rng(0).standard_normal((40, 3))
+        big = pts * scale
+        tess = delaunay_tessellation(big)
+        assert np.array_equal(tess.simplices, delaunay_tessellation(pts).simplices)
+        assert np.array_equal(tess.points, big)
+        i, j = tess.edges.T
+        assert np.array_equal(tess.lengths, np.sqrt(pairwise_sq_dists(big))[i, j])
+
+    def test_ordinary_clouds_reach_qhull_unscaled(self, monkeypatch):
+        seen = []
+        qhull = geometry._QhullDelaunay
+        monkeypatch.setattr(geometry, "_QhullDelaunay", lambda pts: seen.append(pts) or qhull(pts))
+        pts = np.random.default_rng(1).standard_normal((30, 3)) * 2.0**60
+        delaunay_tessellation(pts)
+        assert len(seen) == 1 and np.array_equal(seen[0], pts)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValidationError):
@@ -233,3 +286,45 @@ class TestMcst:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
         with pytest.raises(ValidationError):
             euclidean_mcst(pts, [(0, 1), (2, 3)])
+
+    def test_all_ties_on_a_unit_grid(self):
+        xs, ys = np.meshgrid(np.arange(7.0), np.arange(7.0))
+        pts = np.c_[xs.ravel(), ys.ravel()]
+        assert_kruskal_tree(pts, list(itertools.combinations(range(49), 2)))
+        assert_kruskal_tree(pts, delaunay_tessellation(pts).edges)
+
+    def test_repeated_and_self_pairs(self):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0, 1, (30, 2))
+        edges = delaunay_tessellation(pts).edges
+        noisy = np.vstack([edges, edges[::-1, ::-1], edges[:5], [[3, 3], [0, 0]]])
+        noisy = noisy[rng.permutation(len(noisy))]
+        assert_kruskal_tree(pts, noisy)
+        clean = euclidean_mcst(pts, edges)
+        assert np.array_equal(euclidean_mcst(pts, noisy).edges, clean.edges)
+
+    def test_disconnected_candidates_raise_the_same_error(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
+        candidates = [(0, 1), (2, 3), (1, 1), (1, 0), (3, 3)]
+        message = "^candidate edge set does not connect all points$"
+        with pytest.raises(ValidationError, match=message):
+            disjoint_set_kruskal(pts, candidates)
+        with pytest.raises(ValidationError, match=message):
+            euclidean_mcst(pts, candidates)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 25), st.integers(0, 80), st.integers(0, 2**32 - 1))
+    def test_matches_the_disjoint_set_loop(self, n, m, seed):
+        # integer coordinates: coincident points and many equal lengths
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, (n, 2)).astype(float)
+        candidates = rng.integers(0, n, (m, 2))
+        try:
+            expected = disjoint_set_kruskal(pts, candidates)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                euclidean_mcst(pts, candidates)
+            return
+        tree = euclidean_mcst(pts, candidates)
+        assert np.array_equal(tree.edges, expected[0])
+        assert tree.total_length == expected[1]

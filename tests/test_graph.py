@@ -1,14 +1,19 @@
 """Edge pruning statistics, geodesic distances, and the edge-list format."""
 
+import functools
 import heapq
+import math
+import operator
 
 import numpy as np
 import pytest
 
 from lsdr.errors import ValidationError
-from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
+from lsdr.datasets import DatasetSpec, generate
+from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst
 from lsdr.graph import (
     ManifoldGraph,
+    _first_scan,
     _star_rejections,
     dump_edge_list,
     graph_distances,
@@ -19,6 +24,7 @@ from lsdr.graph import (
 from lsdr.numerics import beta_quantile, regularized_incomplete_beta
 from lsdr.skeleton import boundary_distances, detect_boundary
 
+from test_edge_table import cloud
 from test_geometry import pair_set
 from test_numerics import quadrature_beta_quantile
 
@@ -42,10 +48,19 @@ def build_graph(points, edges, simplices=(), mcst=(), alpha=0.95):
     )
 
 
+def adjacency(g: ManifoldGraph) -> list[list[tuple[int, float]]]:
+    """(neighbour, length) lists; lexicographic edges keep each list ascending."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for (i, j), length in zip(g.edges.tolist(), g.lengths.tolist()):
+        adj[i].append((j, length))
+        adj[j].append((i, length))
+    return adj
+
+
 def is_connected(graph: ManifoldGraph) -> bool:
     seen = {0}
     stack = [0]
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     while stack:
         u = stack.pop()
         for v, _ in adj[u]:
@@ -55,7 +70,86 @@ def is_connected(graph: ManifoldGraph) -> bool:
     return len(seen) == graph.n
 
 
+def sweep_survivors(tess, mcst, alpha) -> np.ndarray:
+    """Reference: the vertex-sequential sweep that rescans every star each time.
+
+    Totals are left folds over Python floats, squares Python's ``**``; the
+    sweep repeats until a full pass removes nothing. Returns the mask of
+    surviving edges.
+    """
+    n, p = tess.n, tess.p
+    protected = np.isin(edge_keys(tess.edges, n), edge_keys(mcst.edges, n)).tolist()
+    sq = [length**2 for length in tess.lengths.tolist()]
+    stars = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(tess.edges.tolist()):
+        stars[i].append(e)
+        stars[j].append(e)
+    quantiles = {}
+    alive = [True] * len(sq)
+    changed = True
+    while changed:
+        changed = False
+        for vertex in range(n):
+            star = stars[vertex] = [e for e in stars[vertex] if alive[e]]
+            k = len(star)
+            total = 0.0
+            for e in star:
+                total += sq[e]
+            if k <= 1 or total <= 0.0:
+                continue
+            if k not in quantiles:
+                quantiles[k] = beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha)
+            for e in [e for e in star if sq[e] / total > quantiles[k]]:
+                if not protected[e]:
+                    alive[e] = False
+                    changed = True
+    return np.array(alive)
+
+
 class TestPruneEdges:
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_matches_the_per_vertex_sweep(self, p):
+        clouds = [cloud(p, seed) for seed in range(3)]
+        if p == 2:
+            clouds.append(generate(DatasetSpec("spiral", 400, seed=25)))
+        for pts in clouds:
+            tess = delaunay_tessellation(pts)
+            mcst = euclidean_mcst(pts, tess.edges)
+            for alpha in (0.5, 0.8, 0.95, 0.99):
+                alive = sweep_survivors(tess, mcst, alpha)
+                graph = prune_edges(tess, mcst, alpha)
+                assert np.array_equal(graph.edges, tess.edges[alive])
+                assert np.array_equal(graph.lengths, tess.lengths[alive])
+                surviving = alive[tess.simplex_edge_ids()].all(axis=1)
+                assert np.array_equal(graph.simplices, tess.simplices[surviving])
+
+    def test_star_total_is_a_left_fold(self):
+        # 1 + 2**-53 rounds back to 1 at each step of a left fold; the exact
+        # sum (``math.fsum``, and ``sum()`` from Python 3.12 on) is
+        # 1 + 2**-52, which would put edge 0's statistic below the threshold
+        sq = [1.0, 2.0**-53, 2.0**-53]
+        thresholds = [np.inf, np.inf, np.inf, 1.0 - 2.0**-53]
+        assert math.fsum(sq) == 1.0 + 2.0**-52
+        assert 1.0 / math.fsum(sq) < thresholds[3] < 1.0
+        assert _star_rejections([0, 1, 2], sq, thresholds) == [0]
+
+    def test_array_scan_totals_are_left_folds(self):
+        # one star of each size from 2 to 40, squares over 16 decades; each
+        # threshold sits exactly at, or one float below, the left-fold
+        # statistic of the star's first edge, so a total that rounds any
+        # other way flips that edge's rejection
+        rng = np.random.default_rng(7)
+        counts = np.arange(2, 41)
+        stars = [(10.0 ** rng.uniform(-8, 8, k)).tolist() for k in counts]
+        owner = np.repeat(np.arange(len(counts)), counts)
+        column = np.concatenate([np.arange(k) for k in counts])
+        at = [star[0] / functools.reduce(operator.add, star, 0.0) for star in stars]
+        for edge in (at, np.nextafter(at, 0.0).tolist()):
+            thresholds = [np.inf, np.inf, *edge]
+            rejects = _first_scan(np.concatenate(stars), owner, column, counts, thresholds)
+            expected = [_star_rejections(list(range(len(sq))), sq, thresholds) for sq in stars]
+            assert [np.flatnonzero(rejects[owner == v]).tolist() for v in range(len(counts))] == expected
+
     def test_symmetric_star_keeps_everything(self):
         # pentagon plus center: the center's five spokes are equal, so each
         # statistic is 0.2, below the alpha=0.95 threshold for that star size
@@ -173,7 +267,7 @@ class TestPruneEdges:
 
 def heap_dijkstra(g, sources) -> np.ndarray:
     """Reference: textbook heap Dijkstra from every vertex of ``sources`` at once."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     out = np.full(g.n, np.inf)
     heap = []
     for s in sources:

@@ -23,24 +23,13 @@ from lsdr.numerics import pairwise_sq_dists
 from lsdr.pipeline import LsdrAdapter, LsdrConfig, lsdr, pre_reduce, transform_bandwidth
 from lsdr.serialize import write_point_cloud
 
+from test_graph import is_connected
+
 
 def spearman(a, b):
     ra = np.argsort(np.argsort(a))
     rb = np.argsort(np.argsort(b))
     return float(np.corrcoef(ra, rb)[0, 1])
-
-
-def is_connected(graph):
-    adj = graph.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == graph.n
 
 
 class TestSpiralPipeline:

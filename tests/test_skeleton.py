@@ -1,14 +1,17 @@
 """Boundary detection and skeletal marking against hull and Dijkstra oracles."""
 
+import heapq
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from lsdr.errors import DegeneracyWarning
-from lsdr.geometry import delaunay_tessellation, euclidean_mcst
-from lsdr.graph import graph_distances, prune_edges
+from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
+from lsdr.graph import ManifoldGraph, graph_distances, prune_edges
 from lsdr.serialize import write_json
 from lsdr.skeleton import (
     boundary_distances,
@@ -18,7 +21,7 @@ from lsdr.skeleton import (
     skeleton_report,
 )
 
-from test_graph import build_graph
+from test_graph import adjacency, build_graph
 
 
 def tessellation_graph(points, alpha=1.0 - 1e-9):
@@ -89,6 +92,120 @@ class TestBoundaryDistances:
         d_b = boundary_distances(g, boundary)
         per_source = graph_distances(g, boundary).dists.min(axis=0)
         assert np.array_equal(d_b, per_source)
+
+
+def dijkstra_truncated(adj, source: int, settle: int) -> list[tuple[float, int]]:
+    """Reference: settle the ``settle`` nearest vertices from ``source`` with a heap.
+
+    Returns (distance, vertex) pairs in settling order; ties resolve by
+    vertex index through the heap ordering.
+    """
+    dist = {source: 0.0}
+    done: list[tuple[float, int]] = []
+    settled = set()
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap and len(done) < settle:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        done.append((d, u))
+        for v, w in adj[u]:
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return done
+
+
+def heap_neighbours(g: ManifoldGraph, k: int) -> list[list[int]]:
+    adj = adjacency(g)
+    return [[u for _, u in dijkstra_truncated(adj, v, k + 1) if u != v][:k] for v in range(g.n)]
+
+
+def with_extra_vertices(g: ManifoldGraph, twins: int, tiny: bool) -> ManifoldGraph:
+    """``g`` plus coincident copies of its first vertices and a 1e-20 edge.
+
+    Copy t of vertex t hangs on a zero-length edge (and on vertex t's first
+    neighbour, so equal path lengths meet); the last new vertex, when
+    ``tiny``, hangs on vertex 0 by an edge of length 1e-20, which no
+    distance near the cloud's scale can tell from zero.
+    """
+    points, pairs, lengths = [g.points], [g.edges], [g.lengths]
+    n = g.n
+    for t in range(twins):
+        other = int(g.edges[(g.edges == t).any(axis=1)][0].sum()) - t
+        points.append(g.points[t : t + 1])
+        pairs.append(np.array([[t, n], [other, n]]))
+        lengths.append(edge_lengths(g.points, np.array([[t, t], [other, t]])))
+        n += 1
+    if tiny:
+        points.append(g.points[:1])
+        pairs.append(np.array([[0, n]]))
+        lengths.append(np.array([1e-20]))
+    edges = np.vstack(pairs)
+    order = np.lexsort(edges.T[::-1])
+    return ManifoldGraph(
+        points=np.vstack(points),
+        edges=edges[order],
+        lengths=np.concatenate(lengths)[order],
+        simplices=g.simplices,
+        mcst_edges=g.mcst_edges,
+        alpha=g.alpha,
+    )
+
+
+class TestGraphNeighbours:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 3),
+        st.integers(5, 40),
+        st.sampled_from([0.5, 0.8, 0.95]),
+        st.integers(0, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_a_heap_dijkstra_per_vertex(self, seed, p, n, alpha, twins, tiny, data):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, p)) * 1e3
+        g = with_extra_vertices(tessellation_graph(pts, alpha), twins, tiny)
+        k = data.draw(st.sampled_from(sorted({1, 2, 3, g.n - 1, g.n, g.n + 2})))
+        expected = heap_neighbours(g, k)
+        assert graph_neighbours(g, k) == expected
+        d_b = rng.integers(0, 3, g.n) / 2.0
+        skeletal = [
+            v
+            for v in range(g.n)
+            if d_b[v] > 0.0 and d_b[v] >= max((d_b[u] for u in expected[v]), default=d_b[v]) - 1e-12
+        ]
+        assert mark_skeleton(g, d_b, k) == skeletal
+
+    def test_every_k_up_to_n(self):
+        rng = np.random.default_rng(5)
+        g = with_extra_vertices(tessellation_graph(rng.uniform(0, 1, (12, 2)), 0.8), 2, True)
+        for k in range(1, g.n + 2):
+            assert graph_neighbours(g, k) == heap_neighbours(g, k)
+
+    def test_ties_resolve_by_vertex_index(self):
+        # three coincident points, one of them on a 1e-20 edge
+        g = build_graph(
+            [[0.0, 0.0], [1e3, 0.0], [1e3, 0.0], [2e3, 0.0], [1e3, 0.0]],
+            [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4)],
+        )
+        g.lengths[g.edges.tolist().index([2, 4])] = 1e-20
+        # from 3, vertex 4 sits at fl(1e3 + 1e-20) = 1e3, level with 1 and 2
+        assert graph_neighbours(g, 3) == heap_neighbours(g, 3) == [
+            [1, 2, 4],
+            [0, 3, 2],
+            [4, 0, 3],
+            [1, 2, 4],
+            [2, 0, 3],
+        ]
+
+    def test_disconnected_vertices_have_fewer_neighbours(self):
+        g = build_graph([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]], [(0, 1)])
+        assert graph_neighbours(g, 2) == heap_neighbours(g, 2) == [[1], [0], []]
 
 
 class TestMarkSkeleton:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .graph import GeodesicDistances
 from .numerics import as_matrix, pairwise_sq_dists, sym_eigen
 from .skeleton import SkeletonReport
 
@@ -220,24 +219,27 @@ def nadaraya_embed(
     return out
 
 
-def recommended_bandwidth(skeleton: SkeletonReport, geodesics: GeodesicDistances) -> float:
+def recommended_bandwidth(skeleton: SkeletonReport, nearest) -> float:
     """Bandwidth rule: the largest skeletal ball that reaches past the boundary.
 
-    For each skeletal point combine its boundary distance with the graph
-    distance to its nearest other skeletal point; the maximum over skeletal
-    points is the bandwidth, so the rule needs two skeletal points.
+    ``nearest[i]`` is the graph distance from skeletal point i to its nearest
+    other skeletal point: the row minima of the skeletal geodesic block with
+    its diagonal at inf, which ``graph.nearest_source_distances`` gives bit
+    for bit without the block. For each skeletal point combine its boundary
+    distance with that distance; the maximum over skeletal points is the
+    bandwidth, so the rule needs two skeletal points.
     """
     skeletal = skeleton.skeletal_points
     if len(skeletal) < 2:
         raise ValidationError(f"bandwidth rule needs two skeletal points, got {len(skeletal)}")
-    d_b = skeleton.boundary_distance
-    between = geodesics.block(skeletal)
-    np.fill_diagonal(between, np.inf)
+    nearest = np.asarray(nearest, dtype=float)
+    if nearest.shape != (len(skeletal),):
+        raise ValidationError(f"need one nearest distance per skeletal point, got shape {nearest.shape}")
     best = 0.0
     # scalar ``**`` goes through libm pow, which can differ from the array
     # square in the last bit; keep it so the bandwidth stays reproducible
-    for depth, nearest in zip(d_b[skeletal], between.min(axis=1)):
-        best = max(best, float(np.sqrt(depth**2 + nearest**2)))
+    for depth, near in zip(skeleton.boundary_distance[skeletal], nearest):
+        best = max(best, float(np.sqrt(depth**2 + near**2)))
     return best
 
 
@@ -257,25 +259,19 @@ class KernelModel:
     ridge: float
 
 
-def distinct_rows(train, train_embedding) -> tuple[np.ndarray, np.ndarray]:
-    """Training points and their embeddings with exact duplicate points dropped.
+def distinct_rows(points) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row.
 
-    The first occurrence of each point is kept, in the original order, and
-    a warning names how many were dropped.
+    A warning names how many exact duplicate rows the indices leave out.
     """
-    x = as_matrix(train, "training points")
-    y = as_matrix(train_embedding, "training embedding")
-    if x.shape[0] != y.shape[0]:
-        raise ValidationError("training points and embeddings disagree on count")
+    x = as_matrix(points, "training points")
     _, keep = np.unique(x, axis=0, return_index=True)
     if keep.size < x.shape[0]:
         warnings.warn(
             f"dropped {x.shape[0] - keep.size} duplicate training point(s)",
             stacklevel=3,
         )
-        keep = np.sort(keep)
-        x, y = x[keep], y[keep]
-    return x, y
+    return np.sort(keep)
 
 
 def fit_out_of_sample(train, train_embedding, kernel: KernelSpec) -> KernelModel:
@@ -285,7 +281,12 @@ def fit_out_of_sample(train, train_embedding, kernel: KernelSpec) -> KernelModel
     ``distinct_rows`` drops them with a warning. The ridge is 1e-8
     trace(K)/n, a scale-invariant conditioning floor.
     """
-    x, y = distinct_rows(train, train_embedding)
+    x = as_matrix(train, "training points")
+    y = as_matrix(train_embedding, "training embedding")
+    if x.shape[0] != y.shape[0]:
+        raise ValidationError("training points and embeddings disagree on count")
+    keep = distinct_rows(x)
+    x, y = x[keep], y[keep]
     k = kernel_matrix(kernel, x, x)
     n = k.shape[0]
     ridge = 1e-8 * float(np.trace(k)) / n
@@ -342,14 +343,19 @@ def fit_reconstruction(
     """
     x = as_matrix(train, "training points")
     y = as_matrix(train_embedding, "training embedding")
-    n, p = x.shape
+    return _fit_reconstruction(x, y, kernel_matrix(kernel_y, y, y), kernel_y)
+
+
+def _fit_reconstruction(
+    x: np.ndarray, y: np.ndarray, k_y: np.ndarray, kernel_y: KernelSpec
+) -> Reconstructor:
+    """``fit_reconstruction`` given K_y, the (n, n) kernel matrix of the embeddings y."""
+    n = x.shape[0]
     d = y.shape[1]
     if y.shape[0] != n:
         raise ValidationError("training points and embeddings disagree on count")
     if d >= n:
         raise ValidationError(f"reconstruction requires d < n, got d={d}, n={n}")
-
-    k_y = kernel_matrix(kernel_y, y, y)
 
     x_means = x.mean(axis=0)
     y_means = y.mean(axis=0)
@@ -363,7 +369,7 @@ def fit_reconstruction(
         warnings.warn(
             f"reconstruction constraint system is rank deficient (rank {rank} < {d}); "
             "using the pseudo-inverse",
-            stacklevel=2,
+            stacklevel=3,
         )
         beta = a @ np.linalg.pinv(gram) @ c
     else:
@@ -386,7 +392,10 @@ def reconstruct(model: Reconstructor, y) -> np.ndarray:
     q = as_matrix(arr.reshape(1, -1) if single else arr, "embedding query")
     if q.shape[1] != model.train_embedding.shape[1]:
         raise ValidationError("embedding query has the wrong dimension")
-    k = kernel_matrix(model.kernel_y, q, model.train_embedding)
-    centered = k - model.kernel_col_means[None, :]
-    out = model.column_means[None, :] + centered @ model.beta_coefficients
+    out = _reconstruct(model, kernel_matrix(model.kernel_y, q, model.train_embedding))
     return out[0] if single else out
+
+
+def _reconstruct(model: Reconstructor, k: np.ndarray) -> np.ndarray:
+    """``reconstruct`` given k, the kernel rows of the queries against the training embeddings."""
+    return model.column_means[None, :] + (k - model.kernel_col_means[None, :]) @ model.beta_coefficients

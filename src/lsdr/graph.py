@@ -24,6 +24,7 @@ __all__ = [
     "GeodesicDistances",
     "prune_edges",
     "graph_distances",
+    "nearest_source_distances",
     "dump_edge_list",
 ]
 
@@ -219,6 +220,47 @@ def multi_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
     if not src:
         raise ValidationError("multi_source_distances needs at least one source")
     return dijkstra(_csr(g), directed=False, indices=src, min_only=True)
+
+
+def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
+    """Distance from each vertex of ``sources`` to its nearest other one.
+
+    Entry i equals, bit for bit, the minimum of row i of
+    ``graph_distances(g, sources).block(sources)`` with the diagonal at inf
+    (inf when no other source is reachable), without the full rows. One
+    multi-source search labels every vertex with its nearest source; an
+    edge (u, v) between two labels closes a path of length d(u) + w + d(v)
+    between them, and the shortest path from a source to its nearest other
+    one crosses such an edge (Mehlhorn, Inf. Process. Lett. 27, 1988). The
+    rows are then searched only up to the largest of these per-source
+    estimates. The search is label-setting and the lengths non-negative, so
+    every vertex within that limit settles at the float of an unbounded run;
+    a source whose bounded row reaches no other source, however its
+    estimate rounded, is searched again without a limit.
+    """
+    src = [int(s) for s in sources]
+    if not src:
+        raise ValidationError("nearest_source_distances needs at least one source")
+    csr = _csr(g)
+    near, _, label = dijkstra(csr, directed=False, indices=src, min_only=True, return_predecessors=True)
+    # both ends of an edge are reached, or neither is and both carry the
+    # same "unreached" label
+    u, v = g.edges.T
+    between = label[u] != label[v]
+    bound = near[u[between]] + g.lengths[between] + near[v[between]]
+    estimate = np.full(g.n, np.inf)
+    np.minimum.at(estimate, label[u[between]], bound)
+    np.minimum.at(estimate, label[v[between]], bound)
+    estimate = estimate[src]
+    limit = estimate[np.isfinite(estimate)].max(initial=0.0)
+    rows = dijkstra(csr, directed=False, indices=src, limit=limit)[:, src]
+    np.fill_diagonal(rows, np.inf)
+    nearest = rows.min(axis=1)
+    for i in np.flatnonzero(nearest == np.inf):
+        row = dijkstra(csr, directed=False, indices=src[i])[src]
+        row[i] = np.inf
+        nearest[i] = row.min()
+    return nearest
 
 
 def dump_edge_list(g: ManifoldGraph) -> str:

@@ -16,10 +16,10 @@ from scipy.spatial.distance import pdist
 from .embedding import (
     Embedding,
     KernelSpec,
+    _fit_reconstruction,
+    _reconstruct,
     distinct_rows,
-    fit_reconstruction,
     kernel_matrix,
-    reconstruct,
 )
 from .errors import ValidationError
 from .numerics import as_matrix, pairwise_sq_dists, sym_eigen
@@ -122,21 +122,24 @@ class AlgorithmAdapter:
         d: int,
         residual_part: np.ndarray,
         bumps: np.ndarray,
+        which: np.ndarray,
         axes: np.ndarray,
         base_centered: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The two terms the consistency residual reads, for a chunk of transforms.
 
-        Cloud b is ``residual_part`` (n, p) with the bump ``bumps[b]`` (n,)
-        added to column ``axes[b]``. With At its centred (n, d) output and Bt
-        = ``base_centered``, returns trace(At^T At) (B,) and At^T Bt (B, d, d).
-        An output of the wrong shape or with non-finite entries raises
-        ``ValidationError``.
+        ``bumps`` holds one (n,) bump per distinct point of the chunk. Cloud b
+        is ``residual_part`` (n, p) with the bump ``bumps[which[b]]`` added to
+        column ``axes[b]``. With At its centred (n, d) output and Bt =
+        ``base_centered``, returns trace(At^T At) (B,) and At^T Bt (B, d, d).
+        The clouds are the stack of ``bumps[which]``, so the terms equal those
+        of one bump row per transform bit for bit. An output of the wrong
+        shape or with non-finite entries raises ``ValidationError``.
         """
         n, p = residual_part.shape
-        chunk = len(bumps)
+        chunk = len(which)
         clouds = np.zeros((chunk, n, p))
-        clouds[np.arange(chunk), :, axes] = bumps
+        clouds[np.arange(chunk), :, axes] = bumps[which]
         clouds += residual_part
         moved = self.reduce_stack(d, clouds)
         shape = (chunk,) + base_centered.shape
@@ -176,7 +179,7 @@ class PcaAdapter(AlgorithmAdapter):
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
         return pca_reduce(x, d)
 
-    def transform_terms(self, d, residual_part, bumps, axes, base_centered):
+    def transform_terms(self, d, residual_part, bumps, which, axes, base_centered):
         """The same two terms in closed form: one p x p eigenproblem per transform.
 
         Cloud b centres to Rc + kc e_j^T, with Rc the centred residual part,
@@ -188,27 +191,29 @@ class PcaAdapter(AlgorithmAdapter):
         PCA's output is At = (Rc + kc e_j^T) V with V the top-d eigenvectors
         of C_b, so trace(At^T At) is the sum of the top-d eigenvalues and
         At^T Bt = V^T (Rc^T Bt + e_j kc^T Bt): no (n, p) cloud and no (n, d)
-        output is formed. Every product of a bump over the points is a
-        row-by-row einsum, and the products of Rc are the same in every
-        chunk, so a transform's terms do not depend on the chunk it is scored
-        in. A scatter matrix with non-finite entries raises
-        ``ValidationError``.
+        output is formed. kc, g, kc^T Bt and kc^T kc depend only on the point,
+        so they are formed once per row of ``bumps`` and gathered by
+        ``which``. Every product of a bump over the points is a row-by-row
+        einsum, and the products of Rc are the same in every chunk, so a
+        transform's terms equal those of one bump row per transform bit for
+        bit and do not depend on the chunk it is scored in. A scatter matrix
+        with non-finite entries raises ``ValidationError``.
         """
         p = residual_part.shape[1]
         if not 1 <= d <= p:
             raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
-        chunk = len(bumps)
+        chunk = len(which)
         rc = residual_part - residual_part.mean(axis=0)
         kc = bumps - bumps.mean(axis=1, keepdims=True)
         # the columns of Rc and of Bt, each contiguous along the points
         columns = np.ascontiguousarray(np.hstack([rc, base_centered]).T)
-        products = np.einsum("bn,qn->bq", kc, columns)
+        products = np.einsum("bn,qn->bq", kc, columns)[which]
         g, kc_bt = products[:, :p], products[:, p:]
         rows = np.arange(chunk)
         scatter = np.repeat((rc.T @ rc)[None], chunk, axis=0)
         scatter[rows, :, axes] += g
         scatter[rows, axes, :] += g
-        scatter[rows, axes, axes] += np.einsum("bn,bn->b", kc, kc)
+        scatter[rows, axes, axes] += np.einsum("bn,bn->b", kc, kc)[which]
         cross = np.repeat((rc.T @ base_centered)[None], chunk, axis=0)
         cross[rows, axes, :] += kc_bt
         if not (np.all(np.isfinite(scatter)) and np.all(np.isfinite(cross))):
@@ -283,8 +288,8 @@ class TciReport:
 
 # Chunked work is sized to about this many floats (2 MB) per array: the
 # (B, n, p) stack of transformed clouds per chunk of the consistency scan
-# (PCA's closed form forms only the chunk's (B, n) bumps), and the rows of
-# squared distances per block of the kNN metrics.
+# (PCA's closed form forms only the chunk's bumps, one (n,) row per distinct
+# point), and the rows of squared distances per block of the kNN metrics.
 _STACK_FLOATS = 2**18
 
 
@@ -304,7 +309,8 @@ def tractable_consistency_index(
     output. The full set has n*p transforms; a seeded uniform subsample keeps
     the cost tractable, at the price of reporting a lower bound. Transforms
     run in chunks through one scan: ``alg.transform_terms`` gives each
-    transform's trace(At^T At) and At^T Bt, and one residual rule scores them.
+    transform's trace(At^T At) and At^T Bt from one bump per distinct point
+    of the chunk, and one residual rule scores them.
     An output that is wrong-shaped or not finite is a failure, as is an
     adapter that raises. A failing chunk goes back through the same scan one
     transform at a time, so each failing transform is recorded with its own
@@ -325,9 +331,12 @@ def tractable_consistency_index(
     embed_scale = pdist(base)
     sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
     kernel_y = KernelSpec("gaussian", sigma_y)
-    train_x, train_y = distinct_rows(x, base)
-    recon = fit_reconstruction(train_x, train_y, kernel, kernel_y)
-    x_hat = reconstruct(recon, base)
+    # one kernel matrix of every output row against the distinct training
+    # rows: the fit reads its training rows, the reconstruction all of them
+    keep = distinct_rows(x)
+    k_y = kernel_matrix(kernel_y, base, base[keep])
+    recon = _fit_reconstruction(x[keep], base[keep], k_y[keep], kernel_y)
+    x_hat = _reconstruct(recon, k_y)
     residual_part = x - x_hat
 
     n_total = n * p
@@ -348,8 +357,9 @@ def tractable_consistency_index(
     def scan(rows: np.ndarray, cols: np.ndarray) -> list[TransformResult]:
         """Reduce and score the given transforms."""
         try:
-            bumps = kernel_matrix(kernel, x[rows], x_hat)
-            traces, cross = alg.transform_terms(d, residual_part, bumps, cols, base_centered)
+            distinct, which = np.unique(rows, return_inverse=True)
+            bumps = kernel_matrix(kernel, x[distinct], x_hat)
+            traces, cross = alg.transform_terms(d, residual_part, bumps, which, cols, base_centered)
             if base_constant:
                 # the similarity term vanishes; only the translation is free
                 residuals = [float(t) for t in traces]

@@ -39,7 +39,13 @@ from .geometry import (
     euclidean_mcst,
     singular_rank,
 )
-from .graph import GeodesicDistances, ManifoldGraph, graph_distances, prune_edges
+from .graph import (
+    GeodesicDistances,
+    ManifoldGraph,
+    graph_distances,
+    nearest_source_distances,
+    prune_edges,
+)
 from .indices import AlgorithmAdapter
 from .numerics import as_matrix, pairwise_sq_dists
 from .skeleton import SkeletonReport, skeleton_report
@@ -141,12 +147,11 @@ def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class _Stages:
-    """Graph, skeleton and skeletal geodesics, or the reason none exist."""
+    """Graph and skeleton, or the reason the pipeline cannot use them."""
 
     reason: str | None = None
     graph: ManifoldGraph | None = None
     skeleton: SkeletonReport | None = None
-    geodesics: GeodesicDistances | None = None
 
 
 def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
@@ -165,12 +170,12 @@ def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
     if len(skeletal) <= cfg.d:
         # metric MDS places d dimensions only from at least d + 1 points
         return _Stages(f"only {len(skeletal)} skeletal point(s)", graph, skeleton)
-    return _Stages(None, graph, skeleton, graph_distances(graph, skeletal))
+    return _Stages(None, graph, skeleton)
 
 
-def _bandwidth(stages: _Stages, work: np.ndarray) -> float:
+def _bandwidth(skeleton: SkeletonReport, nearest: np.ndarray, work: np.ndarray) -> float:
     """The skeleton's recommended bandwidth, else the mean pairwise distance."""
-    sigma = recommended_bandwidth(stages.skeleton, stages.geodesics)
+    sigma = recommended_bandwidth(skeleton, nearest)
     return sigma if sigma > 0.0 else float(_distances(work).mean())
 
 
@@ -185,11 +190,16 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
     work, pre_reduced = _working_cloud(x)
     stages = _stages(work, cfg)
     reason = stages.reason
+    geodesics = None
     if reason is not None:
         mds_coords = metric_mds(_distances(work), cfg.d)
     else:
         skeletal = stages.skeleton.skeletal_points
-        q = stages.geodesics.block(skeletal)
+        geodesics = graph_distances(stages.graph, skeletal)
+        q = geodesics.block(skeletal)
+        # the bandwidth rule reads each skeletal point's nearest other one
+        np.fill_diagonal(q, np.inf)
+        nearest = q.min(axis=1)
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
         mds_coords = metric_mds(q, cfg.d)
@@ -208,7 +218,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         coords = mds_coords
         params["fallback"] = reason
     else:
-        sigma = _bandwidth(stages, work) if cfg.bandwidth is None else cfg.bandwidth
+        sigma = _bandwidth(stages.skeleton, nearest, work) if cfg.bandwidth is None else cfg.bandwidth
         coords = nadaraya_embed(mds_coords, work[skeletal], work, KernelSpec("gaussian", sigma))
         params.update(bandwidth=sigma, kernel="gaussian", seed=cfg.seed)
 
@@ -216,7 +226,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         embedding=Embedding(coords=coords, algorithm="lsdr", params=params),
         skeleton=stages.skeleton,
         graph=stages.graph,
-        geodesics=stages.geodesics,
+        geodesics=geodesics,
         bandwidth=sigma,
         degenerate_fallback=reason is not None,
         pre_reduced=pre_reduced,
@@ -227,8 +237,11 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
 def transform_bandwidth(x, alpha: float = 0.95, k: int = 3, seed: int = 0) -> float:
     """Dataset-level bandwidth via the skeleton rule (for the consistency index).
 
-    The bandwidth ``lsdr`` picks at these parameters: same working cloud,
-    same stages, same rule. Clouds without a tessellation fall back to the
+    The bandwidth ``lsdr`` picks at these parameters, bit for bit: same
+    working cloud, same stages, same rule. The rule reads each skeletal
+    point's distance to its nearest other one, which
+    ``nearest_source_distances`` gives without the skeletal geodesic rows
+    ``lsdr`` embeds from. Clouds without a tessellation fall back to the
     mean pairwise distance of the working cloud.
     """
     cfg = LsdrConfig(d=1, alpha=alpha, k=k, seed=seed)
@@ -236,7 +249,8 @@ def transform_bandwidth(x, alpha: float = 0.95, k: int = 3, seed: int = 0) -> fl
     stages = _stages(work, cfg)
     if stages.reason is not None:
         return float(_distances(work).mean())
-    return _bandwidth(stages, work)
+    nearest = nearest_source_distances(stages.graph, stages.skeleton.skeletal_points)
+    return _bandwidth(stages.skeleton, nearest, work)
 
 
 class LsdrAdapter(AlgorithmAdapter):

@@ -6,7 +6,10 @@ import pytest
 from lsdr.datasets import DatasetSpec, spiral_with_angle
 from lsdr.embedding import (
     KernelSpec,
+    _fit_reconstruction,
+    _reconstruct,
     classical_scaling,
+    distinct_rows,
     embed_out_of_sample,
     fit_out_of_sample,
     fit_reconstruction,
@@ -198,39 +201,50 @@ class TestRecommendedBandwidth:
             k_neighbours=k,
         )
 
+    @staticmethod
+    def _nearest(geo, skeletal):
+        """Row minima of the skeletal geodesic block, its diagonal at inf."""
+        between = geo.block(skeletal)
+        np.fill_diagonal(between, np.inf)
+        return between.min(axis=1)
+
     def test_two_skeletal_points(self):
         rep = self._report([0], [0.0, 0.0, 0.0], [1, 2])
         geo = GeodesicDistances(
             sources=[1, 2], dists=np.array([[1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
         )
-        assert recommended_bandwidth(rep, geo) == pytest.approx(2.0)
+        assert recommended_bandwidth(rep, self._nearest(geo, [1, 2])) == pytest.approx(2.0)
 
     def test_unit_spaced_path_with_unit_depth(self):
         n = 4
         rep = self._report([0], np.ones(n), list(range(n)))
         dists = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
         geo = GeodesicDistances(sources=list(range(n)), dists=dists)
-        assert recommended_bandwidth(rep, geo) == pytest.approx(np.sqrt(2.0))
+        assert recommended_bandwidth(rep, self._nearest(geo, list(range(n)))) == pytest.approx(np.sqrt(2.0))
 
     def test_single_skeletal_point_is_rejected(self):
         # the pipeline never asks: a skeleton of at most d points falls back
         rep = self._report([0], [0.0, 0.7], [1])
-        geo = GeodesicDistances(sources=[1], dists=np.array([[1.0, 0.0]]))
         with pytest.raises(ValidationError, match="needs two skeletal points"):
-            recommended_bandwidth(rep, geo)
+            recommended_bandwidth(rep, [np.inf])
+
+    def test_one_nearest_distance_per_skeletal_point(self):
+        rep = self._report([0], [0.0, 0.7, 0.2], [1, 2])
+        with pytest.raises(ValidationError, match="one nearest distance per skeletal point"):
+            recommended_bandwidth(rep, [1.0, 2.0, 3.0])
 
     def test_matches_direct_re_evaluation_on_spiral(self):
         spec = DatasetSpec("spiral", 200, seed=4)
         pts, _ = spiral_with_angle(spec)
         from lsdr.geometry import delaunay_tessellation, euclidean_mcst
-        from lsdr.graph import graph_distances, prune_edges
+        from lsdr.graph import graph_distances, nearest_source_distances, prune_edges
         from lsdr.skeleton import skeleton_report
 
         tess = delaunay_tessellation(pts)
         graph = prune_edges(tess, euclidean_mcst(pts, tess.edges), 0.95)
         rep = skeleton_report(graph, 3)
         geo = graph_distances(graph, range(graph.n))
-        sigma = recommended_bandwidth(rep, geo)
+        sigma = recommended_bandwidth(rep, nearest_source_distances(graph, rep.skeletal_points))
         best = 0.0
         for i in rep.skeletal_points:
             nearest = min(
@@ -354,3 +368,24 @@ class TestReconstruction:
         col_means = np.exp(-pairwise_sq_dists(latent) / (2 * sigma_y**2)).mean(axis=0)
         expected = x.mean(axis=0) + (k_row - col_means) @ recon.beta_coefficients
         assert np.allclose(reconstruct(recon, yq), expected, atol=1e-10)
+
+    def test_kernel_taking_cores_match_the_public_fit_on_duplicate_rows(self):
+        # one kernel matrix of every row against the distinct rows: its
+        # first-occurrence rows are K_y, and the whole matrix reconstructs
+        # every row, bit for bit as the public fit and reconstruction
+        kernel_y = KernelSpec("gaussian", 1.5)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            distinct = rng.standard_normal((30, 3))
+            x = distinct[rng.integers(0, 30, 60)]
+            # an embedding is a function of the point, so duplicates stay duplicates
+            y = np.c_[x[:, 0] + np.sin(x[:, 2]), x[:, 1] * x[:, 2]]
+            with pytest.warns(UserWarning, match="duplicate training point"):
+                keep = distinct_rows(x)
+            k_y = kernel_matrix(kernel_y, y, y[keep])
+            assert np.array_equal(k_y[keep], kernel_matrix(kernel_y, y[keep], y[keep]))
+            recon = fit_reconstruction(x[keep], y[keep], kernel_y, kernel_y)
+            core = _fit_reconstruction(x[keep], y[keep], k_y[keep], kernel_y)
+            assert np.array_equal(core.beta_coefficients, recon.beta_coefficients)
+            assert np.array_equal(core.kernel_col_means, recon.kernel_col_means)
+            assert np.array_equal(_reconstruct(core, k_y), reconstruct(recon, y))

@@ -490,14 +490,14 @@ class TestPcaTransformTerms:
         c = 8.0 * (sigma[0] * np.sqrt(n) + n) / 3.0
         residual_part = (basis[:, 1:] * (c * sigma)) @ random_orthogonal(rng, p).T
         residual_part += c * rng.standard_normal(p)
-        rows = rng.integers(0, n, 12)
+        points, which = np.unique(rng.integers(0, n, 12), return_inverse=True)
         kernel = KernelSpec("gaussian", bandwidth * c * sigma[0] / np.sqrt(n))
-        bumps = kernel_matrix(kernel, residual_part[rows], residual_part)
+        bumps = kernel_matrix(kernel, residual_part[points], residual_part)
         axes = rng.integers(0, p, 12)
         base_centered = pca_reduce(residual_part, d).coords
         denom = float(np.sum(base_centered * base_centered))
 
-        terms = (d, residual_part, bumps, axes, base_centered)
+        terms = (d, residual_part, bumps, which, axes, base_centered)
         traces, cross = PcaAdapter().transform_terms(*terms)
         rerun_traces, rerun_cross = SerialPcaAdapter().transform_terms(*terms)
         assert np.all(np.abs(traces - rerun_traces) <= 1e-12 * rerun_traces)
@@ -508,12 +508,70 @@ class TestPcaTransformTerms:
     def test_rejects_what_the_rerun_rejects(self):
         residual_part = np.random.default_rng(0).standard_normal((10, 3))
         bumps = np.ones((2, 10))
+        which = np.array([0, 1])
         axes = np.array([0, 2])
         with pytest.raises(ValidationError, match="1 <= d <= p"):
-            PcaAdapter().transform_terms(4, residual_part, bumps, axes, np.zeros((10, 4)))
+            PcaAdapter().transform_terms(4, residual_part, bumps, which, axes, np.zeros((10, 4)))
         residual_part[4, 1] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            PcaAdapter().transform_terms(2, residual_part, bumps, axes, np.zeros((10, 2)))
+            PcaAdapter().transform_terms(2, residual_part, bumps, which, axes, np.zeros((10, 2)))
+
+
+class TestTransformTermsPerDistinctPoint:
+    """One bump row per distinct point, gathered by ``which``, gives the terms
+    of one bump row per transform bit for bit, through PCA's closed form and
+    through the default stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 40), st.integers(1, 5), st.data(), st.integers(0, 2**32 - 1))
+    def test_shared_bumps_give_the_per_transform_terms(self, n, p, data, seed):
+        d = data.draw(st.integers(1, p), label="d")
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        residual_part = rng.standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
+        x_hat = x - residual_part
+        # points with 1, 2 and p axes each, shuffled; the rest drawn freely
+        once, twice, every = rng.choice(n, 3, replace=False)
+        points = [once, twice, twice] + [every] * p
+        axes = [rng.integers(p), *rng.choice(p, 2, replace=p < 2), *range(p)]
+        extra = data.draw(st.integers(0, 12), label="extra")
+        points += rng.integers(0, n, extra).tolist()
+        axes += rng.integers(0, p, extra).tolist()
+        order = rng.permutation(len(points))
+        points, axes = np.array(points)[order], np.array(axes)[order]
+        kernel = KernelSpec("gaussian", data.draw(st.floats(0.3, 3.0), label="bandwidth"))
+        base_centered = pca_reduce(x, d).coords
+
+        distinct, which = np.unique(points, return_inverse=True)
+        shared = kernel_matrix(kernel, x[distinct], x_hat)
+        each = kernel_matrix(kernel, x[points], x_hat)
+        assert len(distinct) < len(points)
+        for adapter in (PcaAdapter(), SerialPcaAdapter()):
+            traces, cross = adapter.transform_terms(d, residual_part, shared, which, axes, base_centered)
+            expected = adapter.transform_terms(
+                d, residual_part, each, np.arange(len(points)), axes, base_centered
+            )
+            assert np.array_equal(traces, expected[0])
+            assert np.array_equal(cross, expected[1])
+
+
+DUPLICATE_CLOUDS = [
+    np.repeat(np.random.default_rng(seed).standard_normal((40, 3)) * [3.0, 2.0, 0.5], [1, 2, 3, 1] * 10, axis=0)
+    for seed in (11, 12)
+]
+
+
+@pytest.mark.parametrize("x", DUPLICATE_CLOUDS, ids=["seed-11", "seed-12"])
+def test_consistency_scan_on_duplicate_points_matches_the_serial_scan(x):
+    # the scan's reconstruction reads its training rows from one kernel matrix
+    # of every output row; its residual part must be the public fit's
+    kernel = KernelSpec("gaussian", 1.0)
+    with pytest.warns(UserWarning, match="duplicate training point"):
+        report = tractable_consistency_index(SerialPcaAdapter(), x, 2, kernel, transform_subsample=90, seed=1)
+    with pytest.warns(UserWarning, match="duplicate training point"):
+        rows, best, _ = serial_consistency_scan(SerialPcaAdapter(), x, 2, kernel, transform_subsample=90, seed=1)
+    assert _as_rows(report) == rows
+    assert report.value == best
 
 
 def brute_force_knn_metrics(x, y, k):

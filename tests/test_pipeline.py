@@ -70,7 +70,9 @@ class TestSpiralPipeline:
         q = full.dists[np.ix_(skeletal, skeletal)]
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
-        sigma = recommended_bandwidth(res.skeleton, full)
+        between = full.dists[np.ix_(skeletal, skeletal)]
+        np.fill_diagonal(between, np.inf)
+        sigma = recommended_bandwidth(res.skeleton, between.min(axis=1))
         work = res.working_points
         coords = nadaraya_embed(
             metric_mds(q, 1), work[skeletal], work, KernelSpec("gaussian", sigma)

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from lsdr.errors import DegeneracyWarning
+from lsdr.errors import DegeneracyWarning, ValidationError
 from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
-from lsdr.graph import ManifoldGraph, graph_distances, prune_edges
+from scipy.sparse.csgraph import dijkstra
+
+from lsdr import graph
+from lsdr.graph import ManifoldGraph, graph_distances, nearest_source_distances, prune_edges
 from lsdr.serialize import write_json
 from lsdr.skeleton import (
     boundary_distances,
@@ -206,6 +209,66 @@ class TestGraphNeighbours:
     def test_disconnected_vertices_have_fewer_neighbours(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]], [(0, 1)])
         assert graph_neighbours(g, 2) == heap_neighbours(g, 2) == [[1], [0], []]
+
+
+class TestNearestSourceDistances:
+    """The bounded search against the row minima of the full source block."""
+
+    @staticmethod
+    def _row_minima(g, sources):
+        between = graph_distances(g, sources).block(sources)
+        np.fill_diagonal(between, np.inf)
+        return between.min(axis=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 3),
+        st.integers(5, 40),
+        st.sampled_from([0.5, 0.8, 0.95]),
+        st.integers(0, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_equals_the_row_minima_of_the_source_block(self, seed, p, n, alpha, twins, tiny, data):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, p)) * 1e3
+        g = with_extra_vertices(tessellation_graph(pts, alpha), twins, tiny)
+        sources = set(rng.choice(g.n, data.draw(st.integers(1, g.n), label="sources"), replace=False).tolist())
+        if data.draw(st.booleans(), label="with the extra vertices"):
+            # coincident sources, and sources 1e-20 apart
+            sources |= set(range(twins + 1)) | set(range(n, g.n))
+        sources = rng.permutation(sorted(sources))
+        assert np.array_equal(nearest_source_distances(g, sources), self._row_minima(g, sources))
+
+    def test_a_row_the_limit_cuts_short_is_searched_again(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        g = with_extra_vertices(tessellation_graph(rng.standard_normal((40, 2)), 0.8), 2, True)
+        # 40 and 41 coincide with 0 and 1; 42 hangs 1e-20 from 0
+        sources = [0, 1, 5, 9, 17, 40, 41, 42]
+        expected = self._row_minima(g, sources)
+        unbounded = []
+
+        def zero_limit(csgraph, **kwargs):
+            if "limit" in kwargs:
+                kwargs["limit"] = 0.0
+            elif not kwargs.get("min_only"):
+                unbounded.append(kwargs["indices"])
+            return dijkstra(csgraph, **kwargs)
+
+        monkeypatch.setattr(graph, "dijkstra", zero_limit)
+        assert np.array_equal(nearest_source_distances(g, sources), expected)
+        # a source with no other source at distance 0 had its row cut short
+        assert unbounded == [5, 9, 17, 42]
+
+    def test_a_lone_source_has_no_nearest_other(self):
+        g = tessellation_graph(np.random.default_rng(2).standard_normal((12, 2)))
+        assert nearest_source_distances(g, [3]).tolist() == [np.inf]
+
+    def test_requires_sources(self):
+        g = build_graph([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])
+        with pytest.raises(ValidationError, match="at least one source"):
+            nearest_source_distances(g, [])
 
 
 class TestMarkSkeleton:

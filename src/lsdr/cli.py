@@ -22,6 +22,7 @@ from .indices import (
     PcaAdapter,
     check_knn_k,
     knn_metrics,
+    pca_reduce,
     tractable_consistency_index,
     trustability_index,
 )
@@ -123,8 +124,6 @@ def cmd_reduce(args, argv: list[str]) -> int:
     outputs = []
     degenerate = False
     if args.algo == "pca":
-        from .indices import pca_reduce
-
         emb = pca_reduce(cloud, args.d)
         skeleton = None
         graph = None
@@ -201,7 +200,7 @@ def cmd_index(args, argv: list[str]) -> int:
             transform_subsample=args.transforms,
             seed=args.seed,
         )
-        report.extras["tci_bandwidth"] = sigma
+        report.tci_bandwidth = sigma
     if args.knn:
         # the consistency index already reduced the cloud at this d
         coords = report.tci.base if report.tci is not None else adapter.reduce(args.d, cloud).coords

@@ -19,10 +19,12 @@ __all__ = ["DatasetSpec", "generate", "spiral_with_angle", "FAMILIES"]
 class DatasetSpec:
     """Family name, size, noise scale and family-specific parameters.
 
-    ``params`` may set ``turns`` (spiral), ``clusters`` (gaussian and
-    circular clusters), ``separation`` (gaussian and two linear clusters)
-    and ``gaps`` (gaussian clusters); every other shape constant is fixed,
-    and a key the family's generator does not read is rejected.
+    ``p`` >= 1 is taken by gaussian clusters and the uniform hypercube only;
+    ``noise`` must be finite and >= 0. ``params`` may set ``turns`` (spiral),
+    ``clusters`` >= 1 (gaussian and circular clusters), ``separation``
+    (gaussian and two linear clusters) and ``gaps`` (gaussian clusters);
+    every other shape constant is fixed, and a key the family's generator
+    does not read is rejected.
     """
 
     family: str
@@ -37,9 +39,17 @@ class DatasetSpec:
             raise ValidationError(f"unknown dataset family {self.family!r}")
         if self.n < 1:
             raise ValidationError(f"dataset size must be positive, got {self.n}")
+        if self.p is not None and self.family not in _TAKES_P:
+            raise ValidationError(f"dataset family {self.family!r} has a fixed dimension and takes no p")
+        if self.p is not None and self.p < 1:
+            raise ValidationError(f"dataset dimension p must be at least 1, got {self.p}")
+        if self.noise is not None and not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValidationError(f"dataset noise must be finite and non-negative, got {self.noise}")
         unknown = [str(key) for key in self.params if key not in _PARAMS.get(self.family, ())]
         if unknown:
             raise ValidationError(f"dataset family {self.family!r} takes no parameter {', '.join(unknown)}")
+        if int(self.params.get("clusters", 1)) < 1:
+            raise ValidationError(f"dataset needs at least 1 cluster, got {self.params['clusters']}")
 
 
 def _rng(spec: DatasetSpec) -> np.random.Generator:
@@ -201,6 +211,7 @@ _GENERATORS = {
     "circular_clusters": _circular_clusters,
 }
 FAMILIES = tuple(_GENERATORS)
+_TAKES_P = ("gaussian_clusters", "uniform_hypercube")  # the families whose dimension p is a parameter
 # the ``params`` keys each generator reads; families missing here read none
 _PARAMS = {
     "spiral": ("turns",),

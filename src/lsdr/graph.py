@@ -214,14 +214,6 @@ def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:
     return GeodesicDistances(sources=src, dists=dijkstra(_csr(g), directed=False, indices=src))
 
 
-def multi_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
-    """Distance from every vertex to the nearest vertex of ``sources``."""
-    src = [int(s) for s in sources]
-    if not src:
-        raise ValidationError("multi_source_distances needs at least one source")
-    return dijkstra(_csr(g), directed=False, indices=src, min_only=True)
-
-
 def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
     """Distance from each vertex of ``sources`` to its nearest other one.
 

@@ -8,7 +8,7 @@ bump along one axis. Both reduce to the generalized Procrustes problem
 solved here in closed form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -75,17 +75,14 @@ def procrustes_fit(a, b) -> ProcrustesFit:
     rotation = u @ vt
     scale = float(np.sum(s)) / denom
     mu = a_mean - scale * rotation @ b_mean
-    residual = _closed_form_residuals(_square_sums(at[None]), s[None], denom)[0]
+    residual = _closed_form_residuals([_square_sum(at)], s[None], denom)[0]
     return ProcrustesFit(mu=mu, scale=scale, rotation=rotation, residual=residual)
 
 
-def _square_sums(stack: np.ndarray) -> np.ndarray:
-    """Sum of the squared entries of each (n, q) cloud of a (B, n, q) stack.
-
-    The squares are laid out C-contiguously whatever the stack's layout, so
-    each cloud is summed in the order of its own C-contiguous array.
-    """
-    return np.sum(np.multiply(stack, stack, order="C"), axis=(1, 2))
+def _square_sum(cloud: np.ndarray) -> float:
+    """Sum of the squared entries of a cloud, in the order of a C-contiguous
+    array of its squares whatever the cloud's own layout."""
+    return float(np.sum(np.multiply(cloud, cloud, order="C")))
 
 
 def _closed_form_residuals(traces: np.ndarray, s: np.ndarray, denom: float) -> list[float]:
@@ -103,19 +100,15 @@ class AlgorithmAdapter:
 
     Subclasses implement ``reduce(d, x) -> Embedding`` deterministically for
     a fixed construction. The consistency index scores its transformed
-    clouds in chunks through ``transform_terms``, which by default stacks
-    them and reduces the stack with ``reduce_stack``: one cloud at a time,
-    unless a subclass can do better.
+    clouds in chunks through ``transform_terms``, which by default reduces
+    them one at a time with ``reduce``; a subclass may override it with a
+    faster form of the same two terms.
     """
 
     name: str = "adapter"
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
         raise NotImplementedError
-
-    def reduce_stack(self, d: int, clouds: np.ndarray) -> np.ndarray:
-        """Coordinates (B, n, d) of each cloud in a (B, n, p) stack."""
-        return np.stack([self.reduce(d, cloud).coords for cloud in clouds])
 
     def transform_terms(
         self,
@@ -132,23 +125,24 @@ class AlgorithmAdapter:
         is ``residual_part`` (n, p) with the bump ``bumps[which[b]]`` added to
         column ``axes[b]``. With At its centred (n, d) output and Bt =
         ``base_centered``, returns trace(At^T At) (B,) and At^T Bt (B, d, d).
-        The clouds are the stack of ``bumps[which]``, so the terms equal those
-        of one bump row per transform bit for bit. An output of the wrong
-        shape or with non-finite entries raises ``ValidationError``.
+        Each cloud is reduced on its own and its terms are those
+        ``procrustes_fit`` forms, bit for bit. An output of the wrong shape or
+        with non-finite entries raises ``ValidationError``.
         """
-        n, p = residual_part.shape
-        chunk = len(which)
-        clouds = np.zeros((chunk, n, p))
-        clouds[np.arange(chunk), :, axes] = bumps[which]
-        clouds += residual_part
-        moved = self.reduce_stack(d, clouds)
-        shape = (chunk,) + base_centered.shape
-        if moved.shape != shape:
-            raise ValidationError(f"adapter produced shape {moved.shape}, expected {shape}")
-        if not np.all(np.isfinite(moved)):
-            raise ValidationError("adapter output contains non-finite entries")
-        at = moved - moved.mean(axis=1, keepdims=True)
-        return _square_sums(at), np.swapaxes(at, 1, 2) @ base_centered
+        traces = np.empty(len(which))
+        cross = np.empty((len(which), base_centered.shape[1], base_centered.shape[1]))
+        for b, (row, axis) in enumerate(zip(which, axes)):
+            cloud = residual_part.copy()
+            cloud[:, axis] += bumps[row]
+            moved = self.reduce(d, cloud).coords
+            if moved.shape != base_centered.shape:
+                raise ValidationError(f"adapter produced shape {moved.shape}, expected {base_centered.shape}")
+            if not np.all(np.isfinite(moved)):
+                raise ValidationError("adapter output contains non-finite entries")
+            at = moved - moved.mean(axis=0)
+            traces[b] = _square_sum(at)
+            cross[b] = at.T @ base_centered
+        return traces, cross
 
 
 def pca_reduce(x, d: int) -> Embedding:
@@ -229,13 +223,10 @@ class IdentityAdapter(AlgorithmAdapter):
     name = "identity"
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
-        coords = self.reduce_stack(d, as_matrix(x, "data")[None])[0]
-        return Embedding(coords=coords, algorithm="identity", params={"d": d})
-
-    def reduce_stack(self, d: int, clouds: np.ndarray) -> np.ndarray:
-        if not 1 <= d <= clouds.shape[2]:
+        x = as_matrix(x, "data")
+        if not 1 <= d <= x.shape[1]:
             raise ValidationError(f"identity adapter needs 1 <= d <= p, got {d}")
-        return clouds[:, :, :d].copy()
+        return Embedding(coords=x[:, :d].copy(), algorithm="identity", params={"d": d})
 
 
 def trustability_index(alg: AlgorithmAdapter, x) -> float:
@@ -286,10 +277,10 @@ class TciReport:
         return [t for t in self.contributions if t.failed]
 
 
-# Chunked work is sized to about this many floats (2 MB) per array: the
-# (B, n, p) stack of transformed clouds per chunk of the consistency scan
-# (PCA's closed form forms only the chunk's bumps, one (n,) row per distinct
-# point), and the rows of squared distances per block of the kNN metrics.
+# Chunked work is sized to about this many floats (2 MB) per array: a chunk
+# of the consistency scan holds 2**18 // (n p) transforms, so its bump rows
+# (one (n,) row per distinct point) and PCA's (B, p, p) arrays stay within
+# it for p <= n; the kNN metrics take rows of squared distances in blocks.
 _STACK_FLOATS = 2**18
 
 
@@ -307,23 +298,24 @@ def tractable_consistency_index(
     one coordinate axis, keeps the reconstruction residual untouched, reruns
     the algorithm and measures the Procrustes residual against the original
     output. The full set has n*p transforms; a seeded uniform subsample keeps
-    the cost tractable, at the price of reporting a lower bound. Transforms
-    run in chunks through one scan: ``alg.transform_terms`` gives each
-    transform's trace(At^T At) and At^T Bt from one bump per distinct point
-    of the chunk, and one residual rule scores them.
-    An output that is wrong-shaped or not finite is a failure, as is an
-    adapter that raises. A failing chunk goes back through the same scan one
-    transform at a time, so each failing transform is recorded with its own
-    message and excluded.
+    the cost tractable, at the price of reporting a lower bound; a subsample
+    below 1 is rejected. Transforms run in chunks through one scan:
+    ``alg.transform_terms`` gives each transform's trace(At^T At) and At^T Bt
+    from one bump per distinct point of the chunk, and one residual rule
+    scores them. An output that is wrong-shaped or not finite is a failure,
+    as is an adapter that raises. A failing chunk goes back through the same
+    scan one transform at a time, so each failing transform is recorded with
+    its own message and excluded.
 
-    Through the default ``transform_terms`` (the pipeline, identity and user
-    adapters) every reduction over points adds in the order it takes for a
-    single cloud, so the residuals equal the one-transform-at-a-time scan's
-    bit for bit. PCA's terms are in closed form (``PcaAdapter``): each
-    residual lies within 1e-12 * trace(At^T At) of the rerun's, the roundoff
-    of a top-d eigenvalue sum against a sum of squared coordinates, and does
-    not depend on the chunk it is scored in.
+    The default ``transform_terms`` (the pipeline, identity and user
+    adapters) reduces one transformed cloud at a time, so the residuals equal
+    the one-transform-at-a-time scan's bit for bit. PCA's terms are in closed
+    form (``PcaAdapter``): each residual lies within 1e-12 * trace(At^T At)
+    of the rerun's, the roundoff of a top-d eigenvalue sum against a sum of
+    squared coordinates, and does not depend on the chunk it is scored in.
     """
+    if transform_subsample is not None and transform_subsample < 1:
+        raise ValidationError(f"transform subsample must be at least 1, got {transform_subsample}")
     x = as_matrix(x, "data")
     n, p = x.shape
     base = alg.reduce(d, x).coords
@@ -494,7 +486,7 @@ class IndexReport:
     tsi: float | None = None
     trustworthiness: float | None = None
     continuity: float | None = None
-    extras: dict = field(default_factory=dict)
+    tci_bandwidth: float | None = None
 
     def to_dict(self) -> dict:
         data = {
@@ -508,7 +500,8 @@ class IndexReport:
             "trustworthiness": self.trustworthiness,
             "continuity": self.continuity,
         }
-        data.update(self.extras)
+        if self.tci_bandwidth is not None:
+            data["tci_bandwidth"] = self.tci_bandwidth
         if self.tci is not None:
             data["tci"] = self.tci.value
             data["tci_normalized"] = self.tci.value / self.n

@@ -10,10 +10,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import DegeneracyError, DegeneracyWarning, ValidationError
 from .geometry import vertex_stars
-from .graph import ManifoldGraph, multi_source_distances
+from .graph import ManifoldGraph, _csr
 
 __all__ = [
     "SkeletonReport",
@@ -62,7 +63,7 @@ def boundary_distances(g: ManifoldGraph, boundary) -> np.ndarray:
     members = sorted(int(b) for b in boundary)
     if not members:
         raise ValidationError("boundary set is empty")
-    return multi_source_distances(g, members)
+    return dijkstra(_csr(g), directed=False, indices=members, min_only=True)
 
 
 def _neighbour_table(g: ManifoldGraph, k: int) -> np.ndarray:

@@ -52,6 +52,25 @@ class TestGenerate:
         assert err == ["ERROR usage: dataset family 'spiral' takes no parameter clusters"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "uniform_hypercube", "--p", 0], "dataset dimension p must be at least 1, got 0"),
+            (["--family", "gaussian_clusters", "--p", -1], "dataset dimension p must be at least 1, got -1"),
+            (["--family", "spiral", "--p", 5], "dataset family 'spiral' has a fixed dimension and takes no p"),
+            (["--family", "grid", "--noise", -1], "dataset noise must be finite and non-negative, got -1.0"),
+            (["--family", "swiss_roll", "--noise", "nan"], "dataset noise must be finite and non-negative, got nan"),
+            (["--family", "spiral", "--noise", "inf"], "dataset noise must be finite and non-negative, got inf"),
+            (["--family", "circular_clusters", "--clusters", 0], "dataset needs at least 1 cluster, got 0"),
+            (["--family", "gaussian_clusters", "--clusters", -2], "dataset needs at least 1 cluster, got -2"),
+        ],
+    )  # fmt: skip
+    def test_an_out_of_range_dataset_flag_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "data.csv"
+        assert run(["generate", *flags, "--n", 50, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"ERROR usage: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.csv"
         run(["generate", "--family", "grid", "--n", 25, "--seed", 0, "--out", out])
@@ -249,6 +268,11 @@ class TestUsageErrorsWriteNothing:
              "--dump-graph needs --algo lsdr"),
             (["index", "x.csv", "--algo", "pca", "--tci", "--knn", "--knn-k", 31, "--d", 1,
               "--out", "idx.json"], "k must satisfy 1 <= k <= n/2 or k = n - 1, got k=31, n=60"),
+        ]
+        + [
+            (["index", "x.csv", "--algo", "pca", "--tci", "--transforms", count, "--d", 1, "--out", "idx.json"],
+             f"transform subsample must be at least 1, got {count}")
+            for count in (0, -1)
         ]
         + [
             (args + ["--bandwidth", bandwidth], "bandwidth must be positive and finite")

@@ -18,7 +18,6 @@ from lsdr.graph import (
     dump_edge_list,
     graph_distances,
     _star_thresholds,
-    multi_source_distances,
     prune_edges,
 )
 from lsdr.numerics import beta_quantile, regularized_incomplete_beta
@@ -366,7 +365,7 @@ class TestGraphDistances:
         # matrix; dropping it as a structural zero would disconnect vertex 0
         g = build_graph([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [(0, 1), (1, 2)])
         assert graph_distances(g, [0, 2]).dists.tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-        assert multi_source_distances(g, [0]).tolist() == [0.0, 0.0, 1.0]
+        assert boundary_distances(g, [0]).tolist() == [0.0, 0.0, 1.0]
 
     def test_row_and_block_follow_the_source_order(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [(0, 1), (1, 2)])

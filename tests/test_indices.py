@@ -211,6 +211,12 @@ class TestTractableConsistencyIndex:
         assert not report.subsampled
         assert len(report.contributions) == 12
 
+    @pytest.mark.parametrize("subsample", [0, -1])
+    def test_rejects_a_subsample_below_one(self, subsample):
+        x = np.random.default_rng(1).standard_normal((8, 2))
+        with pytest.raises(ValidationError, match="at least 1"):
+            tractable_consistency_index(PcaAdapter(), x, 1, KernelSpec("gaussian", 1.0), transform_subsample=subsample)
+
     def test_requires_bandwidth(self):
         x = np.random.default_rng(1).standard_normal((8, 2))
         with pytest.raises(ValidationError):
@@ -252,10 +258,7 @@ def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0)
         try:
             moved = alg.reduce(d, x_tilde).coords
             if moved.shape != base.shape:
-                # the library reduces a stack of one cloud and names its shape
-                raise ValidationError(
-                    f"adapter produced shape {(1,) + moved.shape}, expected {(1,) + base.shape}"
-                )
+                raise ValidationError(f"adapter produced shape {moved.shape}, expected {base.shape}")
             if not np.all(np.isfinite(moved)):
                 raise ValidationError("adapter output contains non-finite entries")
             centered = moved - moved.mean(axis=0)
@@ -276,7 +279,7 @@ def _as_rows(report):
 
 
 class SerialPcaAdapter(AlgorithmAdapter):
-    """PCA through the default, one-cloud-at-a-time ``reduce_stack``."""
+    """PCA through the default, one-cloud-at-a-time ``transform_terms``."""
 
     name = "serial-pca"
 
@@ -435,7 +438,7 @@ class TestChunkedConsistencyIndex:
         "adapter, message",
         [
             (ConstantBaseNonFiniteAdapter, "non-finite"),
-            (ConstantBaseWrongShapeAdapter, "adapter produced shape (1, 39, 3), expected (1, 40, 2)"),
+            (ConstantBaseWrongShapeAdapter, "adapter produced shape (39, 3), expected (40, 2)"),
         ],
         ids=["non-finite", "wrong-shape"],
     )
@@ -520,7 +523,7 @@ class TestPcaTransformTerms:
 class TestTransformTermsPerDistinctPoint:
     """One bump row per distinct point, gathered by ``which``, gives the terms
     of one bump row per transform bit for bit, through PCA's closed form and
-    through the default stack."""
+    through the default one-cloud-at-a-time path."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 40), st.integers(1, 5), st.data(), st.integers(0, 2**32 - 1))
@@ -704,23 +707,22 @@ class TestPcaReduce:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("p", [3, 5, 10])
-    def test_stack_slices_equal_single_clouds_and_the_loop_form(self, p):
+    def test_single_clouds_equal_the_loop_form(self, p):
         rng = np.random.default_rng(p)
         clouds = rng.standard_normal((7, 50, p)) * rng.uniform(0.5, 3.0, (7, 1, p)) + 4.0
         for d in (1, 2, p):
-            stacked = PcaAdapter().reduce_stack(d, clouds)
-            assert stacked.shape == (7, 50, d)
-            for cloud, coords in zip(clouds, stacked):
-                assert np.array_equal(coords, pca_reduce(cloud, d).coords)
+            for cloud in clouds:
+                coords = pca_reduce(cloud, d).coords
+                assert coords.shape == (50, d)
                 assert np.array_equal(coords, loop_pca(cloud, d))
 
-    def test_stack_rejects_what_a_single_cloud_rejects(self):
-        clouds = np.random.default_rng(0).standard_normal((3, 10, 3))
+    def test_rejects_d_above_p_and_non_finite_clouds(self):
+        cloud = np.random.default_rng(0).standard_normal((10, 3))
         with pytest.raises(ValidationError):
-            PcaAdapter().reduce_stack(4, clouds)
-        clouds[1, 2, 0] = np.inf
+            pca_reduce(cloud, 4)
+        cloud[2, 0] = np.inf
         with pytest.raises(ValidationError):
-            PcaAdapter().reduce_stack(2, clouds)
+            pca_reduce(cloud, 2)
 
 
 def loop_pca(x, d):
@@ -758,7 +760,7 @@ class TestIndexReport:
                         n_transforms_total=14,
                         base=np.zeros((7, 2)),
                     ),
-                    extras={"tci_bandwidth": 1.5},
+                    tci_bandwidth=1.5,
                 ),
                 "roll,lsdr,7,0.1,0.014285714285714287,0.3,0.04285714285714286,0.9,0.8,0.7",
             ),

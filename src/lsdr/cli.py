@@ -43,9 +43,10 @@ EXIT_NUMERICAL = 4
 EXIT_DEGENERATE = 5
 
 GNUPLOT_TEMPLATE = """# gnuplot script: plot original data against its embedding
+# (the first two paired columns, coloured by the first embedding column)
 set datafile separator ','
 set key off
-plot '{paired}' using 1:2 with points pt 7 ps 0.4
+plot '{paired}' using 1:2:{color} with points pt 7 ps 0.4 palette
 """
 
 
@@ -54,26 +55,28 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
-def _write_manifest(path: Path, command: str, argv: list[str], seed: int, outputs: list[str], started: float) -> None:
+def _write_manifest(path: Path, command: str, argv: list[str], seed: int, outputs: list[Path], started: float) -> None:
     write_json(
         path,
         {
             "command": command,
             "argv": argv,
             "seed": seed,
-            "outputs": sorted(outputs),
+            "outputs": sorted(map(str, outputs)),
             "tool_version": __version__,
             "duration_seconds": time.time() - started,
         },
     )
 
 
-def _refuse_overwriting_input(source: str, outputs: list[Path]) -> None:
-    """Stop before anything is read or written if an output is the input file."""
-    source_path = Path(source).resolve()
+def _refuse_colliding_outputs(source: str, outputs: list[Path]) -> None:
+    """Stop before anything is read or written if an output is the input or another output."""
+    seen = {Path(source).resolve(): f"the input {source}"}
     for path in outputs:
-        if path.resolve() == source_path:
-            raise ValidationError(f"output {path} would overwrite the input {source}")
+        resolved = path.resolve()
+        if resolved in seen:
+            raise ValidationError(f"output {path} would overwrite {seen[resolved]}")
+        seen[resolved] = f"the output {path}"
 
 
 def _dataset_spec(args) -> DatasetSpec:
@@ -103,7 +106,7 @@ def cmd_generate(args, argv: list[str]) -> int:
     out = Path(args.out)
     write_point_cloud(out, cloud)
     manifest = out.with_suffix(".manifest.json")
-    _write_manifest(manifest, "generate", argv, args.seed, [str(out)], started)
+    _write_manifest(manifest, "generate", argv, args.seed, [out], started)
     print(f"wrote {out} ({cloud.shape[0]} rows, {cloud.shape[1]} columns)")
     return EXIT_OK
 
@@ -118,10 +121,10 @@ def cmd_reduce(args, argv: list[str]) -> int:
     skel_path = out.with_name(out.stem + "_skeleton.json")
     graph_path = out.with_name(out.stem + "_graph.txt")
     manifest = out.with_suffix(".manifest.json")
-    optional = {script: args.plot, skel_path: args.algo == "lsdr", graph_path: args.dump_graph}
-    _refuse_overwriting_input(args.input, [out, paired, manifest] + [p for p, used in optional.items() if used])
+    optional = [(script, args.plot), (skel_path, args.algo == "lsdr"), (graph_path, args.dump_graph)]
+    outputs = [out, paired] + [path for path, used in optional if used]
+    _refuse_colliding_outputs(args.input, outputs + [manifest])
     cloud = read_point_cloud(args.input)
-    outputs = []
     degenerate = False
     if args.algo == "pca":
         emb = pca_reduce(cloud, args.d)
@@ -141,20 +144,18 @@ def cmd_reduce(args, argv: list[str]) -> int:
         graph = result.graph
         degenerate = result.degenerate_fallback
 
+    # a fallback before the skeleton has none to write, and one before the
+    # graph (rank-one cloud) no graph to dump
+    unbuilt = {path for path, built in ((skel_path, skeleton), (graph_path, graph)) if built is None}
+    outputs = [path for path in outputs if path not in unbuilt]
     write_embedding(out, emb)
-    outputs.append(str(out))
     write_paired(paired, cloud, emb)
-    outputs.append(str(paired))
-    if args.plot:
-        script.write_text(GNUPLOT_TEMPLATE.format(paired=paired.name))
-        outputs.append(str(script))
-    if skeleton is not None:
+    if script in outputs:
+        script.write_text(GNUPLOT_TEMPLATE.format(paired=paired.name, color=cloud.shape[1] + 1))
+    if skel_path in outputs:
         write_json(skel_path, skeleton.to_dict())
-        outputs.append(str(skel_path))
-    if args.dump_graph and graph is not None:
-        # a fallback that built no graph (rank-one cloud) has nothing to dump
+    if graph_path in outputs:
         graph_path.write_text(dump_edge_list(graph))
-        outputs.append(str(graph_path))
 
     _write_manifest(manifest, "reduce", argv, args.seed, outputs, started)
     if degenerate and args.strict:
@@ -176,7 +177,8 @@ def cmd_index(args, argv: list[str]) -> int:
     out = Path(args.out)
     summary = out.with_suffix(".csv")
     manifest = out.with_suffix(".manifest.json")
-    _refuse_overwriting_input(args.input, [out, summary, manifest])
+    outputs = [out, summary]
+    _refuse_colliding_outputs(args.input, outputs + [manifest])
     cloud = read_point_cloud(args.input)
     if args.knn:
         check_knn_k(cloud.shape[0], args.knn_k)
@@ -213,7 +215,7 @@ def cmd_index(args, argv: list[str]) -> int:
     write_json(out, report.to_dict())
     header, row = report.csv_row()
     summary.write_text(header + "\n" + row + "\n")
-    _write_manifest(manifest, "index", argv, args.seed, [str(out), str(summary)], started)
+    _write_manifest(manifest, "index", argv, args.seed, outputs, started)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -20,11 +20,11 @@ class DatasetSpec:
     """Family name, size, noise scale and family-specific parameters.
 
     ``p`` >= 1 is taken by gaussian clusters and the uniform hypercube only;
-    ``noise`` must be finite and >= 0. ``params`` may set ``turns`` (spiral),
-    ``clusters`` >= 1 (gaussian and circular clusters), ``separation``
-    (gaussian and two linear clusters) and ``gaps`` (gaussian clusters);
-    every other shape constant is fixed, and a key the family's generator
-    does not read is rejected.
+    ``noise`` must be finite and >= 0. ``params`` may set ``turns`` > 0
+    (spiral), ``clusters`` >= 1 (gaussian and circular clusters), a finite
+    ``separation`` (gaussian and two linear clusters) and finite ``gaps``
+    (gaussian clusters); every other shape constant is fixed, and a key the
+    family's generator does not read is rejected.
     """
 
     family: str
@@ -50,6 +50,13 @@ class DatasetSpec:
             raise ValidationError(f"dataset family {self.family!r} takes no parameter {', '.join(unknown)}")
         if int(self.params.get("clusters", 1)) < 1:
             raise ValidationError(f"dataset needs at least 1 cluster, got {self.params['clusters']}")
+        turns = float(self.params.get("turns", 1.0))
+        if not (np.isfinite(turns) and turns > 0):
+            raise ValidationError(f"dataset turns must be finite and positive, got {turns}")
+        for key in ("separation", "gaps"):
+            value = self.params.get(key, 0.0)
+            if not np.isfinite(value).all():
+                raise ValidationError(f"dataset {key} must be finite, got {value}")
 
 
 def _rng(spec: DatasetSpec) -> np.random.Generator:

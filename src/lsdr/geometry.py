@@ -15,6 +15,7 @@ lengths always come from the unmodified input).
 
 import functools
 import operator
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from scipy.spatial import QhullError
 
 from .errors import DegeneracyError, ValidationError
 from .numerics import as_matrix
-from .rng import substream
 
 __all__ = ["Tessellation", "SpanningTree", "delaunay_tessellation", "euclidean_mcst"]
 
@@ -161,7 +161,7 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
         tri = _QhullDelaunay(qhull_pts)
     except QhullError:
         bbox_diag = float(np.linalg.norm(qhull_pts.max(axis=0) - qhull_pts.min(axis=0)))
-        rng = substream(jitter_seed, "tessellation-jitter")
+        rng = np.random.default_rng([int(jitter_seed) & 0xFFFFFFFF, zlib.crc32(b"tessellation-jitter")])
         jittered = qhull_pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (1e-9 * bbox_diag)
         try:
             tri = _QhullDelaunay(jittered)

@@ -8,7 +8,7 @@ distances on the underlying manifold.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
@@ -48,18 +48,7 @@ class GeodesicDistances:
     """Shortest-path distance rows for the requested source vertices."""
 
     sources: list[int]
-    dists: np.ndarray  # len(sources) x n
-    _rows: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._rows = {s: i for i, s in enumerate(self.sources)}
-
-    def row(self, vertex: int) -> np.ndarray:
-        return self.dists[self._rows[vertex]]
-
-    def block(self, vertices) -> np.ndarray:
-        """Distances among ``vertices`` (each must be a source), as a new array."""
-        return self.dists[np.ix_([self._rows[v] for v in vertices], vertices)]
+    dists: np.ndarray  # len(sources) x n, row i from sources[i]
 
 
 def _star_thresholds(p: int, alpha: float, max_star: int) -> list[float]:
@@ -218,7 +207,7 @@ def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
     """Distance from each vertex of ``sources`` to its nearest other one.
 
     Entry i equals, bit for bit, the minimum of row i of
-    ``graph_distances(g, sources).block(sources)`` with the diagonal at inf
+    ``graph_distances(g, sources).dists[:, sources]`` with the diagonal at inf
     (inf when no other source is reachable), without the full rows. One
     multi-source search labels every vertex with its nearest source; an
     edge (u, v) between two labels closes a path of length d(u) + w + d(v)

@@ -34,7 +34,6 @@ from .embedding import (
 from .errors import DegeneracyError, DegeneracyWarning, ValidationError
 from .geometry import (
     DIMENSION_CAP,
-    affine_rank,
     delaunay_tessellation,
     euclidean_mcst,
     singular_rank,
@@ -104,6 +103,16 @@ class LsdrResult:
     working_points: np.ndarray | None = None
 
 
+def _principal_scores(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """As many principal-component scores of the centered cloud as its affine
+    rank, and that rank; a zero cloud has rank 0 and one zero column."""
+    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    rank = singular_rank(s)
+    if rank == 0:
+        return np.zeros((x.shape[0], 1)), 0
+    return u[:, :rank] * s[:rank], rank
+
+
 def pre_reduce(x) -> np.ndarray:
     """Distance-preserving reduction to the cloud's affine rank.
 
@@ -112,12 +121,7 @@ def pre_reduce(x) -> np.ndarray:
     so all pairwise distances survive; useful when n < p or when a caller
     wants the minimal exact coordinates.
     """
-    x = as_matrix(x, "data")
-    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
-    rank = singular_rank(s)
-    if rank == 0:
-        return np.zeros((x.shape[0], 1))
-    return u[:, :rank] * s[:rank]
+    return _principal_scores(as_matrix(x, "data"))[0]
 
 
 def _distances(work: np.ndarray) -> np.ndarray:
@@ -130,13 +134,12 @@ def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
     Any cloud but a full-rank one within the cap becomes its principal
     components: all of them (exact), or the first ``DIMENSION_CAP``.
     """
-    p = x.shape[1]
-    if p <= DIMENSION_CAP and affine_rank(x) == p:
+    work, rank = _principal_scores(x)
+    if rank == x.shape[1] <= DIMENSION_CAP:
         return x, False
-    work = pre_reduce(x)
-    if work.shape[1] > DIMENSION_CAP:
+    if rank > DIMENSION_CAP:
         warnings.warn(
-            f"cloud dimension {work.shape[1]} exceeds the tessellation cap {DIMENSION_CAP}; "
+            f"cloud dimension {rank} exceeds the tessellation cap {DIMENSION_CAP}; "
             f"keeping its first {DIMENSION_CAP} principal components",
             DegeneracyWarning,
             stacklevel=3,
@@ -196,7 +199,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
     else:
         skeletal = stages.skeleton.skeletal_points
         geodesics = graph_distances(stages.graph, skeletal)
-        q = geodesics.block(skeletal)
+        q = geodesics.dists[:, skeletal]
         # the bandwidth rule reads each skeletal point's nearest other one
         np.fill_diagonal(q, np.inf)
         nearest = q.min(axis=1)

@@ -63,6 +63,12 @@ class TestGenerate:
             (["--family", "spiral", "--noise", "inf"], "dataset noise must be finite and non-negative, got inf"),
             (["--family", "circular_clusters", "--clusters", 0], "dataset needs at least 1 cluster, got 0"),
             (["--family", "gaussian_clusters", "--clusters", -2], "dataset needs at least 1 cluster, got -2"),
+            (["--family", "spiral", "--turns", "nan"], "dataset turns must be finite and positive, got nan"),
+            (["--family", "spiral", "--turns", -1], "dataset turns must be finite and positive, got -1.0"),
+            (["--family", "spiral", "--turns", 0], "dataset turns must be finite and positive, got 0.0"),
+            (["--family", "gaussian_clusters", "--separation", "inf"], "dataset separation must be finite, got inf"),
+            (["--family", "two_linear_clusters", "--separation", "nan"], "dataset separation must be finite, got nan"),
+            (["--family", "gaussian_clusters", "--gaps", "1:inf"], "dataset gaps must be finite, got [1.0, inf]"),
         ],
     )  # fmt: skip
     def test_an_out_of_range_dataset_flag_is_a_usage_error(self, tmp_path, capsys, flags, message):
@@ -149,7 +155,8 @@ class TestReduce:
         out = tmp_path / "emb.csv"
         assert run(["reduce", data, "--algo", "lsdr", "--d", 1, "--plot", "--out", out]) == 0
         script = (tmp_path / "emb.gp").read_text()
-        assert "emb_paired.csv" in script
+        # p = 2: the paired columns are x0, x1, y0, and y0 colours the points
+        assert "plot 'emb_paired.csv' using 1:2:3 " in script and script.rstrip().endswith(" palette")
 
 
 class TestIndex:
@@ -264,6 +271,8 @@ class TestUsageErrorsWriteNothing:
             (["index", "x.csv", "--algo", "pca", "--knn", "--d", 1, "--out", "x.json"],
              "would overwrite the input x.csv"),
             (["reduce", "x.csv", "--d", 1, "--out", "x.csv"], "would overwrite the input x.csv"),
+            (["index", "x.csv", "--ti", "--out", "report.csv"], "output report.csv would overwrite the output report.csv"),
+            (["reduce", "x.csv", "--d", 1, "--plot", "--out", "emb.gp"], "output emb.gp would overwrite the output emb.gp"),
             (["reduce", "x.csv", "--algo", "pca", "--d", 1, "--dump-graph", "--out", "emb.csv"],
              "--dump-graph needs --algo lsdr"),
             (["index", "x.csv", "--algo", "pca", "--tci", "--knn", "--knn-k", 31, "--d", 1,

@@ -204,7 +204,7 @@ class TestRecommendedBandwidth:
     @staticmethod
     def _nearest(geo, skeletal):
         """Row minima of the skeletal geodesic block, its diagonal at inf."""
-        between = geo.block(skeletal)
+        between = geo.dists[:, skeletal]
         np.fill_diagonal(between, np.inf)
         return between.min(axis=1)
 

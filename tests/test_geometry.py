@@ -1,12 +1,14 @@
 """Tessellation and spanning tree against brute-force geometric oracles."""
 
 import itertools
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import DisjointSet
+from scipy.spatial import QhullError
 
 from lsdr import geometry
 from lsdr.errors import DegeneracyError, ValidationError
@@ -170,6 +172,37 @@ class TestDelaunay:
         pts = np.random.default_rng(1).standard_normal((30, 3)) * 2.0**60
         delaunay_tessellation(pts)
         assert len(seen) == 1 and np.array_equal(seen[0], pts)
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40 + 5])
+    def test_a_failed_qhull_run_is_retried_on_the_seeded_jitter(self, monkeypatch, seed):
+        seen = []
+        qhull = geometry._QhullDelaunay
+
+        def fail_once(pts):
+            seen.append(pts)
+            if len(seen) == 1:
+                raise QhullError("QH6154 initial simplex is flat")
+            return qhull(pts)
+
+        monkeypatch.setattr(geometry, "_QhullDelaunay", fail_once)
+        pts = np.random.default_rng(6).standard_normal((30, 3))
+        tess = delaunay_tessellation(pts, jitter_seed=seed)
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(b"tessellation-jitter")])
+        bbox_diagonal = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        jittered = pts + rng.uniform(-1.0, 1.0, pts.shape) * (1e-9 * bbox_diagonal)
+        # a 1e-9 jitter rarely moves the simplices, so the retry's input is pinned too
+        assert len(seen) == 2 and np.array_equal(seen[1], jittered)
+        simplices = np.sort(qhull(jittered).simplices, axis=1)
+        assert np.array_equal(tess.simplices, simplices[np.lexsort(simplices.T[::-1])])
+        assert np.array_equal(tess.points, pts)
+
+    def test_a_cloud_qhull_rejects_even_jittered_is_degenerate(self, monkeypatch):
+        def fail(pts):
+            raise QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(geometry, "_QhullDelaunay", fail)
+        with pytest.raises(DegeneracyError, match="even after jitter"):
+            delaunay_tessellation(np.random.default_rng(6).standard_normal((30, 3)))
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValidationError):

@@ -289,12 +289,12 @@ class TestGraphDistances:
     def test_path(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1), (1, 2)])
         res = graph_distances(g, [0])
-        assert res.row(0)[2] == pytest.approx(2.0)
+        assert res.dists[0, 2] == pytest.approx(2.0)
 
     def test_triangle_direct_edge_wins(self):
         g = build_graph([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [(0, 1), (0, 2), (1, 2)])
         res = graph_distances(g, [1])
-        assert res.row(1)[2] == pytest.approx(5.0)
+        assert res.dists[0, 2] == pytest.approx(5.0)
 
     def test_matches_floyd_warshall_exactly(self):
         # dyadic rational weights keep every path sum exact, so the two
@@ -370,8 +370,8 @@ class TestGraphDistances:
     def test_row_and_block_follow_the_source_order(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [(0, 1), (1, 2)])
         res = graph_distances(g, [2, 0])
-        assert res.row(0).tolist() == [0.0, 1.0, 3.0]
-        assert res.block([0, 2]).tolist() == [[0.0, 3.0], [3.0, 0.0]]
+        assert res.dists[1].tolist() == [0.0, 1.0, 3.0]
+        assert res.dists[:, [2, 0]].tolist() == [[0.0, 3.0], [3.0, 0.0]]
 
     def test_requires_sources(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])

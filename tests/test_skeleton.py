@@ -216,7 +216,7 @@ class TestNearestSourceDistances:
 
     @staticmethod
     def _row_minima(g, sources):
-        between = graph_distances(g, sources).block(sources)
+        between = graph_distances(g, sources).dists[:, sources]
         np.fill_diagonal(between, np.inf)
         return between.min(axis=1)
 

@@ -7,6 +7,7 @@ outputs byte for byte. Exit codes: 0 success, 2 usage, 3 input parse,
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -50,9 +51,20 @@ plot '{paired}' using 1:2:{color} with points pt 7 ps 0.4 palette
 """
 
 
+# The environment variables that set the BLAS thread count. The last bits of
+# some products depend on it: the consistency index's reconstruction of a
+# cloud of four or more columns runs on a threaded kernel in OpenBLAS.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _fail(category: str, message: str, code: int) -> int:
     print(f"ERROR {category}: {message}", file=sys.stderr)
     return code
+
+
+def _blas_threads() -> dict:
+    """What sets the BLAS thread count: its variables and the CPU count."""
+    return {"cpu_count": os.cpu_count(), **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
 
 
 def _write_manifest(path: Path, command: str, argv: list[str], seed: int, outputs: list[Path], started: float) -> None:
@@ -64,15 +76,19 @@ def _write_manifest(path: Path, command: str, argv: list[str], seed: int, output
             "seed": seed,
             "outputs": sorted(map(str, outputs)),
             "tool_version": __version__,
+            "blas_threads": _blas_threads(),
             "duration_seconds": time.time() - started,
         },
     )
 
 
-def _refuse_colliding_outputs(source: str, outputs: list[Path]) -> None:
-    """Stop before anything is read or written if an output is the input or another output."""
-    seen = {Path(source).resolve(): f"the input {source}"}
+def _refuse_colliding_outputs(source: str | None, outputs: list[Path]) -> None:
+    """Stop before anything is read or written if an output is the input or
+    another output, or would go into a directory that does not exist."""
+    seen = {} if source is None else {Path(source).resolve(): f"the input {source}"}
     for path in outputs:
+        if not path.parent.is_dir():
+            raise ValidationError(f"output {path} needs the directory {path.parent}, which does not exist")
         resolved = path.resolve()
         if resolved in seen:
             raise ValidationError(f"output {path} would overwrite {seen[resolved]}")
@@ -101,11 +117,12 @@ def _dataset_spec(args) -> DatasetSpec:
 
 def cmd_generate(args, argv: list[str]) -> int:
     started = time.time()
+    out = Path(args.out)
+    manifest = out.with_suffix(".manifest.json")
+    _refuse_colliding_outputs(None, [out, manifest])
     spec = _dataset_spec(args)
     cloud = generate(spec)
-    out = Path(args.out)
     write_point_cloud(out, cloud)
-    manifest = out.with_suffix(".manifest.json")
     _write_manifest(manifest, "generate", argv, args.seed, [out], started)
     print(f"wrote {out} ({cloud.shape[0]} rows, {cloud.shape[1]} columns)")
     return EXIT_OK
@@ -225,6 +242,13 @@ def cmd_rerun(args, argv: list[str]) -> int:
     stored = manifest.get("argv") if isinstance(manifest, dict) else None
     if not stored:
         return _fail("input-parse", "manifest does not record an argv", EXIT_PARSE)
+    recorded, now = manifest.get("blas_threads"), _blas_threads()
+    if recorded is not None and recorded != now:
+        print(
+            f"WARNING blas-threads: the manifest recorded {recorded}, this run has {now}; "
+            "outputs can differ in their last bits",
+            file=sys.stderr,
+        )
     return _dispatch(stored)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
 from .skeleton import SkeletonReport
 
 __all__ = [
@@ -89,7 +89,12 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
     b = as_matrix(b, "kernel input b")
     if a.shape[1] != b.shape[1]:
         raise ValidationError("kernel inputs must share their dimension")
-    return np.exp(-pairwise_sq_dists(a, b) / (2.0 * spec.bandwidth**2))
+    # one array, scaled and exponentiated in place; d / -(2 sigma^2) is the
+    # float -d / (2 sigma^2), since IEEE division sets the sign apart from
+    # the rounded magnitude
+    k = pairwise_sq_dists(a, b)
+    k /= -(2.0 * spec.bandwidth**2)
+    return np.exp(k, out=k)
 
 
 def _validate_distance_matrix(q) -> np.ndarray:
@@ -340,16 +345,13 @@ def fit_reconstruction(
     beta. Rank deficiency of A^T A falls back to the pseudo-inverse.
     ``kernel_x``, the data-space kernel of the reduction, is accepted for
     symmetry with ``fit_out_of_sample``; the fit does not read it.
+
+    K_y is read in row blocks, so memory grows with n, not n^2. Its column
+    means are a running sum of its rows in row order, the sum
+    ``K_y.mean(axis=0)`` forms, and each row of K_y H Y is its own product.
     """
     x = as_matrix(train, "training points")
     y = as_matrix(train_embedding, "training embedding")
-    return _fit_reconstruction(x, y, kernel_matrix(kernel_y, y, y), kernel_y)
-
-
-def _fit_reconstruction(
-    x: np.ndarray, y: np.ndarray, k_y: np.ndarray, kernel_y: KernelSpec
-) -> Reconstructor:
-    """``fit_reconstruction`` given K_y, the (n, n) kernel matrix of the embeddings y."""
     n = x.shape[0]
     d = y.shape[1]
     if y.shape[0] != n:
@@ -362,14 +364,24 @@ def _fit_reconstruction(
     # c[j, l] = sample covariance of embedding coordinate j with data coordinate l.
     c = (y.T @ x) / n - np.outer(y_means, x_means)
 
-    a = (k_y @ (y - y_means)) / n
+    centered = y - y_means
+    a = np.empty((n, d))
+    column_sums = np.zeros(n)
+    for rows in _row_blocks(n, n):
+        k = kernel_matrix(kernel_y, y[rows], y)
+        a[rows] = k @ centered
+        # fold the running sum into the block's first row, then add the
+        # block's rows to it one after another
+        k[0] += column_sums
+        np.add.reduce(k, axis=0, out=column_sums)
+    a /= n
     gram = a.T @ a
     rank = int(np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, float(np.abs(gram).max()))))
     if rank < d:
         warnings.warn(
             f"reconstruction constraint system is rank deficient (rank {rank} < {d}); "
             "using the pseudo-inverse",
-            stacklevel=3,
+            stacklevel=2,
         )
         beta = a @ np.linalg.pinv(gram) @ c
     else:
@@ -381,21 +393,24 @@ def _fit_reconstruction(
         column_means=x_means,
         beta_coefficients=beta,
         c_matrix=c,
-        kernel_col_means=k_y.mean(axis=0),
+        kernel_col_means=column_sums / n,
     )
 
 
 def reconstruct(model: Reconstructor, y) -> np.ndarray:
-    """Evaluate the reconstruction map at one embedding row or a batch."""
+    """Evaluate the reconstruction map at one embedding row or a batch.
+
+    The kernel rows of the queries against the training embeddings are
+    formed in row blocks, so a batch of n queries takes memory linear in n.
+    """
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
     q = as_matrix(arr.reshape(1, -1) if single else arr, "embedding query")
     if q.shape[1] != model.train_embedding.shape[1]:
         raise ValidationError("embedding query has the wrong dimension")
-    out = _reconstruct(model, kernel_matrix(model.kernel_y, q, model.train_embedding))
+    out = np.empty((q.shape[0], model.beta_coefficients.shape[1]))
+    for rows in _row_blocks(q.shape[0], model.train_embedding.shape[0]):
+        k = kernel_matrix(model.kernel_y, q[rows], model.train_embedding)
+        k -= model.kernel_col_means
+        out[rows] = model.column_means + k @ model.beta_coefficients
     return out[0] if single else out
-
-
-def _reconstruct(model: Reconstructor, k: np.ndarray) -> np.ndarray:
-    """``reconstruct`` given k, the kernel rows of the queries against the training embeddings."""
-    return model.column_means[None, :] + (k - model.kernel_col_means[None, :]) @ model.beta_coefficients

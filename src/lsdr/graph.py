@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ValidationError
 from .geometry import SpanningTree, Tessellation, edge_keys, vertex_stars
-from .numerics import beta_quantile
+from .numerics import _row_blocks, beta_quantile
 
 __all__ = [
     "ManifoldGraph",
@@ -217,10 +217,12 @@ def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
     estimates. The search is label-setting and the lengths non-negative, so
     every vertex within that limit settles at the float of an unbounded run;
     a source whose bounded row reaches no other source, however its
-    estimate rounded, is searched again without a limit.
+    estimate rounded, is searched again without a limit. Each row is its own
+    search, so the rows run in chunks of sources and keep only the source
+    columns.
     """
-    src = [int(s) for s in sources]
-    if not src:
+    src = np.array([int(s) for s in sources], dtype=np.intp)
+    if len(src) == 0:
         raise ValidationError("nearest_source_distances needs at least one source")
     csr = _csr(g)
     near, _, label = dijkstra(csr, directed=False, indices=src, min_only=True, return_predecessors=True)
@@ -234,9 +236,11 @@ def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
     np.minimum.at(estimate, label[v[between]], bound)
     estimate = estimate[src]
     limit = estimate[np.isfinite(estimate)].max(initial=0.0)
-    rows = dijkstra(csr, directed=False, indices=src, limit=limit)[:, src]
-    np.fill_diagonal(rows, np.inf)
-    nearest = rows.min(axis=1)
+    nearest = np.empty(len(src))
+    for chunk in _row_blocks(len(src), g.n):
+        rows = dijkstra(csr, directed=False, indices=src[chunk], limit=limit)[:, src]
+        rows[np.arange(len(rows)), np.arange(chunk.start, chunk.stop)] = np.inf
+        nearest[chunk] = rows.min(axis=1)
     for i in np.flatnonzero(nearest == np.inf):
         row = dijkstra(csr, directed=False, indices=src[i])[src]
         row[i] = np.inf

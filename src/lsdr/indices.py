@@ -11,18 +11,17 @@ solved here in closed form.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .embedding import (
     Embedding,
     KernelSpec,
-    _fit_reconstruction,
-    _reconstruct,
     distinct_rows,
+    fit_reconstruction,
     kernel_matrix,
+    reconstruct,
 )
 from .errors import ValidationError
-from .numerics import as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _STACK_FLOATS, _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
 
 __all__ = [
     "ProcrustesFit",
@@ -277,11 +276,76 @@ class TciReport:
         return [t for t in self.contributions if t.failed]
 
 
-# Chunked work is sized to about this many floats (2 MB) per array: a chunk
-# of the consistency scan holds 2**18 // (n p) transforms, so its bump rows
-# (one (n,) row per distinct point) and PCA's (B, p, p) arrays stay within
-# it for p <= n; the kNN metrics take rows of squared distances in blocks.
-_STACK_FLOATS = 2**18
+def _sampled_sq_distances(points: np.ndarray) -> np.ndarray:
+    """Squared distances of a seeded sample of pairs of distinct rows: about
+    16 pairs per row, and at most ``_STACK_FLOATS``."""
+    n = len(points)
+    rng = np.random.default_rng(0x3ED1A)
+    size = min(_STACK_FLOATS, 16 * n)
+    first = rng.integers(n, size=size)
+    second = rng.integers(n - 1, size=size)
+    second += second >= first
+    diff = points[first] - points[second]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _bracket_pass(points: np.ndarray, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
+    """One pass over the squared distances of the pairs i < j, in row blocks.
+
+    Returns how many are zero, how many are positive and below ``lo`` (which
+    is positive), and the values in [lo, hi].
+    """
+    zeros = below = 0
+    inside = []
+    for rows in _row_blocks(len(points), len(points)):
+        dist = pairwise_sq_dists(points[rows], points[rows.start :])
+        # the pairs j <= i of the block's own rows drop out of every count
+        dist[:, : len(dist)][np.tri(len(dist), dtype=bool)] = np.nan
+        zero = np.count_nonzero(dist == 0.0)
+        zeros += zero
+        below += np.count_nonzero(dist < lo) - zero
+        inside.append(dist[(dist >= lo) & (dist <= hi)])
+    return zeros, below, np.concatenate(inside)
+
+
+def _positive_distance_median(points: np.ndarray) -> float:
+    """``np.median`` of the positive pairwise distances of the rows, as a
+    float, or 1.0 when no two rows differ, without the n(n-1)/2 distances.
+
+    A seeded sample of pairs brackets the two middle order statistics of the
+    squared distances; one blocked pass counts the values below the bracket
+    and collects those inside it. A bracket that misses a middle value is
+    widened on that side, fourfold in sample rank, and the pass repeated; at
+    full width it holds every positive value. The square root is monotone and
+    correctly rounded, and every distance is the root of its squared
+    distance, so the middle distances are the roots of the middle squared
+    distances and the median is their mean, (a + b) / 2, as ``np.median``
+    forms it.
+    """
+    n = len(points)
+    pairs = n * (n - 1) // 2
+    if pairs == 0:
+        return 1.0
+    sample = _sampled_sq_distances(points)
+    sample = np.sort(sample[sample > 0.0])
+    m = len(sample)
+    tiny = np.finfo(float).smallest_subnormal
+    width = [2.0 / np.sqrt(max(m, 1))] * 2
+    while True:
+        lo_rank = int(np.floor(m * (0.5 - width[0])))
+        hi_rank = int(np.ceil(m * (0.5 + width[1])))
+        lo = sample[lo_rank] if 0 <= lo_rank < m else tiny
+        hi = sample[hi_rank] if hi_rank < m else np.inf
+        zeros, below, inside = _bracket_pass(points, lo, hi)
+        positive = pairs - zeros
+        if positive == 0:
+            return 1.0
+        low, high = (positive - 1) // 2 - below, positive // 2 - below
+        if 0 <= low and high < len(inside):
+            a, b = np.sqrt(np.partition(inside, [low, high])[[low, high]])
+            return float(a) if low == high else float((a + b) / 2)
+        width[0] *= 4.0 if low < 0 else 1.0
+        width[1] *= 4.0 if high >= len(inside) else 1.0
 
 
 def tractable_consistency_index(
@@ -313,6 +377,11 @@ def tractable_consistency_index(
     form (``PcaAdapter``): each residual lies within 1e-12 * trace(At^T At)
     of the rerun's, the roundoff of a top-d eigenvalue sum against a sum of
     squared coordinates, and does not depend on the chunk it is scored in.
+
+    The set-up holds no n x n array: the output kernel's bandwidth is the
+    median positive pairwise output distance from ``_positive_distance_median``,
+    and the reconstruction x_hat is fitted and evaluated on row blocks of its
+    kernel, so memory grows with n, not n^2.
     """
     if transform_subsample is not None and transform_subsample < 1:
         raise ValidationError(f"transform subsample must be at least 1, got {transform_subsample}")
@@ -320,15 +389,10 @@ def tractable_consistency_index(
     n, p = x.shape
     base = alg.reduce(d, x).coords
 
-    embed_scale = pdist(base)
-    sigma_y = float(np.median(embed_scale[embed_scale > 0])) if np.any(embed_scale > 0) else 1.0
-    kernel_y = KernelSpec("gaussian", sigma_y)
-    # one kernel matrix of every output row against the distinct training
-    # rows: the fit reads its training rows, the reconstruction all of them
+    kernel_y = KernelSpec("gaussian", _positive_distance_median(base))
     keep = distinct_rows(x)
-    k_y = kernel_matrix(kernel_y, base, base[keep])
-    recon = _fit_reconstruction(x[keep], base[keep], k_y[keep], kernel_y)
-    x_hat = _reconstruct(recon, k_y)
+    recon = fit_reconstruction(x[keep], base[keep], kernel_y, kernel_y)
+    x_hat = reconstruct(recon, base)
     residual_part = x - x_hat
 
     n_total = n * p
@@ -341,6 +405,8 @@ def tractable_consistency_index(
         subsampled = False
     points, axes = np.divmod(chosen, p)
 
+    # a chunk's bump rows (one (n,) row per distinct point) and PCA's (B, p, p)
+    # arrays stay within _STACK_FLOATS floats for p <= n
     chunk = max(1, _STACK_FLOATS // n_total)
     base_centered = base - base.mean(axis=0)
     denom = float(np.sum(base_centered * base_centered))
@@ -454,9 +520,8 @@ def knn_metrics(x, y, k: int) -> tuple[float, float, float]:
         raise ValidationError("data and embedding disagree on count")
     check_knn_k(n, k)
     missed = trust_penalty = cont_penalty = 0
-    block = max(1, _STACK_FLOATS // n)
-    for start in range(0, n, block):
-        own = np.arange(start, min(start + block, n))
+    for rows in _row_blocks(n, n):
+        own = np.arange(rows.start, rows.stop)
         dist_x, ordered_x, near_x = _neighbourhoods(x, own, k)
         dist_y, ordered_y, near_y = _neighbourhoods(y, own, k)
         dropped = near_x & ~near_y

@@ -1,5 +1,6 @@
 """Validated numerics: one eigendecomposition wrapper, the Beta CDF and
-quantile behind the edge-pruning threshold, and pairwise squared distances.
+quantile behind the edge-pruning threshold, pairwise squared distances and
+the row blocks that bound the size of dense work.
 
 ``sym_eigen`` wraps LAPACK (via numpy). ``regularized_incomplete_beta`` and
 ``beta_quantile`` wrap ``scipy.special.betainc`` and ``betaincinv``, adding
@@ -92,3 +93,17 @@ def pairwise_sq_dists(a, b=None) -> np.ndarray:
             f"point clouds must share their dimension, got {a.shape[1]} and {b.shape[1]}"
         )
     return cdist(a, b, "sqeuclidean")
+
+
+# Dense work is sized to about this many floats (2 MB) per array: row blocks
+# of n-wide kernels and distances, the consistency scan's chunks of
+# transforms, and the sources of a bounded Dijkstra run.
+_STACK_FLOATS = 2**18
+
+
+def _row_blocks(n_rows: int, row_floats: int):
+    """Consecutive slices covering range(n_rows), each of at least one row and
+    otherwise of at most ``_STACK_FLOATS`` floats at ``row_floats`` per row."""
+    step = max(1, _STACK_FLOATS // max(row_floats, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))

@@ -264,6 +264,25 @@ class TestIndex:
         assert both.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
+    def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the reconstruction's kernel products are row blocks of 2**18 floats
+        # times p = 3 columns, under a million multiply-adds, which OpenBLAS
+        # builds with small-matrix kernels (SkylakeX and later) run on one
+        # thread; so x hat, and every residual read from it, keeps its bits.
+        # From p = 4 on the blocks run on the threaded kernel and can differ.
+        data = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", 1000, "--out", data])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = dict(os.environ, PYTHONPATH=str(Path(lsdr.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+            argv = ["index", str(data), "--algo", "pca", "--tci", "--transforms", "600", "--d", "2", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "lsdr.cli", *argv], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            reports.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+        assert reports[0] == reports[1]
+
+
 class TestUsageErrorsWriteNothing:
     @pytest.mark.parametrize(
         "args, message",
@@ -277,6 +296,14 @@ class TestUsageErrorsWriteNothing:
              "--dump-graph needs --algo lsdr"),
             (["index", "x.csv", "--algo", "pca", "--tci", "--knn", "--knn-k", 31, "--d", 1,
               "--out", "idx.json"], "k must satisfy 1 <= k <= n/2 or k = n - 1, got k=31, n=60"),
+            (["generate", "--family", "spiral", "--n", 20, "--out", "nodir/a.csv"],
+             "output nodir/a.csv needs the directory nodir, which does not exist"),
+            (["reduce", "x.csv", "--d", 1, "--out", "nodir/e.csv"],
+             "output nodir/e.csv needs the directory nodir, which does not exist"),
+            (["index", "x.csv", "--ti", "--tci", "--knn", "--out", "nodir/e.json"],
+             "output nodir/e.json needs the directory nodir, which does not exist"),
+            (["index", "x.csv", "--ti", "--out", "x.csv/e.json"],
+             "output x.csv/e.json needs the directory x.csv, which does not exist"),
         ]
         + [
             (["index", "x.csv", "--algo", "pca", "--tci", "--transforms", count, "--d", 1, "--out", "idx.json"],
@@ -349,6 +376,20 @@ class TestErrorsAndRerun:
         out.unlink()
         assert run(["rerun", tmp_path / "d.manifest.json"]) == 0
         assert out.read_bytes() == first
+
+    def test_rerun_warns_when_the_blas_thread_settings_differ(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "d.csv"
+        run(["generate", "--family", "spiral", "--n", 30, "--out", out])
+        manifest = tmp_path / "d.manifest.json"
+        assert json.loads(manifest.read_text())["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        capsys.readouterr()
+        assert run(["rerun", manifest]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert run(["rerun", manifest]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("WARNING blas-threads: the manifest recorded")
 
     def test_rerun_of_a_missing_manifest_is_a_parse_error(self, tmp_path, capsys):
         assert run(["rerun", tmp_path / "absent.manifest.json"]) == 3

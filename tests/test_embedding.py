@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from lsdr.datasets import DatasetSpec, spiral_with_angle
+from lsdr import numerics
 from lsdr.embedding import (
     KernelSpec,
-    _fit_reconstruction,
-    _reconstruct,
     classical_scaling,
     distinct_rows,
     embed_out_of_sample,
@@ -369,10 +368,10 @@ class TestReconstruction:
         expected = x.mean(axis=0) + (k_row - col_means) @ recon.beta_coefficients
         assert np.allclose(reconstruct(recon, yq), expected, atol=1e-10)
 
-    def test_kernel_taking_cores_match_the_public_fit_on_duplicate_rows(self):
-        # one kernel matrix of every row against the distinct rows: its
-        # first-occurrence rows are K_y, and the whole matrix reconstructs
-        # every row, bit for bit as the public fit and reconstruction
+    def test_row_blocks_give_the_one_block_fit_on_duplicate_rows(self, monkeypatch):
+        # the fit reads K_y in row blocks and the reconstruction forms kernel
+        # rows in row blocks: the column means are the one-block means bit for
+        # bit, and the products agree with one block to roundoff
         kernel_y = KernelSpec("gaussian", 1.5)
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -382,10 +381,13 @@ class TestReconstruction:
             y = np.c_[x[:, 0] + np.sin(x[:, 2]), x[:, 1] * x[:, 2]]
             with pytest.warns(UserWarning, match="duplicate training point"):
                 keep = distinct_rows(x)
-            k_y = kernel_matrix(kernel_y, y, y[keep])
-            assert np.array_equal(k_y[keep], kernel_matrix(kernel_y, y[keep], y[keep]))
-            recon = fit_reconstruction(x[keep], y[keep], kernel_y, kernel_y)
-            core = _fit_reconstruction(x[keep], y[keep], k_y[keep], kernel_y)
-            assert np.array_equal(core.beta_coefficients, recon.beta_coefficients)
-            assert np.array_equal(core.kernel_col_means, recon.kernel_col_means)
-            assert np.array_equal(_reconstruct(core, k_y), reconstruct(recon, y))
+            one = fit_reconstruction(x[keep], y[keep], kernel_y, kernel_y)
+            assert np.array_equal(one.kernel_col_means, kernel_matrix(kernel_y, y[keep], y[keep]).mean(axis=0))
+            whole = reconstruct(one, y)
+            with monkeypatch.context() as m:
+                m.setattr(numerics, "_STACK_FLOATS", 7 * len(keep))
+                blocked = fit_reconstruction(x[keep], y[keep], kernel_y, kernel_y)
+                rows = reconstruct(blocked, y)
+            assert np.array_equal(blocked.kernel_col_means, one.kernel_col_means)
+            assert np.allclose(blocked.beta_coefficients, one.beta_coefficients, rtol=1e-12, atol=0)
+            assert np.allclose(rows, whole, rtol=0, atol=1e-12 * np.abs(whole).max())

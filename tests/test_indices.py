@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
-from lsdr import indices
+from lsdr import indices, numerics
 from lsdr.datasets import DatasetSpec, generate
 from lsdr.embedding import (
     Embedding,
@@ -566,8 +568,8 @@ DUPLICATE_CLOUDS = [
 
 @pytest.mark.parametrize("x", DUPLICATE_CLOUDS, ids=["seed-11", "seed-12"])
 def test_consistency_scan_on_duplicate_points_matches_the_serial_scan(x):
-    # the scan's reconstruction reads its training rows from one kernel matrix
-    # of every output row; its residual part must be the public fit's
+    # the scan fits the reconstruction on the distinct rows and evaluates it
+    # at every row; its residual part must be the serial scan's
     kernel = KernelSpec("gaussian", 1.0)
     with pytest.warns(UserWarning, match="duplicate training point"):
         report = tractable_consistency_index(SerialPcaAdapter(), x, 2, kernel, transform_subsample=90, seed=1)
@@ -575,6 +577,80 @@ def test_consistency_scan_on_duplicate_points_matches_the_serial_scan(x):
         rows, best, _ = serial_consistency_scan(SerialPcaAdapter(), x, 2, kernel, transform_subsample=90, seed=1)
     assert _as_rows(report) == rows
     assert report.value == best
+
+
+def numpy_median(points):
+    """The output scale the consistency index took before the bracketed median."""
+    e = pdist(points)
+    return float(np.median(e[e > 0])) if np.any(e > 0) else 1.0
+
+
+def line(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
+class TestPositiveDistanceMedian:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param(line([0, 1]), id="n=2"),
+            pytest.param(line([3, 3]), id="n=2 equal"),
+            pytest.param(line([0, 1, 3]), id="odd count"),
+            pytest.param(line([0, 1, 3, 7]), id="even count"),
+            pytest.param(line([0, 1, 3, 3]), id="odd count after a duplicate"),
+            pytest.param(line([0, 0, 1, 3, 3]), id="even count after duplicates"),
+            pytest.param(line(range(40)), id="ties at the middle"),
+            pytest.param(np.repeat(np.arange(9.0).reshape(3, 3), [20, 1, 19], axis=0), id="duplicate rows"),
+            pytest.param(np.full((30, 2), 2.5), id="all equal"),
+            pytest.param(line([1.0]), id="n=1"),
+        ]
+        + [pytest.param(x, id=f"duplicate cloud {i}") for i, x in enumerate(DUPLICATE_CLOUDS)],
+    )  # fmt: skip
+    def test_equals_numpy_median(self, points):
+        got = indices._positive_distance_median(points)
+        assert type(got) is float and got == numpy_median(points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 3), st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_equals_numpy_median_on_integer_grids(self, n, p, side, rows_per_block, seed):
+        # a small grid: duplicate rows and heavy ties at the middle
+        points = np.random.default_rng(seed).integers(0, side, (n, p)).astype(float)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(numerics, "_STACK_FLOATS", rows_per_block * n)
+            got = indices._positive_distance_median(points)
+        assert got == numpy_median(points)
+
+    @pytest.mark.parametrize("where", ["above", "below"])
+    def test_a_missed_bracket_is_widened_and_the_pass_repeated(self, monkeypatch, where):
+        points = generate(DatasetSpec("swiss_roll", 300, seed=6))[:, :2]
+        passes = []
+        bracket_pass = indices._bracket_pass
+
+        def counted(*args):
+            passes.append(args)
+            return bracket_pass(*args)
+
+        # a sample of one value far from the middle: the first bracket holds no middle value
+        far = 10 * pdist(points).max() ** 2 if where == "above" else 1e-9
+        monkeypatch.setattr(indices, "_sampled_sq_distances", lambda x: np.full(64, far))
+        monkeypatch.setattr(indices, "_bracket_pass", counted)
+        assert indices._positive_distance_median(points) == numpy_median(points)
+        assert len(passes) > 1
+
+
+def test_consistency_set_up_holds_no_n_by_n_array():
+    # one n x n float array is 128 MB at n = 4000, and the n(n - 1)/2 pairwise
+    # distances 64 MB; the row-blocked set-up holds a few 2 MB blocks, the
+    # bracketed median's values (about 4 n(n - 1)/2 / sqrt(16 n) floats, 1 MB)
+    # and (n, p) arrays, so a quarter of the n x n array leaves room to spare
+    x = generate(DatasetSpec("swiss_roll", 4000, seed=1))
+    tracemalloc.start()
+    try:
+        tractable_consistency_index(PcaAdapter(), x, 2, KernelSpec("gaussian", 1.0), transform_subsample=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def brute_force_knn_metrics(x, y, k):

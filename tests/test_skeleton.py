@@ -13,7 +13,7 @@ from lsdr.errors import DegeneracyWarning, ValidationError
 from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
 from scipy.sparse.csgraph import dijkstra
 
-from lsdr import graph
+from lsdr import graph, numerics
 from lsdr.graph import ManifoldGraph, graph_distances, nearest_source_distances, prune_edges
 from lsdr.serialize import write_json
 from lsdr.skeleton import (
@@ -228,9 +228,10 @@ class TestNearestSourceDistances:
         st.sampled_from([0.5, 0.8, 0.95]),
         st.integers(0, 3),
         st.booleans(),
+        st.integers(1, 6),
         st.data(),
     )
-    def test_equals_the_row_minima_of_the_source_block(self, seed, p, n, alpha, twins, tiny, data):
+    def test_equals_the_row_minima_of_the_source_block(self, seed, p, n, alpha, twins, tiny, chunk, data):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((n, p)) * 1e3
         g = with_extra_vertices(tessellation_graph(pts, alpha), twins, tiny)
@@ -239,7 +240,11 @@ class TestNearestSourceDistances:
             # coincident sources, and sources 1e-20 apart
             sources |= set(range(twins + 1)) | set(range(n, g.n))
         sources = rng.permutation(sorted(sources))
-        assert np.array_equal(nearest_source_distances(g, sources), self._row_minima(g, sources))
+        # the bounded rows run in chunks of ``chunk`` sources
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(numerics, "_STACK_FLOATS", chunk * g.n)
+            nearest = nearest_source_distances(g, sources)
+        assert np.array_equal(nearest, self._row_minima(g, sources))
 
     def test_a_row_the_limit_cuts_short_is_searched_again(self, monkeypatch):
         rng = np.random.default_rng(7)

@@ -3,11 +3,11 @@
 Pruning removes, at significance level alpha, the Delaunay edges whose share
 of their vertex star's squared length is implausibly large under a local
 Gaussian model; spanning-tree edges are exempt so the graph stays connected.
-Shortest paths over the surviving weighted edges approximate geodesic
-distances on the underlying manifold.
+It runs in simultaneous sweeps that test every star at once, so no sweep
+depends on the order of the vertices. Shortest paths over the surviving
+weighted edges approximate geodesic distances on the underlying manifold.
 """
 
-import heapq
 from dataclasses import dataclass
 from io import StringIO
 
@@ -61,46 +61,29 @@ def _star_thresholds(p: int, alpha: float, max_star: int) -> list[float]:
     ]
 
 
-def _star_rejections(star: list[int], sq: list[float], thresholds: list[float]) -> list[int]:
-    """Edge ids of one vertex star whose length statistic exceeds the threshold.
-
-    ``sq`` holds each edge's squared length. The statistic for edge e_j is its
-    squared length over the star's total squared length; under a local
-    Gaussian model it follows Beta(p/2, (k-1)p/2) where k is the star size,
-    and ``thresholds[k]`` is its quantile. Stars of size one are exempt (the
-    statistic is degenerate there). The total is a left fold in edge-id
-    order: ``sum()`` compensates its rounding from Python 3.12 on and
-    ``math.fsum`` rounds once, so either would move statistics that sit at
-    the threshold.
-    """
-    k = len(star)
-    if k <= 1:
-        return []
-    total = 0.0
-    for e in star:
-        total += sq[e]
-    if total <= 0.0:
-        return []
-    threshold = thresholds[k]
-    return [e for e in star if sq[e] / total > threshold]
-
-
-def _first_scan(
+def _star_scan(
     sq: np.ndarray,
     owner: np.ndarray,
     column: np.ndarray,
     counts: np.ndarray,
     thresholds: list[float],
 ) -> np.ndarray:
-    """Which incidences the scan of their vertex's full star rejects.
+    """Which incidences the Beta test of their vertex's star rejects.
 
-    ``sq`` holds the squared length of each incidence and the other arrays
-    place it, as ``vertex_stars`` returns them. Each total is summed column
-    by column over a zero-padded (n, K) table of the stars, which is the
-    left fold of ``_star_rejections`` bit for bit, so the two reject the
-    same edges of a star with all its edges alive.
+    ``sq`` holds the squared length of each incidence, 0.0 for an incidence
+    whose edge is gone, and the other arrays place it as ``vertex_stars``
+    returns them, with ``counts`` the live star sizes. The statistic of edge
+    e_j is its squared length over the star's total; under a local Gaussian
+    model it follows Beta(p/2, (k-1)p/2) for a star of size k, and
+    ``thresholds[k]`` is its quantile. Each total is a left fold in edge-id
+    order, summed column by column over a zero-padded (n, K) table of the
+    stars; adding a gone edge's 0.0 is exact. ``sum()`` compensates its
+    rounding from Python 3.12 on and ``math.fsum`` rounds once, so either
+    would move statistics that sit at the threshold. Stars of size one are
+    exempt (``thresholds`` holds inf there), and a total of zero rejects
+    nothing.
     """
-    table = np.zeros((len(counts), counts.max(initial=0)))
+    table = np.zeros((len(counts), column.max(initial=-1) + 1))
     table[owner, column] = sq
     total = np.zeros(len(counts))
     for entries in table.T:
@@ -113,22 +96,18 @@ def _first_scan(
 def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> ManifoldGraph:
     """Remove implausibly long non-tree edges from the tessellation.
 
-    Vertices are scanned in ascending index order; all tests at one vertex
-    use the edge set as it stood when that vertex's scan began and removals
-    take effect when the scan of the vertex completes. Because several long
-    edges in one star shield each other (they inflate the total squared
-    length the statistic is normalized by), the sweep is repeated until a
-    full pass removes nothing: each removal sharpens the remaining stars and
-    exposes the next outlier. An edge can be rejected from either endpoint's
-    star; spanning-tree membership always overrides a rejection. Simplices
-    that lose any edge are dropped.
-
-    The sweeps visit only the vertices whose scan can remove an edge, with
-    the same result as scanning every vertex: one array pass scans every
-    full star at once, and a sweep then visits the vertices whose full star
-    rejects an unprotected edge (first sweep only) and those whose star lost
-    an edge since their last scan, in ascending order. A star unchanged since
-    a scan that removed nothing can only reject protected edges again.
+    Pruning runs in whole-graph sweeps. Each sweep tests every vertex star
+    against the edge set as it stood when the sweep began, and removes at
+    its end every rejected edge outside the spanning tree; an edge can be
+    rejected from either endpoint's star. Several long edges in one star
+    shield each other (they inflate the total the statistic is normalized
+    by), so the sweeps repeat until one removes nothing: each removal
+    sharpens the remaining stars and exposes the next outlier. No sweep
+    depends on the order of the vertices, so the pruned graph is a function
+    of the tessellation, the tree and alpha, not of the row order of the
+    cloud; only a star total's summation order follows the edge ids, which
+    can move a statistic that sits within rounding of its threshold.
+    Simplices that lose any edge are dropped.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
@@ -137,38 +116,22 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     if np.count_nonzero(in_tree) != len(mcst.edges):
         raise ValidationError("spanning tree contains edges outside the tessellation")
 
-    protected = in_tree.tolist()
     # squares by Python's float power: numpy's square rounds differently on
     # about one length in a thousand, which moves statistics at the threshold
-    sq = [length**2 for length in tess.lengths.tolist()]
+    sq = np.array([length**2 for length in tess.lengths.tolist()])
     position, owner, column, counts = vertex_stars(tess.edges, n)
     ids = position // 2
     thresholds = _star_thresholds(p, alpha, int(counts.max(initial=0)))
-    rejects = _first_scan(np.array(sq)[ids], owner, column, counts, thresholds) & ~in_tree[ids]
+    alive = np.ones(len(sq), dtype=bool)
+    while True:
+        live = alive[ids]
+        sizes = np.bincount(owner[live], minlength=n)
+        rejects = _star_scan(np.where(live, sq[ids], 0.0), owner, column, sizes, thresholds)
+        removed = ids[rejects & ~in_tree[ids]]
+        if len(removed) == 0:
+            break
+        alive[removed] = False
 
-    sweep = np.unique(owner[rejects]).tolist()
-    bounds = np.append(0, np.cumsum(counts)).tolist()
-    ids, ends = ids.tolist(), tess.edges.ravel().tolist()
-    alive = [True] * len(sq)
-    while sweep:
-        queued, rescan = set(sweep), set()
-        while sweep:
-            vertex = heapq.heappop(sweep)
-            star = [e for e in ids[bounds[vertex] : bounds[vertex + 1]] if alive[e]]
-            for e in _star_rejections(star, sq, thresholds):
-                if protected[e]:
-                    continue
-                alive[e] = False
-                # an endpoint this sweep has passed (or is at) waits for the next one
-                for u in ends[2 * e : 2 * e + 2]:
-                    if u <= vertex:
-                        rescan.add(u)
-                    elif u not in queued:
-                        queued.add(u)
-                        heapq.heappush(sweep, u)
-        sweep = sorted(rescan)
-
-    alive = np.array(alive)
     surviving = alive[tess.simplex_edge_ids()].all(axis=1)
     return ManifoldGraph(
         points=tess.points,

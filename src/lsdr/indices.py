@@ -20,8 +20,9 @@ from .embedding import (
     kernel_matrix,
     reconstruct,
 )
+from . import numerics
 from .errors import ValidationError
-from .numerics import _STACK_FLOATS, _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
 
 __all__ = [
     "ProcrustesFit",
@@ -278,10 +279,10 @@ class TciReport:
 
 def _sampled_sq_distances(points: np.ndarray) -> np.ndarray:
     """Squared distances of a seeded sample of pairs of distinct rows: about
-    16 pairs per row, and at most ``_STACK_FLOATS``."""
+    16 pairs per row, and at most ``numerics._STACK_FLOATS``."""
     n = len(points)
     rng = np.random.default_rng(0x3ED1A)
-    size = min(_STACK_FLOATS, 16 * n)
+    size = min(numerics._STACK_FLOATS, 16 * n)
     first = rng.integers(n, size=size)
     second = rng.integers(n - 1, size=size)
     second += second >= first
@@ -405,9 +406,6 @@ def tractable_consistency_index(
         subsampled = False
     points, axes = np.divmod(chosen, p)
 
-    # a chunk's bump rows (one (n,) row per distinct point) and PCA's (B, p, p)
-    # arrays stay within _STACK_FLOATS floats for p <= n
-    chunk = max(1, _STACK_FLOATS // n_total)
     base_centered = base - base.mean(axis=0)
     denom = float(np.sum(base_centered * base_centered))
     base_constant = denom <= 1e-24
@@ -430,9 +428,11 @@ def tractable_consistency_index(
             return [TransformResult(int(rows[0]), int(cols[0]), residual=None, failed=True, message=str(exc))]
         return [TransformResult(int(i), int(j), residual=r) for i, j, r in zip(rows, cols, residuals)]
 
+    # a chunk's bump rows (one (n,) row per distinct point) and PCA's (B, p, p)
+    # arrays stay within a row block's floats for p <= n
     contributions: list[TransformResult] = []
-    for start in range(0, len(chosen), chunk):
-        contributions += scan(points[start : start + chunk], axes[start : start + chunk])
+    for rows in _row_blocks(len(chosen), n_total):
+        contributions += scan(points[rows], axes[rows])
     return TciReport(
         value=max([0.0] + [t.residual for t in contributions if not t.failed]),
         contributions=contributions,

@@ -99,10 +99,8 @@ def write_embedding(path, emb: Embedding) -> None:
 
 def write_paired(path, x: np.ndarray, emb: Embedding) -> None:
     """Original coordinates side by side with embedding coordinates."""
-    path = Path(path)
     cols = [f"x{i}" for i in range(x.shape[1])] + [f"y{i}" for i in range(emb.d)]
-    data = np.hstack([np.asarray(x, dtype=float), emb.coords])
-    path.write_text(",".join(cols) + "\n" + _format_rows(data) + "\n")
+    write_point_cloud(path, np.hstack([np.asarray(x, dtype=float), emb.coords]), cols)
 
 
 # the types json encodes as scalars, exactly; values of any other type, such

@@ -2,8 +2,8 @@
 
 The oracle walks the same Qhull simplices with Python containers: the edges
 of every simplex's vertex pairs in a dict, Kruskal over sorted (length, i, j)
-tuples, the vertex-sequential pruning sweep over sets of pairs (star totals
-as left folds), survival of simplices by membership and boundary counts in a
+tuples, the simultaneous pruning sweeps over sets of pairs (star totals as
+left folds), survival of simplices by membership and boundary counts in a
 dict. Its edge lengths are read from ``sqrt(pairwise_sq_dists)``, so every
 comparison is exact.
 """
@@ -66,7 +66,9 @@ def loop_layer(pts: np.ndarray, alpha: float) -> dict:
     quantiles: dict = {}
     changed = True
     while changed:
-        changed = False
+        # every star is tested against the edges alive when the pass began;
+        # the rejected edges go when the pass ends
+        rejected = set()
         for vertex in range(n):
             star = sorted(incident[vertex])
             k = len(star)
@@ -79,13 +81,13 @@ def loop_layer(pts: np.ndarray, alpha: float) -> dict:
                 continue
             if k not in quantiles:
                 quantiles[k] = beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha)
-            for e in {e for e in star if lengths[e] ** 2 / total > quantiles[k]}:
-                if e in tree or e not in lengths:
-                    continue
-                del lengths[e]
-                incident[e[0]].discard(e)
-                incident[e[1]].discard(e)
-                changed = True
+            rejected |= {e for e in star if lengths[e] ** 2 / total > quantiles[k]}
+        removed = rejected - tree
+        for e in removed:
+            del lengths[e]
+            incident[e[0]].discard(e)
+            incident[e[1]].discard(e)
+        changed = bool(removed)
 
     surviving = [
         s for s in simplices if all(e in lengths for e in itertools.combinations(s, 2))

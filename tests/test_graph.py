@@ -10,11 +10,10 @@ import pytest
 
 from lsdr.errors import ValidationError
 from lsdr.datasets import DatasetSpec, generate
-from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst
+from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst, vertex_stars
 from lsdr.graph import (
     ManifoldGraph,
-    _first_scan,
-    _star_rejections,
+    _star_scan,
     dump_edge_list,
     graph_distances,
     _star_thresholds,
@@ -70,11 +69,12 @@ def is_connected(graph: ManifoldGraph) -> bool:
 
 
 def sweep_survivors(tess, mcst, alpha) -> np.ndarray:
-    """Reference: the vertex-sequential sweep that rescans every star each time.
+    """Reference: simultaneous sweeps that rescan every star each time.
 
-    Totals are left folds over Python floats, squares Python's ``**``; the
-    sweep repeats until a full pass removes nothing. Returns the mask of
-    surviving edges.
+    Every star of a sweep is tested against the edges alive when the sweep
+    began, and the rejected edges go at its end. Totals are left folds over
+    Python floats, squares Python's ``**``; the sweeps repeat until one
+    removes nothing. Returns the mask of surviving edges.
     """
     n, p = tess.n, tess.p
     protected = np.isin(edge_keys(tess.edges, n), edge_keys(mcst.edges, n)).tolist()
@@ -87,9 +87,9 @@ def sweep_survivors(tess, mcst, alpha) -> np.ndarray:
     alive = [True] * len(sq)
     changed = True
     while changed:
-        changed = False
+        rejected = set()
         for vertex in range(n):
-            star = stars[vertex] = [e for e in stars[vertex] if alive[e]]
+            star = [e for e in stars[vertex] if alive[e]]
             k = len(star)
             total = 0.0
             for e in star:
@@ -98,11 +98,20 @@ def sweep_survivors(tess, mcst, alpha) -> np.ndarray:
                 continue
             if k not in quantiles:
                 quantiles[k] = beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha)
-            for e in [e for e in star if sq[e] / total > quantiles[k]]:
-                if not protected[e]:
-                    alive[e] = False
-                    changed = True
+            rejected.update(e for e in star if sq[e] / total > quantiles[k])
+        removed = [e for e in rejected if not protected[e]]
+        for e in removed:
+            alive[e] = False
+        changed = bool(removed)
     return np.array(alive)
+
+
+def left_fold_rejections(sq: list[float], thresholds: list[float]) -> list[int]:
+    """Positions in one star whose share of the star's left-fold total exceeds its threshold."""
+    total = functools.reduce(operator.add, sq, 0.0)
+    if len(sq) <= 1 or total <= 0.0:
+        return []
+    return [e for e, v in enumerate(sq) if v / total > thresholds[len(sq)]]
 
 
 class TestPruneEdges:
@@ -130,24 +139,33 @@ class TestPruneEdges:
         thresholds = [np.inf, np.inf, np.inf, 1.0 - 2.0**-53]
         assert math.fsum(sq) == 1.0 + 2.0**-52
         assert 1.0 / math.fsum(sq) < thresholds[3] < 1.0
-        assert _star_rejections([0, 1, 2], sq, thresholds) == [0]
+        rejects = _star_scan(np.array(sq), np.zeros(3, dtype=np.intp), np.arange(3), np.array([3]), thresholds)
+        assert rejects.tolist() == [True, False, False]
 
     def test_array_scan_totals_are_left_folds(self):
         # one star of each size from 2 to 40, squares over 16 decades; each
         # threshold sits exactly at, or one float below, the left-fold
         # statistic of the star's first edge, so a total that rounds any
-        # other way flips that edge's rejection
+        # other way flips that edge's rejection. With spread 2 a gone edge
+        # (0.0 in the table) follows each live one and must leave every
+        # total as it is.
         rng = np.random.default_rng(7)
         counts = np.arange(2, 41)
         stars = [(10.0 ** rng.uniform(-8, 8, k)).tolist() for k in counts]
-        owner = np.repeat(np.arange(len(counts)), counts)
-        column = np.concatenate([np.arange(k) for k in counts])
         at = [star[0] / functools.reduce(operator.add, star, 0.0) for star in stars]
-        for edge in (at, np.nextafter(at, 0.0).tolist()):
-            thresholds = [np.inf, np.inf, *edge]
-            rejects = _first_scan(np.concatenate(stars), owner, column, counts, thresholds)
-            expected = [_star_rejections(list(range(len(sq))), sq, thresholds) for sq in stars]
-            assert [np.flatnonzero(rejects[owner == v]).tolist() for v in range(len(counts))] == expected
+        for spread in (1, 2):
+            owner = np.repeat(np.arange(len(counts)), spread * counts)
+            column = np.concatenate([np.arange(spread * k) for k in counts])
+            live = column % spread == 0
+            sq = np.zeros(len(owner))
+            sq[live] = np.concatenate(stars)
+            for edge in (at, np.nextafter(at, 0.0).tolist()):
+                thresholds = [np.inf, np.inf, *edge]
+                rejects = _star_scan(sq, owner, column, counts, thresholds)
+                assert not rejects[~live].any()
+                expected = [left_fold_rejections(star, thresholds) for star in stars]
+                got = [np.flatnonzero(rejects[live & (owner == v)]).tolist() for v in range(len(counts))]
+                assert got == expected
 
     def test_symmetric_star_keeps_everything(self):
         # pentagon plus center: the center's five spokes are equal, so each
@@ -217,18 +235,14 @@ class TestPruneEdges:
         rng = np.random.default_rng(23)
         pts = rng.uniform(0, 1, (60, 2))
         tess = delaunay_tessellation(pts)
-        sq = [length**2 for length in tess.lengths.tolist()]
-        incident = {}
-        for e, (i, j) in enumerate(tess.edges.tolist()):
-            incident.setdefault(i, []).append(e)
-            incident.setdefault(j, []).append(e)
+        sq = np.array([length**2 for length in tess.lengths.tolist()])
+        position, owner, column, counts = vertex_stars(tess.edges, tess.n)
+        ids = position // 2
 
         def one_shot_survivors(alpha):
-            thresholds = _star_thresholds(tess.p, alpha, max(map(len, incident.values())))
-            rejected = set()
-            for inc in incident.values():
-                rejected.update(_star_rejections(inc, sq, thresholds))
-            return set(range(len(sq))) - rejected
+            thresholds = _star_thresholds(tess.p, alpha, int(counts.max()))
+            rejected = ids[_star_scan(sq[ids], owner, column, counts, thresholds)]
+            return set(range(len(sq))) - set(rejected.tolist())
 
         previous = None
         for alpha in (0.5, 0.7, 0.9, 0.99):
@@ -255,6 +269,34 @@ class TestPruneEdges:
         ecdf_lo = np.arange(0, draws) / draws
         ks = max(np.abs(ecdf_hi - cdf).max(), np.abs(cdf - ecdf_lo).max())
         assert ks < 0.03
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DatasetSpec("trefoil_knot", 300, seed=2),
+            DatasetSpec("spiral", 1500, seed=26),
+            DatasetSpec("sphere_surface", 500, noise=0.02, seed=2),
+        ],
+        ids=["trefoil", "spiral", "sphere"],
+    )
+    def test_pruned_graph_does_not_depend_on_row_order(self, spec):
+        # each run's pairs are mapped back to the original row indices; the
+        # tessellation itself must not move, or the test proves nothing
+        x = generate(spec)
+
+        def original_pairs(edges, perm):
+            return pair_set(np.sort(perm[edges], axis=1))
+
+        tess = delaunay_tessellation(x)
+        pruned = pair_set(prune_edges(tess, euclidean_mcst(x, tess.edges), 0.95).edges)
+        assert len(pruned) < len(tess.edges)
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(len(x))
+            pts = x[perm]
+            moved = delaunay_tessellation(pts)
+            assert original_pairs(moved.edges, perm) == pair_set(tess.edges)
+            graph = prune_edges(moved, euclidean_mcst(pts, moved.edges), 0.95)
+            assert original_pairs(graph.edges, perm) == pruned
 
     def test_rejects_alpha_out_of_range(self):
         pts = np.random.default_rng(0).uniform(0, 1, (10, 2))

@@ -354,6 +354,18 @@ class NonFiniteAdapter(SerialPcaAdapter):
         return emb
 
 
+def _at_default_block_size(func):
+    """``func`` run at the default ``numerics._STACK_FLOATS``, whatever a test patches it to."""
+    default = numerics._STACK_FLOATS
+
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(numerics, "_STACK_FLOATS", default)
+            return func(*args, **kwargs)
+
+    return run
+
+
 # the clouds the chunked scan is checked on: the full set of 600 transforms
 # over a partial last chunk (2**18 // 600 = 436 per chunk), then 70-transform
 # subsamples of five shapes (p, d, n), among them a one-column cloud
@@ -399,7 +411,7 @@ class TestChunkedConsistencyIndex:
 
     def test_pca_full_set_over_a_partial_last_chunk(self):
         x, d, _ = SCAN_CLOUDS["600"]
-        assert len(x) * 3 % (indices._STACK_FLOATS // x.size) != 0
+        assert len(x) * 3 % (numerics._STACK_FLOATS // x.size) != 0
         report = self._assert_matches_serial(SerialPcaAdapter(), x, d)
         assert len(report.contributions) == 600 and not report.failed_transforms
         self._assert_closed_form_near_serial(x, d, self.kernel)
@@ -424,11 +436,24 @@ class TestChunkedConsistencyIndex:
     def test_pca_residuals_do_not_depend_on_the_chunk(self, name, monkeypatch):
         x, d, kwargs = SCAN_CLOUDS[name]
         whole = tractable_consistency_index(PcaAdapter(), x, d, self.kernel, **kwargs)
+        # the reconstruction keeps its default row blocks (its BLAS products
+        # round by block size), so only the scan's chunks move
+        for stage in ("fit_reconstruction", "reconstruct"):
+            monkeypatch.setattr(indices, stage, _at_default_block_size(getattr(indices, stage)))
         for per_chunk in (1, 5):
-            monkeypatch.setattr(indices, "_STACK_FLOATS", per_chunk * x.size)
-            report = tractable_consistency_index(PcaAdapter(), x, d, self.kernel, **kwargs)
+            chunks = []
+
+            class ChunkCountingPca(PcaAdapter):
+                def transform_terms(self, d, residual_part, bumps, which, axes, base_centered):
+                    chunks.append(len(axes))
+                    return super().transform_terms(d, residual_part, bumps, which, axes, base_centered)
+
+            monkeypatch.setattr(numerics, "_STACK_FLOATS", per_chunk * x.size)
+            report = tractable_consistency_index(ChunkCountingPca(), x, d, self.kernel, **kwargs)
             assert _as_rows(report) == _as_rows(whole)
             assert report.value == whole.value
+            # the patched block size is the one the scan ran in
+            assert max(chunks) == per_chunk and sum(chunks) == len(report.contributions)
 
     def test_constant_base_through_the_default_stack(self):
         x = np.random.default_rng(6).standard_normal((40, 3))
@@ -457,7 +482,7 @@ class TestChunkedConsistencyIndex:
     def test_failures_are_attributed_to_their_transforms(self, adapter, monkeypatch):
         # chunks of 5 transforms: most run whole, a few are rerun one by one
         x = np.random.default_rng(9).standard_normal((50, 3)) * [2.0, 1.0, 0.5]
-        monkeypatch.setattr(indices, "_STACK_FLOATS", 5 * x.size)
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 5 * x.size)
         report = self._assert_matches_serial(adapter(), x, 2)
         failed = report.failed_transforms
         if adapter is SerialPcaAdapter:

@@ -136,8 +136,9 @@ def stress(q, y) -> float:
 
 
 def _stress(q: np.ndarray, dist: np.ndarray) -> float:
-    iu = np.triu_indices(q.shape[0], k=1)
-    return float(np.sqrt(np.sum((q[iu] - dist[iu]) ** 2)))
+    # the pairs i < j in row-major order: MDS stops on these sums
+    upper = np.triu(np.ones(q.shape, dtype=bool), 1)
+    return float(np.sqrt(np.sum((q[upper] - dist[upper]) ** 2)))
 
 
 def _guttman_step(q: np.ndarray, y: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -228,11 +229,10 @@ def recommended_bandwidth(skeleton: SkeletonReport, nearest) -> float:
     """Bandwidth rule: the largest skeletal ball that reaches past the boundary.
 
     ``nearest[i]`` is the graph distance from skeletal point i to its nearest
-    other skeletal point: the row minima of the skeletal geodesic block with
-    its diagonal at inf, which ``graph.nearest_source_distances`` gives bit
-    for bit without the block. For each skeletal point combine its boundary
-    distance with that distance; the maximum over skeletal points is the
-    bandwidth, so the rule needs two skeletal points.
+    other skeletal point, as ``graph.nearest_source_distances`` gives it. For
+    each skeletal point combine its boundary distance with that distance;
+    the maximum over skeletal points is the bandwidth, so the rule needs two
+    skeletal points.
     """
     skeletal = skeleton.skeletal_points
     if len(skeletal) < 2:

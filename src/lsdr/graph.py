@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ValidationError
 from .geometry import SpanningTree, Tessellation, edge_keys, vertex_stars
-from .numerics import _row_blocks, beta_quantile
+from .numerics import beta_quantile
 
 __all__ = [
     "ManifoldGraph",
@@ -167,48 +167,35 @@ def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:
 
 
 def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
-    """Distance from each vertex of ``sources`` to its nearest other one.
+    """Graph distance from each vertex of ``sources`` to its nearest other one.
 
-    Entry i equals, bit for bit, the minimum of row i of
-    ``graph_distances(g, sources).dists[:, sources]`` with the diagonal at inf
-    (inf when no other source is reachable), without the full rows. One
-    multi-source search labels every vertex with its nearest source; an
-    edge (u, v) between two labels closes a path of length d(u) + w + d(v)
-    between them, and the shortest path from a source to its nearest other
-    one crosses such an edge (Mehlhorn, Inf. Process. Lett. 27, 1988). The
-    rows are then searched only up to the largest of these per-source
-    estimates. The search is label-setting and the lengths non-negative, so
-    every vertex within that limit settles at the float of an unbounded run;
-    a source whose bounded row reaches no other source, however its
-    estimate rounded, is searched again without a limit. Each row is its own
-    search, so the rows run in chunks of sources and keep only the source
-    columns.
+    Entry i is inf when no other source is reachable from ``sources[i]``;
+    repeated sources are rejected. One multi-source search labels every
+    vertex with its nearest source. An edge (u, v) between two labels closes
+    a path of length d(u) + w + d(v) between two sources, and the shortest
+    path from a source s to its nearest other one crosses such an edge: the
+    edge into the first vertex on it whose label is not s, whose bound is at
+    most the path's length (Mehlhorn, Inf. Process. Lett. 27, 1988). So the
+    smallest bound over the edges at s's label is the distance in exact
+    arithmetic. In floats it is a sum along a path of at most n - 1 edges,
+    as a row minimum of ``graph_distances`` is, grouped differently: the two
+    agree within (n - 1) * eps relative, zero and inf exactly.
     """
     src = np.array([int(s) for s in sources], dtype=np.intp)
     if len(src) == 0:
         raise ValidationError("nearest_source_distances needs at least one source")
-    csr = _csr(g)
-    near, _, label = dijkstra(csr, directed=False, indices=src, min_only=True, return_predecessors=True)
+    if len(np.unique(src)) != len(src):
+        raise ValidationError("nearest_source_distances needs distinct sources")
+    near, _, label = dijkstra(_csr(g), directed=False, indices=src, min_only=True, return_predecessors=True)
     # both ends of an edge are reached, or neither is and both carry the
     # same "unreached" label
     u, v = g.edges.T
     between = label[u] != label[v]
     bound = near[u[between]] + g.lengths[between] + near[v[between]]
-    estimate = np.full(g.n, np.inf)
-    np.minimum.at(estimate, label[u[between]], bound)
-    np.minimum.at(estimate, label[v[between]], bound)
-    estimate = estimate[src]
-    limit = estimate[np.isfinite(estimate)].max(initial=0.0)
-    nearest = np.empty(len(src))
-    for chunk in _row_blocks(len(src), g.n):
-        rows = dijkstra(csr, directed=False, indices=src[chunk], limit=limit)[:, src]
-        rows[np.arange(len(rows)), np.arange(chunk.start, chunk.stop)] = np.inf
-        nearest[chunk] = rows.min(axis=1)
-    for i in np.flatnonzero(nearest == np.inf):
-        row = dijkstra(csr, directed=False, indices=src[i])[src]
-        row[i] = np.inf
-        nearest[i] = row.min()
-    return nearest
+    nearest = np.full(g.n, np.inf)
+    np.minimum.at(nearest, label[u[between]], bound)
+    np.minimum.at(nearest, label[v[between]], bound)
+    return nearest[src]
 
 
 def dump_edge_list(g: ManifoldGraph) -> str:

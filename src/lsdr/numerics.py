@@ -96,8 +96,8 @@ def pairwise_sq_dists(a, b=None) -> np.ndarray:
 
 
 # Dense work is sized to about this many floats (2 MB) per array: row blocks
-# of n-wide kernels and distances, the consistency scan's chunks of
-# transforms, and the sources of a bounded Dijkstra run.
+# of n-wide kernels and distances, and the consistency scan's chunks of
+# transforms.
 _STACK_FLOATS = 2**18
 
 

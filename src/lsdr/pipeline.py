@@ -46,7 +46,7 @@ from .graph import (
     prune_edges,
 )
 from .indices import AlgorithmAdapter
-from .numerics import as_matrix, pairwise_sq_dists
+from .numerics import _row_blocks, as_matrix, pairwise_sq_dists
 from .skeleton import SkeletonReport, skeleton_report
 
 __all__ = [
@@ -90,7 +90,8 @@ class LsdrResult:
 
     ``geodesics`` holds the rows of the skeletal points only, the rows stage
     3 reads; on the all-boundary fallback every point is skeletal, so it
-    holds every row.
+    holds every row. ``bandwidth`` is None on a fallback; the recommended
+    rule reads no geodesic rows, the same as ``transform_bandwidth``.
     """
 
     embedding: Embedding
@@ -122,10 +123,6 @@ def pre_reduce(x) -> np.ndarray:
     wants the minimal exact coordinates.
     """
     return _principal_scores(as_matrix(x, "data"))[0]
-
-
-def _distances(work: np.ndarray) -> np.ndarray:
-    return np.sqrt(pairwise_sq_dists(work))
 
 
 def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -176,10 +173,26 @@ def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
     return _Stages(None, graph, skeleton)
 
 
-def _bandwidth(skeleton: SkeletonReport, nearest: np.ndarray, work: np.ndarray) -> float:
-    """The skeleton's recommended bandwidth, else the mean pairwise distance."""
-    sigma = recommended_bandwidth(skeleton, nearest)
-    return sigma if sigma > 0.0 else float(_distances(work).mean())
+def _mean_distance(work: np.ndarray) -> float:
+    """Mean of the n x n distance matrix of ``work``, summed in row blocks: bit
+    for bit the full matrix's mean while n <= 512 (one block), within n * eps
+    relative of it beyond."""
+    n = len(work)
+    total = 0.0
+    for rows in _row_blocks(n, n):
+        total += np.sqrt(pairwise_sq_dists(work[rows], work)).sum()
+    return float(total / n**2)
+
+
+def _bandwidth(stages: _Stages, work: np.ndarray) -> float:
+    """The skeleton's recommended bandwidth; the mean pairwise distance when
+    the stages give no skeleton or the rule gives 0."""
+    if stages.reason is None:
+        nearest = nearest_source_distances(stages.graph, stages.skeleton.skeletal_points)
+        sigma = recommended_bandwidth(stages.skeleton, nearest)
+        if sigma > 0.0:
+            return sigma
+    return _mean_distance(work)
 
 
 def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
@@ -195,14 +208,11 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
     reason = stages.reason
     geodesics = None
     if reason is not None:
-        mds_coords = metric_mds(_distances(work), cfg.d)
+        mds_coords = metric_mds(np.sqrt(pairwise_sq_dists(work)), cfg.d)
     else:
         skeletal = stages.skeleton.skeletal_points
         geodesics = graph_distances(stages.graph, skeletal)
         q = geodesics.dists[:, skeletal]
-        # the bandwidth rule reads each skeletal point's nearest other one
-        np.fill_diagonal(q, np.inf)
-        nearest = q.min(axis=1)
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
         mds_coords = metric_mds(q, cfg.d)
@@ -221,7 +231,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         coords = mds_coords
         params["fallback"] = reason
     else:
-        sigma = _bandwidth(stages.skeleton, nearest, work) if cfg.bandwidth is None else cfg.bandwidth
+        sigma = _bandwidth(stages, work) if cfg.bandwidth is None else cfg.bandwidth
         coords = nadaraya_embed(mds_coords, work[skeletal], work, KernelSpec("gaussian", sigma))
         params.update(bandwidth=sigma, kernel="gaussian", seed=cfg.seed)
 
@@ -240,20 +250,15 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
 def transform_bandwidth(x, alpha: float = 0.95, k: int = 3, seed: int = 0) -> float:
     """Dataset-level bandwidth via the skeleton rule (for the consistency index).
 
-    The bandwidth ``lsdr`` picks at these parameters, bit for bit: same
-    working cloud, same stages, same rule. The rule reads each skeletal
-    point's distance to its nearest other one, which
-    ``nearest_source_distances`` gives without the skeletal geodesic rows
-    ``lsdr`` embeds from. Clouds without a tessellation fall back to the
-    mean pairwise distance of the working cloud.
+    The bandwidth ``lsdr`` picks at these parameters, by construction: the
+    same working cloud, stages and ``_bandwidth``, which reads each skeletal
+    point's nearest other one from ``nearest_source_distances`` and needs no
+    geodesic rows. Clouds without a tessellation fall back to the mean
+    pairwise distance of the working cloud.
     """
     cfg = LsdrConfig(d=1, alpha=alpha, k=k, seed=seed)
     work, _ = _working_cloud(as_matrix(x, "data"))
-    stages = _stages(work, cfg)
-    if stages.reason is not None:
-        return float(_distances(work).mean())
-    nearest = nearest_source_distances(stages.graph, stages.skeleton.skeletal_points)
-    return _bandwidth(stages.skeleton, nearest, work)
+    return _bandwidth(_stages(work, cfg), work)
 
 
 class LsdrAdapter(AlgorithmAdapter):

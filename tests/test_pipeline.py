@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from lsdr.cli import main as cli_main
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
 from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
 from lsdr.errors import DegeneracyWarning, LsdrError, ValidationError
-from lsdr.graph import graph_distances
+from lsdr.graph import graph_distances, nearest_source_distances
 from lsdr.indices import procrustes_fit, tractable_consistency_index
 from lsdr.numerics import pairwise_sq_dists
 from lsdr.pipeline import LsdrAdapter, LsdrConfig, lsdr, pre_reduce, transform_bandwidth
@@ -70,9 +71,7 @@ class TestSpiralPipeline:
         q = full.dists[np.ix_(skeletal, skeletal)]
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
-        between = full.dists[np.ix_(skeletal, skeletal)]
-        np.fill_diagonal(between, np.inf)
-        sigma = recommended_bandwidth(res.skeleton, between.min(axis=1))
+        sigma = recommended_bandwidth(res.skeleton, nearest_source_distances(res.graph, skeletal))
         work = res.working_points
         coords = nadaraya_embed(
             metric_mds(q, 1), work[skeletal], work, KernelSpec("gaussian", sigma)
@@ -285,7 +284,9 @@ class TestAdapters:
     def test_transform_bandwidth_positive_and_deterministic(self):
         # equal, bit for bit, to the bandwidth lsdr picks at the same
         # parameters: on a plane (affine-rank trim), on the acceptance
-        # clusters (dimension cap) and on a spiral at non-default parameters
+        # clusters (dimension cap), on a spiral at non-default parameters and
+        # on a trefoil where the row minima of the skeletal geodesic block
+        # give a bandwidth one ulp away from the boundary-edge minimum
         uv = np.random.default_rng(1).uniform(0, 1, (120, 2))
         plane = uv @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         clusters = generate(
@@ -294,7 +295,14 @@ class TestAdapters:
             )
         )
         pts, _ = spiral_with_angle(DatasetSpec("spiral", 100, seed=1))
-        cases = [(plane, 0.95, 3, 0), (clusters, 0.95, 3, 0), (pts, 0.95, 3, 0), (pts, 0.9, 4, 2)]
+        trefoil = generate(DatasetSpec("trefoil_knot", 600, seed=0))
+        cases = [
+            (plane, 0.95, 3, 0),
+            (clusters, 0.95, 3, 0),
+            (pts, 0.95, 3, 0),
+            (pts, 0.9, 4, 2),
+            (trefoil, 0.95, 3, 0),
+        ]
         for x, alpha, k, seed in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegeneracyWarning)
@@ -303,6 +311,20 @@ class TestAdapters:
                 res = lsdr(x, LsdrConfig(d=1, alpha=alpha, k=k, seed=seed))
             assert a == b > 0.0
             assert a == res.bandwidth
+
+    def test_fallback_mean_distance_needs_no_n_by_n_matrix(self):
+        # one column has no tessellation: the bandwidth is the mean pairwise
+        # distance, summed over row blocks
+        x = np.random.default_rng(0).uniform(0.0, 5.0, (3000, 1))
+        tracemalloc.start()
+        try:
+            sigma = transform_bandwidth(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        full = np.sqrt(pairwise_sq_dists(x)).mean()
+        assert abs(sigma - full) <= len(x) * np.finfo(float).eps * full
 
 
 def _degenerate_cloud(kind: str, p: int, seed: int) -> np.ndarray:

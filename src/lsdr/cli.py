@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -22,6 +23,7 @@ from .indices import (
     IndexReport,
     PcaAdapter,
     check_knn_k,
+    check_transform_subsample,
     knn_metrics,
     pca_reduce,
     tractable_consistency_index,
@@ -205,29 +207,45 @@ def cmd_index(args, argv: list[str]) -> int:
         dataset=Path(args.input).stem,
         n=cloud.shape[0],
     )
-    if args.ti:
-        report.ti = trustability_index(adapter, cloud)
-    if args.tci:
-        sigma = args.bandwidth
-        if sigma is None:
-            sigma = transform_bandwidth(cloud, alpha=args.alpha, k=args.k, seed=args.seed)
-        report.tci = tractable_consistency_index(
-            adapter,
-            cloud,
-            args.d,
-            KernelSpec("gaussian", sigma),
-            transform_subsample=args.transforms,
-            seed=args.seed,
-        )
-        report.tci_bandwidth = sigma
-    if args.knn:
-        # the consistency index already reduced the cloud at this d
-        coords = report.tci.base if report.tci is not None else adapter.reduce(args.d, cloud).coords
-        tsi, trust, cont = knn_metrics(cloud, coords, args.knn_k)
-        report.knn_k = args.knn_k
-        report.tsi = tsi
-        report.trustworthiness = trust
-        report.continuity = cont
+    # kNN reads only the reduced cloud: one worker thread reduces it once and
+    # scores kNN while this thread runs TI, the bandwidth and the TCI, which
+    # takes the worker's reduction as its base. Results are collected in the
+    # serial order, so the report's bytes and the error raised first are the
+    # serial run's; on any error pending work is cancelled and the worker
+    # joined before the error propagates.
+    with ThreadPoolExecutor(1) as worker:
+        try:
+            base = knn = None
+            if args.tci or args.knn:
+                base = worker.submit(lambda: adapter.reduce(args.d, cloud).coords)
+            if args.knn:
+                knn = worker.submit(lambda: knn_metrics(cloud, base.result(), args.knn_k))
+            if args.ti:
+                report.ti = trustability_index(adapter, cloud)
+            if args.tci:
+                sigma = args.bandwidth
+                if sigma is None:
+                    sigma = transform_bandwidth(cloud, alpha=args.alpha, k=args.k, seed=args.seed)
+                kernel = KernelSpec("gaussian", sigma)
+                # the index checks its subsample before it reduces, so that
+                # check comes before a failed reduction surfaces
+                check_transform_subsample(args.transforms)
+                report.tci = tractable_consistency_index(
+                    adapter,
+                    cloud,
+                    args.d,
+                    kernel,
+                    transform_subsample=args.transforms,
+                    seed=args.seed,
+                    base=base.result(),
+                )
+                report.tci_bandwidth = sigma
+            if knn is not None:
+                report.tsi, report.trustworthiness, report.continuity = knn.result()
+                report.knn_k = args.knn_k
+        except BaseException:
+            worker.shutdown(cancel_futures=True)
+            raise
 
     write_json(out, report.to_dict())
     header, row = report.csv_row()

@@ -132,13 +132,14 @@ def stress(q, y) -> float:
     y = as_matrix(y, "configuration")
     if y.shape[0] != q.shape[0]:
         raise ValidationError("configuration and distance matrix disagree on n")
-    return _stress(q, np.sqrt(pairwise_sq_dists(y)))
-
-
-def _stress(q: np.ndarray, dist: np.ndarray) -> float:
-    # the pairs i < j in row-major order: MDS stops on these sums
     upper = np.triu(np.ones(q.shape, dtype=bool), 1)
-    return float(np.sqrt(np.sum((q[upper] - dist[upper]) ** 2)))
+    return _stress(q[upper], np.sqrt(pairwise_sq_dists(y))[upper])
+
+
+def _stress(q_pairs: np.ndarray, dist_pairs: np.ndarray) -> float:
+    # the pairs i < j, gathered in row-major order by an upper-triangle mask:
+    # MDS stops on these sums
+    return float(np.sqrt(np.sum((q_pairs - dist_pairs) ** 2)))
 
 
 def _guttman_step(q: np.ndarray, y: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -165,7 +166,10 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
         raise ValidationError(f"target dimension must satisfy 1 <= d < n, got d={d}, n={n}")
     y = classical_scaling(q, d)
     dist = np.sqrt(pairwise_sq_dists(y))
-    current = _stress(q, dist)
+    # the mask and q's pairs are built once; only the distances change
+    upper = np.triu(np.ones(q.shape, dtype=bool), 1)
+    q_pairs = q[upper]
+    current = _stress(q_pairs, dist[upper])
     if stress_trace is not None:
         stress_trace.append(current)
     scale = float(q.max())
@@ -176,7 +180,7 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
             break
         y_next = _guttman_step(q, y, dist)
         dist = np.sqrt(pairwise_sq_dists(y_next))
-        nxt = _stress(q, dist)
+        nxt = _stress(q_pairs, dist[upper])
         if stress_trace is not None:
             stress_trace.append(nxt)
         if not np.isfinite(nxt):

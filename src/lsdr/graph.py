@@ -144,12 +144,18 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
 
 
 def _csr(g: ManifoldGraph) -> csr_matrix:
-    """The n x n edge-length matrix, upper triangle only.
+    """The symmetric n x n edge-length matrix: each edge in both directions.
 
-    Zero-length edges (coincident points) stay as explicit entries, which
+    Searches over it run with ``directed=True``, which scans one row per
+    settled vertex where ``directed=False`` would transpose the matrix and
+    scan two. It is built from one set of (u, v) and (v, u) triples, not as
+    ``m + m.T``: sparse addition drops explicit zeros, and zero-length edges
+    (coincident points) must stay as explicit entries, which
     ``scipy.sparse.csgraph`` treats as edges.
     """
-    return csr_matrix((g.lengths, (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n))
+    u, v = g.edges.T
+    lengths = np.concatenate([g.lengths, g.lengths])
+    return csr_matrix((lengths, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n))
 
 
 def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:
@@ -163,7 +169,7 @@ def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:
     src = [int(s) for s in sources]
     if not src:
         raise ValidationError("graph_distances needs at least one source")
-    return GeodesicDistances(sources=src, dists=dijkstra(_csr(g), directed=False, indices=src))
+    return GeodesicDistances(sources=src, dists=dijkstra(_csr(g), directed=True, indices=src))
 
 
 def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
@@ -186,7 +192,7 @@ def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
         raise ValidationError("nearest_source_distances needs at least one source")
     if len(np.unique(src)) != len(src):
         raise ValidationError("nearest_source_distances needs distinct sources")
-    near, _, label = dijkstra(_csr(g), directed=False, indices=src, min_only=True, return_predecessors=True)
+    near, _, label = dijkstra(_csr(g), directed=True, indices=src, min_only=True, return_predecessors=True)
     # both ends of an edge are reached, or neither is and both carry the
     # same "unreached" label
     u, v = g.edges.T

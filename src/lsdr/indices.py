@@ -34,6 +34,7 @@ __all__ = [
     "trustability_index",
     "TransformResult",
     "TciReport",
+    "check_transform_subsample",
     "tractable_consistency_index",
     "check_knn_k",
     "knn_metrics",
@@ -349,6 +350,12 @@ def _positive_distance_median(points: np.ndarray) -> float:
         width[1] *= 4.0 if high >= len(inside) else 1.0
 
 
+def check_transform_subsample(count: int | None) -> None:
+    """Reject a consistency-index transform subsample below 1 (None is the full set)."""
+    if count is not None and count < 1:
+        raise ValidationError(f"transform subsample must be at least 1, got {count}")
+
+
 def tractable_consistency_index(
     alg: AlgorithmAdapter,
     x,
@@ -356,6 +363,8 @@ def tractable_consistency_index(
     kernel: KernelSpec,
     transform_subsample: int | None = None,
     seed: int = 0,
+    *,
+    base: np.ndarray | None = None,
 ) -> TciReport:
     """Worst-case output movement over the finite boundary transform set.
 
@@ -383,12 +392,21 @@ def tractable_consistency_index(
     median positive pairwise output distance from ``_positive_distance_median``,
     and the reconstruction x_hat is fitted and evaluated on row blocks of its
     kernel, so memory grows with n, not n^2.
+
+    ``base`` is the output on the untransformed data, ``alg.reduce(d,
+    x).coords``, for a caller that already has it; without it the index
+    reduces x itself. A given base must be a finite (n, d) array, else
+    ``ValidationError``.
     """
-    if transform_subsample is not None and transform_subsample < 1:
-        raise ValidationError(f"transform subsample must be at least 1, got {transform_subsample}")
+    check_transform_subsample(transform_subsample)
     x = as_matrix(x, "data")
     n, p = x.shape
-    base = alg.reduce(d, x).coords
+    if base is None:
+        base = alg.reduce(d, x).coords
+    else:
+        base = as_matrix(base, "base")
+        if base.shape != (n, d):
+            raise ValidationError(f"base has shape {base.shape}, expected {(n, d)}")
 
     kernel_y = KernelSpec("gaussian", _positive_distance_median(base))
     keep = distinct_rows(x)

@@ -63,7 +63,7 @@ def boundary_distances(g: ManifoldGraph, boundary) -> np.ndarray:
     members = sorted(int(b) for b in boundary)
     if not members:
         raise ValidationError("boundary set is empty")
-    return dijkstra(_csr(g), directed=False, indices=members, min_only=True)
+    return dijkstra(_csr(g), directed=True, indices=members, min_only=True)
 
 
 def _neighbour_table(g: ManifoldGraph, k: int) -> np.ndarray:

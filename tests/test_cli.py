@@ -4,15 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lsdr
-from lsdr import pipeline
+from lsdr import cli, pipeline
 from lsdr.cli import main
-from lsdr.errors import DegeneracyWarning
+from lsdr.errors import DegeneracyWarning, NumericalError, ValidationError
 from lsdr.serialize import read_point_cloud, write_json
 
 from test_graph import assert_dump_matches
@@ -263,6 +264,69 @@ class TestIndex:
         write_json(tmp_path / "expected.json", expected)
         assert both.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "adapter, flags",
+        [(lsdr.PcaAdapter(), ["--ti"]), (lsdr.IdentityAdapter(), ["--ti"]), (lsdr.LsdrAdapter(), [])],
+    )
+    def test_report_is_the_serial_library_calls(self, tmp_path, adapter, flags):
+        # kNN runs on a worker thread beside TI, the bandwidth and the TCI; the
+        # report is the one the library's serial calls give, byte for byte
+        # (lsdr has no TI: its full-dimensional reduction is a usage error)
+        data = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", 120, "--seed", 1, "--out", data])
+        out = tmp_path / "idx.json"
+        threads = threading.active_count()
+        assert run(["index", data, "--algo", adapter.name, *flags, "--tci", "--knn", "--d", 2,
+                    "--transforms", 3, "--out", out]) == 0  # fmt: skip
+        assert threading.active_count() == threads
+        cloud = read_point_cloud(data)
+        expected = lsdr.IndexReport(algorithm=adapter.name, dataset="roll", n=len(cloud))
+        if flags:
+            expected.ti = lsdr.trustability_index(adapter, cloud)
+        sigma = pipeline.transform_bandwidth(cloud)
+        expected.tci = lsdr.tractable_consistency_index(
+            adapter, cloud, 2, lsdr.KernelSpec("gaussian", sigma), transform_subsample=3
+        )
+        expected.tci_bandwidth = sigma
+        expected.knn_k = 5
+        expected.tsi, expected.trustworthiness, expected.continuity = lsdr.knn_metrics(cloud, expected.tci.base, 5)
+        write_json(tmp_path / "expected.json", expected.to_dict())
+        assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert out.with_suffix(".csv").read_text() == "\n".join(expected.csv_row()) + "\n"
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            # the bandwidth fails before the kNN result is collected
+            (["--tci", "--knn"], 4, "ERROR numerical: no bandwidth"),
+            (["--knn"], 2, "ERROR usage: no kNN"),
+            # lsdr has no full-dimensional reduction; TI fails first
+            (["--algo", "lsdr", "--ti", "--tci", "--knn"], 2, "ERROR usage: target dimension must satisfy d < p"),
+            # the index checks its subsample before the reduction fails
+            (["--tci", "--knn", "--bandwidth", 1, "--transforms", 0, "--d", 5], 2,
+             "ERROR usage: transform subsample must be at least 1"),
+            (["--tci", "--knn", "--bandwidth", 1, "--d", 5], 2, "ERROR usage: pca target dimension must satisfy"),
+        ],
+    )  # fmt: skip
+    def test_errors_come_in_the_serial_order(self, tmp_path, monkeypatch, capsys, args, code, message):
+        data = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", 60, "--seed", 1, "--out", data])
+        capsys.readouterr()
+
+        def fails(error, text):
+            def raises(*args, **kwargs):
+                raise error(text)
+
+            return raises
+
+        monkeypatch.setattr(cli, "transform_bandwidth", fails(NumericalError, "no bandwidth"))
+        monkeypatch.setattr(cli, "knn_metrics", fails(ValidationError, "no kNN"))
+        threads = threading.active_count()
+        assert run(["index", data, *args, "--out", tmp_path / "idx.json"]) == code
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not (tmp_path / "idx.json").exists()
 
     def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the reconstruction's kernel products are row blocks of 2**18 floats

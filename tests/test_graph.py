@@ -13,9 +13,11 @@ from lsdr.datasets import DatasetSpec, generate
 from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst, vertex_stars
 from lsdr.graph import (
     ManifoldGraph,
+    _csr,
     _star_scan,
     dump_edge_list,
     graph_distances,
+    nearest_source_distances,
     _star_thresholds,
     prune_edges,
 )
@@ -406,8 +408,14 @@ class TestGraphDistances:
         # coincident points give an explicit zero in the sparse length
         # matrix; dropping it as a structural zero would disconnect vertex 0
         g = build_graph([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [(0, 1), (1, 2)])
+        # each edge in both directions, the zero kept as an explicit entry
+        matrix = _csr(g)
+        assert matrix.nnz == 4 and matrix[0, 1] == matrix[1, 0] == 0.0
         assert graph_distances(g, [0, 2]).dists.tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         assert boundary_distances(g, [0]).tolist() == [0.0, 0.0, 1.0]
+        assert boundary_distances(g, [2]).tolist() == [1.0, 1.0, 0.0]
+        assert nearest_source_distances(g, [0, 1]).tolist() == [0.0, 0.0]
+        assert nearest_source_distances(g, [0, 2]).tolist() == [1.0, 1.0]
 
     def test_row_and_block_follow_the_source_order(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [(0, 1), (1, 2)])

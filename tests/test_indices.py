@@ -224,6 +224,35 @@ class TestTractableConsistencyIndex:
         with pytest.raises(ValidationError):
             tractable_consistency_index(PcaAdapter(), x, 1, KernelSpec("gaussian", None))
 
+    @pytest.mark.parametrize("alg", [PcaAdapter(), IdentityAdapter()])
+    def test_a_given_base_gives_the_same_report(self, alg):
+        x = generate(DatasetSpec("swiss_roll", 80, seed=2))
+        kernel = KernelSpec("gaussian", 1.5)
+        own = tractable_consistency_index(alg, x, 2, kernel, transform_subsample=20, seed=4)
+        given = tractable_consistency_index(
+            alg, x, 2, kernel, transform_subsample=20, seed=4, base=alg.reduce(2, x).coords
+        )
+        assert _as_rows(given) == _as_rows(own)
+        assert (given.value, given.subsampled, given.n_transforms_total) == (
+            own.value,
+            own.subsampled,
+            own.n_transforms_total,
+        )
+        assert np.array_equal(given.base, own.base)
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            (np.zeros((12, 1)), r"base has shape \(12, 1\), expected \(12, 2\)"),
+            (np.zeros((11, 2)), r"base has shape \(11, 2\), expected \(12, 2\)"),
+            (np.full((12, 2), np.nan), "base contains non-finite entries"),
+        ],
+    )
+    def test_rejects_a_wrong_base(self, base, message):
+        x = np.random.default_rng(1).standard_normal((12, 3))
+        with pytest.raises(ValidationError, match=message):
+            tractable_consistency_index(PcaAdapter(), x, 2, KernelSpec("gaussian", 1.0), base=base)
+
 
 def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0):
     """The consistency scan one transform at a time: a bump column added to

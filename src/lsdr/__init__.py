@@ -20,7 +20,6 @@ from .embedding import (
     nadaraya_embed,
     reconstruct,
     recommended_bandwidth,
-    stress,
 )
 from .errors import (
     DegeneracyError,
@@ -45,7 +44,7 @@ from .indices import (
     trustability_index,
 )
 from .numerics import beta_quantile, pairwise_sq_dists, sym_eigen
-from .pipeline import LsdrAdapter, LsdrConfig, LsdrResult, lsdr, pre_reduce
+from .pipeline import LsdrAdapter, LsdrConfig, LsdrResult, lsdr
 from .skeleton import SkeletonReport, boundary_distances, detect_boundary, mark_skeleton
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "nadaraya_embed",
     "reconstruct",
     "recommended_bandwidth",
-    "stress",
     "DegeneracyError",
     "DegeneracyWarning",
     "InputParseError",
@@ -93,7 +91,6 @@ __all__ = [
     "LsdrConfig",
     "LsdrResult",
     "lsdr",
-    "pre_reduce",
     "SkeletonReport",
     "boundary_distances",
     "detect_boundary",

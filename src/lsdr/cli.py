@@ -102,7 +102,10 @@ def _dataset_spec(args) -> DatasetSpec:
     if args.clusters is not None:
         params["clusters"] = args.clusters
     if args.gaps is not None:
-        params["gaps"] = [float(g) for g in args.gaps.split(":")]
+        try:
+            params["gaps"] = [float(g) for g in args.gaps.split(":")]
+        except ValueError:
+            raise ValidationError(f"dataset gaps must be colon-separated numbers, got {args.gaps!r}") from None
     if args.separation is not None:
         params["separation"] = args.separation
     if args.turns is not None:
@@ -258,8 +261,9 @@ def cmd_index(args, argv: list[str]) -> int:
 def cmd_rerun(args, argv: list[str]) -> int:
     manifest = read_json(args.manifest)
     stored = manifest.get("argv") if isinstance(manifest, dict) else None
-    if not stored:
-        return _fail("input-parse", "manifest does not record an argv", EXIT_PARSE)
+    strings = isinstance(stored, list) and all(isinstance(arg, str) for arg in stored)
+    if not strings or stored[:1] not in (["generate"], ["reduce"], ["index"]):
+        return _fail("input-parse", "manifest does not record the argv of a generate, reduce or index run", EXIT_PARSE)
     recorded, now = manifest.get("blas_threads"), _blas_threads()
     if recorded is not None and recorded != now:
         print(

@@ -25,7 +25,6 @@ __all__ = [
     "Reconstructor",
     "kernel_matrix",
     "metric_mds",
-    "stress",
     "nadaraya_embed",
     "recommended_bandwidth",
     "distinct_rows",
@@ -124,16 +123,6 @@ def classical_scaling(q: np.ndarray, d: int) -> np.ndarray:
     eigenvalues, eigenvectors = sym_eigen(b)
     top = np.clip(eigenvalues[:d], 0.0, None)
     return eigenvectors[:, :d] * np.sqrt(top)
-
-
-def stress(q, y) -> float:
-    """Square root of the summed squared distance mismatches over pairs i<j."""
-    q = _validate_distance_matrix(q)
-    y = as_matrix(y, "configuration")
-    if y.shape[0] != q.shape[0]:
-        raise ValidationError("configuration and distance matrix disagree on n")
-    upper = np.triu(np.ones(q.shape, dtype=bool), 1)
-    return _stress(q[upper], np.sqrt(pairwise_sq_dists(y))[upper])
 
 
 def _stress(q_pairs: np.ndarray, dist_pairs: np.ndarray) -> float:

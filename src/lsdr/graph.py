@@ -61,34 +61,23 @@ def _star_thresholds(p: int, alpha: float, max_star: int) -> list[float]:
     ]
 
 
-def _star_scan(
-    sq: np.ndarray,
-    owner: np.ndarray,
-    column: np.ndarray,
-    counts: np.ndarray,
-    thresholds: list[float],
-) -> np.ndarray:
+def _star_scan(sq: np.ndarray, owner: np.ndarray, counts: np.ndarray, thresholds: list[float]) -> np.ndarray:
     """Which incidences the Beta test of their vertex's star rejects.
 
     ``sq`` holds the squared length of each incidence, 0.0 for an incidence
-    whose edge is gone, and the other arrays place it as ``vertex_stars``
-    returns them, with ``counts`` the live star sizes. The statistic of edge
-    e_j is its squared length over the star's total; under a local Gaussian
-    model it follows Beta(p/2, (k-1)p/2) for a star of size k, and
-    ``thresholds[k]`` is its quantile. Each total is a left fold in edge-id
-    order, summed column by column over a zero-padded (n, K) table of the
-    stars; adding a gone edge's 0.0 is exact. ``sum()`` compensates its
-    rounding from Python 3.12 on and ``math.fsum`` rounds once, so either
-    would move statistics that sit at the threshold. Stars of size one are
-    exempt (``thresholds`` holds inf there), and a total of zero rejects
-    nothing.
+    whose edge is gone, ``owner`` its vertex as ``vertex_stars`` returns it,
+    and ``counts`` the live star sizes. The statistic of edge e_j is its
+    squared length over the star's total; under a local Gaussian model it
+    follows Beta(p/2, (k-1)p/2) for a star of size k, and ``thresholds[k]``
+    is its quantile. ``np.bincount`` adds its weights in input order, and
+    the incidences come grouped by vertex with edge ids ascending, so each
+    total is a left fold from 0.0 in edge-id order; adding a gone edge's
+    0.0 is exact. ``sum()`` compensates its rounding from Python 3.12 on and
+    ``math.fsum`` rounds once, so either would move statistics that sit at
+    the threshold. Stars of size one are exempt (``thresholds`` holds inf
+    there), and a total of zero rejects nothing.
     """
-    table = np.zeros((len(counts), column.max(initial=-1) + 1))
-    table[owner, column] = sq
-    total = np.zeros(len(counts))
-    for entries in table.T:
-        total += entries
-    total = total[owner]
+    total = np.bincount(owner, weights=sq, minlength=len(counts))[owner]
     stat = np.divide(sq, total, out=np.zeros_like(sq), where=total > 0.0)
     return stat > np.array(thresholds)[counts][owner]
 
@@ -119,14 +108,14 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     # squares by Python's float power: numpy's square rounds differently on
     # about one length in a thousand, which moves statistics at the threshold
     sq = np.array([length**2 for length in tess.lengths.tolist()])
-    position, owner, column, counts = vertex_stars(tess.edges, n)
+    position, owner, _, counts = vertex_stars(tess.edges, n)
     ids = position // 2
     thresholds = _star_thresholds(p, alpha, int(counts.max(initial=0)))
     alive = np.ones(len(sq), dtype=bool)
     while True:
         live = alive[ids]
         sizes = np.bincount(owner[live], minlength=n)
-        rejects = _star_scan(np.where(live, sq[ids], 0.0), owner, column, sizes, thresholds)
+        rejects = _star_scan(np.where(live, sq[ids], 0.0), owner, sizes, thresholds)
         removed = ids[rejects & ~in_tree[ids]]
         if len(removed) == 0:
             break

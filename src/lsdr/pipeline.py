@@ -53,7 +53,6 @@ __all__ = [
     "LsdrConfig",
     "LsdrResult",
     "lsdr",
-    "pre_reduce",
     "transform_bandwidth",
     "LsdrAdapter",
 ]
@@ -114,17 +113,6 @@ def _principal_scores(x: np.ndarray) -> tuple[np.ndarray, int]:
     return u[:, :rank] * s[:rank], rank
 
 
-def pre_reduce(x) -> np.ndarray:
-    """Distance-preserving reduction to the cloud's affine rank.
-
-    The principal-component scores of the centered cloud, as many columns as
-    its rank: classical scaling of the exact Euclidean distances (Gower 1966),
-    so all pairwise distances survive; useful when n < p or when a caller
-    wants the minimal exact coordinates.
-    """
-    return _principal_scores(as_matrix(x, "data"))[0]
-
-
 def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
     """The cloud the stages run on, and whether it differs from ``x``.
 
@@ -174,9 +162,8 @@ def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
 
 
 def _mean_distance(work: np.ndarray) -> float:
-    """Mean of the n x n distance matrix of ``work``, summed in row blocks: bit
-    for bit the full matrix's mean while n <= 512 (one block), within n * eps
-    relative of it beyond."""
+    """Mean of the n x n distance matrix of ``work``, summed in row blocks:
+    within n * eps relative of the full matrix's mean."""
     n = len(work)
     total = 0.0
     for rows in _row_blocks(n, n):

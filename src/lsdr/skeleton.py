@@ -75,9 +75,9 @@ def _neighbour_table(g: ManifoldGraph, k: int) -> np.ndarray:
     neighbour of the vertex it settled. That is the pop order of a heap of
     (distance, vertex) pairs exactly, zero-length edges and sums that w
     does not change included: an unsettled vertex's smallest candidate is
-    the distance a heap run would hold for it. A step scans every row of
-    candidates, and rows widen with k: per-vertex heap runs are faster from
-    about k = 30 on (2-3 times at k = 149); the pipeline's default k is 3.
+    the distance a heap run would hold for it. Settled and padding entries
+    stay in the table as (inf, n), so each step widens every row by the
+    largest star and scans all of it; the pipeline's default k is 3.
     """
     if k < 1:
         raise ValidationError(f"neighbour count must be at least 1, got {k}")
@@ -106,25 +106,7 @@ def _neighbour_table(g: ManifoldGraph, k: int) -> np.ndarray:
         cand_v[gone] = n
         cand_d[gone] = np.inf
         settled = np.column_stack([settled, vertex])
-        # squeeze out settled and padding entries once they fill half the table
-        live = cand_v < n
-        width = live.sum(axis=1).max(initial=0)
-        if 2 * width <= live.shape[1]:
-            keep = np.argsort(~live, axis=1, kind="stable")[:, :width]
-            cand_v = np.take_along_axis(cand_v, keep, axis=1)
-            cand_d = np.take_along_axis(cand_d, keep, axis=1)
     return settled[:, 1:]
-
-
-def graph_neighbours(g: ManifoldGraph, k: int) -> list[list[int]]:
-    """The k nearest graph neighbours of each vertex (self excluded).
-
-    Neighbourhoods are the settling order of a truncated Dijkstra from each
-    vertex, so ties in distance resolve by vertex index. Disconnected
-    vertices cannot occur (spanning-tree edges guarantee connectivity), but
-    a vertex can have fewer than k reachable peers only when k >= n.
-    """
-    return [[u for u in row if u < g.n] for row in _neighbour_table(g, k).tolist()]
 
 
 def mark_skeleton(g: ManifoldGraph, d_b: np.ndarray, k: int) -> list[int]:

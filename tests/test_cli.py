@@ -70,6 +70,7 @@ class TestGenerate:
             (["--family", "gaussian_clusters", "--separation", "inf"], "dataset separation must be finite, got inf"),
             (["--family", "two_linear_clusters", "--separation", "nan"], "dataset separation must be finite, got nan"),
             (["--family", "gaussian_clusters", "--gaps", "1:inf"], "dataset gaps must be finite, got [1.0, inf]"),
+            (["--family", "gaussian_clusters", "--clusters", 3, "--gaps", "1:x"], "dataset gaps must be colon-separated numbers, got '1:x'"),
         ],
     )  # fmt: skip
     def test_an_out_of_range_dataset_flag_is_a_usage_error(self, tmp_path, capsys, flags, message):
@@ -462,7 +463,15 @@ class TestErrorsAndRerun:
 
     def test_rerun_of_a_malformed_manifest_is_a_parse_error(self, tmp_path, capsys):
         manifest = tmp_path / "bad.manifest.json"
-        for text in ('{"argv": ["generate",', '["generate"]'):
+        malformed = [
+            '{"argv": ["generate",',
+            '["generate"]',
+            json.dumps({"argv": ["rerun", str(manifest)]}),
+            '{"argv": [1, 2]}',
+            '{"argv": ["generate", null]}',
+            '{"argv": "reduce"}',
+        ]
+        for text in malformed:
             manifest.write_text(text)
             assert run(["rerun", manifest]) == 3
             err = capsys.readouterr().err.splitlines()

@@ -7,6 +7,7 @@ from lsdr.datasets import DatasetSpec, spiral_with_angle
 from lsdr import numerics
 from lsdr.embedding import (
     KernelSpec,
+    _stress,
     classical_scaling,
     distinct_rows,
     embed_out_of_sample,
@@ -17,7 +18,6 @@ from lsdr.embedding import (
     nadaraya_embed,
     reconstruct,
     recommended_bandwidth,
-    stress,
 )
 from lsdr.errors import ValidationError
 from lsdr.graph import GeodesicDistances
@@ -28,6 +28,12 @@ from lsdr.skeleton import SkeletonReport
 
 def euclidean_distances(x):
     return np.sqrt(pairwise_sq_dists(x))
+
+
+def stress(q, y):
+    """The sum MDS stops on: distance mismatches over pairs i < j, row-major."""
+    upper = np.triu(np.ones(q.shape, dtype=bool), 1)
+    return _stress(q[upper], euclidean_distances(y)[upper])
 
 
 def swiss_roll(n, seed, noise=0.05):
@@ -101,6 +107,11 @@ class TestMetricMds:
         y = metric_mds(q, 2, stress_trace=trace)
         assert len(trace) > 1
         assert trace[-1] == stress(q, y)
+        total = 0.0
+        for i in range(30):
+            for j in range(i + 1, 30):
+                total += (q[i, j] - np.linalg.norm(y[i] - y[j])) ** 2
+        assert trace[-1] == pytest.approx(np.sqrt(total), rel=1e-12)
 
     def test_rejects_asymmetric_input(self):
         q = np.array([[0.0, 1.0], [2.0, 0.0]])

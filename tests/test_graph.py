@@ -141,7 +141,7 @@ class TestPruneEdges:
         thresholds = [np.inf, np.inf, np.inf, 1.0 - 2.0**-53]
         assert math.fsum(sq) == 1.0 + 2.0**-52
         assert 1.0 / math.fsum(sq) < thresholds[3] < 1.0
-        rejects = _star_scan(np.array(sq), np.zeros(3, dtype=np.intp), np.arange(3), np.array([3]), thresholds)
+        rejects = _star_scan(np.array(sq), np.zeros(3, dtype=np.intp), np.array([3]), thresholds)
         assert rejects.tolist() == [True, False, False]
 
     def test_array_scan_totals_are_left_folds(self):
@@ -163,7 +163,7 @@ class TestPruneEdges:
             sq[live] = np.concatenate(stars)
             for edge in (at, np.nextafter(at, 0.0).tolist()):
                 thresholds = [np.inf, np.inf, *edge]
-                rejects = _star_scan(sq, owner, column, counts, thresholds)
+                rejects = _star_scan(sq, owner, counts, thresholds)
                 assert not rejects[~live].any()
                 expected = [left_fold_rejections(star, thresholds) for star in stars]
                 got = [np.flatnonzero(rejects[live & (owner == v)]).tolist() for v in range(len(counts))]
@@ -238,12 +238,12 @@ class TestPruneEdges:
         pts = rng.uniform(0, 1, (60, 2))
         tess = delaunay_tessellation(pts)
         sq = np.array([length**2 for length in tess.lengths.tolist()])
-        position, owner, column, counts = vertex_stars(tess.edges, tess.n)
+        position, owner, _, counts = vertex_stars(tess.edges, tess.n)
         ids = position // 2
 
         def one_shot_survivors(alpha):
             thresholds = _star_thresholds(tess.p, alpha, int(counts.max()))
-            rejected = ids[_star_scan(sq[ids], owner, column, counts, thresholds)]
+            rejected = ids[_star_scan(sq[ids], owner, counts, thresholds)]
             return set(range(len(sq))) - set(rejected.tolist())
 
         previous = None

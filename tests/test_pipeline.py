@@ -21,7 +21,7 @@ from lsdr.errors import DegeneracyWarning, LsdrError, ValidationError
 from lsdr.graph import graph_distances, nearest_source_distances
 from lsdr.indices import procrustes_fit, tractable_consistency_index
 from lsdr.numerics import pairwise_sq_dists
-from lsdr.pipeline import LsdrAdapter, LsdrConfig, lsdr, pre_reduce, transform_bandwidth
+from lsdr.pipeline import LsdrAdapter, LsdrConfig, _principal_scores, lsdr, transform_bandwidth
 from lsdr.serialize import write_point_cloud
 
 from test_graph import is_connected
@@ -220,7 +220,7 @@ class TestDegenerateInputs:
         assert res.pre_reduced
         assert res.working_points.shape == (60, 6)
         # the cap keeps the first six principal components, bit for bit
-        assert np.array_equal(res.working_points, pre_reduce(x)[:, :6])
+        assert np.array_equal(res.working_points, _principal_scores(x)[0][:, :6])
         assert np.all(np.isfinite(res.embedding.coords))
 
     def test_rejects_d_not_below_p(self):
@@ -233,7 +233,7 @@ class TestPreReduce:
     def test_triangle_side_lengths_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 10))
-        reduced = pre_reduce(x)
+        reduced = _principal_scores(x)[0]
         assert reduced.shape[1] <= 2
         orig = np.sqrt(pairwise_sq_dists(x))
         new = np.sqrt(pairwise_sq_dists(reduced))
@@ -241,13 +241,13 @@ class TestPreReduce:
 
     def test_collinear_triple_lands_in_one_dimension(self):
         x = np.outer([0.0, 1.0, 2.0], np.ones(10))
-        reduced = pre_reduce(x)
+        reduced = _principal_scores(x)[0]
         assert reduced.shape[1] == 1
 
     def test_five_points_in_fifty_dimensions(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 50))
-        reduced = pre_reduce(x)
+        reduced = _principal_scores(x)[0]
         assert reduced.shape[1] <= 4
         orig = np.sqrt(pairwise_sq_dists(x))
         new = np.sqrt(pairwise_sq_dists(reduced))
@@ -258,7 +258,7 @@ class TestPreReduce:
     def test_low_dimensional_input_is_a_rigid_motion(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((20, 2))
-        reduced = pre_reduce(x)
+        reduced = _principal_scores(x)[0]
         assert reduced.shape == (20, 2)
         fit = procrustes_fit(x, reduced)
         assert fit.residual < 1e-12 * 20

@@ -162,8 +162,6 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
     if stress_trace is not None:
         stress_trace.append(current)
     scale = float(q.max())
-    if scale == 0.0:
-        return y
     for _ in range(MDS_MAX_ITER):
         if current <= 1e-14 * scale:
             break

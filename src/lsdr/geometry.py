@@ -25,7 +25,7 @@ from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegeneracyError, ValidationError
-from .numerics import as_matrix
+from .numerics import _paired_sq_dists, as_matrix
 
 __all__ = ["Tessellation", "SpanningTree", "delaunay_tessellation", "euclidean_mcst"]
 
@@ -98,15 +98,10 @@ def _lexicographic(rows: np.ndarray) -> np.ndarray:
 def edge_lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Euclidean length of each (i, j) row of ``edges``.
 
-    Squared coordinate differences are summed one coordinate after another,
-    the order ``pairwise_sq_dists`` uses, so each length equals
+    The squares come from ``_paired_sq_dists``, so each length equals
     ``sqrt(pairwise_sq_dists(points))[i, j]`` bit for bit.
     """
-    diff = points[edges[:, 0]] - points[edges[:, 1]]
-    sq = np.zeros(len(edges))
-    for column in diff.T:
-        sq += column * column
-    return np.sqrt(sq)
+    return np.sqrt(_paired_sq_dists(points[edges[:, 0]], points[edges[:, 1]]))
 
 
 def singular_rank(s: np.ndarray) -> int:

@@ -22,7 +22,7 @@ from .embedding import (
 )
 from . import numerics
 from .errors import ValidationError
-from .numerics import _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _paired_sq_dists, _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
 
 __all__ = [
     "ProcrustesFit",
@@ -287,8 +287,7 @@ def _sampled_sq_distances(points: np.ndarray) -> np.ndarray:
     first = rng.integers(n, size=size)
     second = rng.integers(n - 1, size=size)
     second += second >= first
-    diff = points[first] - points[second]
-    return np.einsum("ij,ij->i", diff, diff)
+    return _paired_sq_dists(points[first], points[second])
 
 
 def _bracket_pass(points: np.ndarray, lo: float, hi: float) -> tuple[int, int, np.ndarray]:
@@ -590,16 +589,7 @@ class IndexReport:
             data["tci_normalized"] = self.tci.value / self.n
             data["tci_subsampled_lower_bound"] = self.tci.subsampled
             data["tci_transforms_total"] = self.tci.n_transforms_total
-            data["tci_contributions"] = [
-                {
-                    "point_index": t.point_index,
-                    "axis": t.axis,
-                    "residual": t.residual,
-                    "failed": t.failed,
-                    "message": t.message,
-                }
-                for t in self.tci.contributions
-            ]
+            data["tci_contributions"] = [vars(t).copy() for t in self.tci.contributions]
         return data
 
     def csv_row(self) -> tuple[str, str]:

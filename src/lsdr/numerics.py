@@ -1,6 +1,6 @@
 """Validated numerics: one eigendecomposition wrapper, the Beta CDF and
-quantile behind the edge-pruning threshold, pairwise squared distances and
-the row blocks that bound the size of dense work.
+quantile behind the edge-pruning threshold, pairwise and paired squared
+distances and the row blocks that bound the size of dense work.
 
 ``sym_eigen`` wraps LAPACK (via numpy). ``regularized_incomplete_beta`` and
 ``beta_quantile`` wrap ``scipy.special.betainc`` and ``betaincinv``, adding
@@ -93,6 +93,19 @@ def pairwise_sq_dists(a, b=None) -> np.ndarray:
             f"point clouds must share their dimension, got {a.shape[1]} and {b.shape[1]}"
         )
     return cdist(a, b, "sqeuclidean")
+
+
+def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between row i of ``a`` and row i of ``b``.
+
+    The squared coordinate differences are summed one coordinate after
+    another, the order ``pairwise_sq_dists`` uses, so each entry equals the
+    matching entry of ``pairwise_sq_dists(a, b)`` bit for bit.
+    """
+    sq = np.zeros(len(a))
+    for column in (a - b).T:
+        sq += column * column
+    return sq
 
 
 # Dense work is sized to about this many floats (2 MB) per array: row blocks

@@ -10,13 +10,14 @@ Rank-deficient (noise-free) clouds are first trimmed to their affine rank by
 an exact distance-preserving reduction and processed there; clouds wider
 than the tessellation's dimension cap keep their first ``DIMENSION_CAP``
 principal components. Only rank-one clouds, where no tessellation exists,
-degrade to plain metric MDS on all points, as do clouds whose every point
-lands on the boundary, clouds with no boundary point and clouds with fewer
-than d + 1 skeletal points, too few for metric MDS to place d dimensions.
-Every embedding therefore has exactly d columns. The kernel is always the
-Gaussian; only its bandwidth is a choice. ``transform_bandwidth`` takes the
-same working cloud, stages and fallbacks at d = 1, so its bandwidth is the
-one ``lsdr`` would use.
+degrade to plain metric MDS on all points, as do clouds with no boundary
+point and clouds with fewer than d + 1 skeletal points, too few for metric
+MDS to place d dimensions; an all-boundary cloud is embedded by metric MDS
+of its full geodesic matrix. Every embedding has exactly d columns.
+``_stages`` decides every fallback, and ``lsdr`` warns once for it. The
+kernel is always the Gaussian; only its bandwidth is a choice.
+``transform_bandwidth`` takes the same working cloud, stages and fallbacks
+at d = 1, so its bandwidth is the one ``lsdr`` would use.
 """
 
 import warnings
@@ -133,9 +134,13 @@ def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return work, True
 
 
+_ALL_BOUNDARY = "all points on the boundary"
+
+
 @dataclass
 class _Stages:
-    """Graph and skeleton, or the reason the pipeline cannot use them."""
+    """Graph and skeleton, and the reason for a fallback if the pipeline
+    takes one; ``_stages`` is the only code that gives a reason."""
 
     reason: str | None = None
     graph: ManifoldGraph | None = None
@@ -154,6 +159,8 @@ def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
         skeleton = skeleton_report(graph, cfg.k)
     except DegeneracyError as exc:
         return _Stages(str(exc), graph)
+    if len(skeleton.boundary_points) == len(work):
+        return _Stages(_ALL_BOUNDARY, graph, skeleton)
     skeletal = skeleton.skeletal_points
     if len(skeletal) <= cfg.d:
         # metric MDS places d dimensions only from at least d + 1 points
@@ -172,8 +179,8 @@ def _mean_distance(work: np.ndarray) -> float:
 
 
 def _bandwidth(stages: _Stages, work: np.ndarray) -> float:
-    """The skeleton's recommended bandwidth; the mean pairwise distance when
-    the stages give no skeleton or the rule gives 0."""
+    """The skeleton's recommended bandwidth; the mean pairwise distance on
+    every fallback (the all-boundary one too) or when the rule gives 0."""
     if stages.reason is None:
         nearest = nearest_source_distances(stages.graph, stages.skeleton.skeletal_points)
         sigma = recommended_bandwidth(stages.skeleton, nearest)
@@ -194,18 +201,17 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
     stages = _stages(work, cfg)
     reason = stages.reason
     geodesics = None
-    if reason is not None:
-        mds_coords = metric_mds(np.sqrt(pairwise_sq_dists(work)), cfg.d)
-    else:
+    if reason in (None, _ALL_BOUNDARY):
+        # on the all-boundary fallback every point is skeletal, so q is the
+        # full geodesic matrix
         skeletal = stages.skeleton.skeletal_points
         geodesics = graph_distances(stages.graph, skeletal)
         q = geodesics.dists[:, skeletal]
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
         mds_coords = metric_mds(q, cfg.d)
-        if len(stages.skeleton.boundary_points) == n:
-            # every point is skeletal, so q is the full geodesic matrix
-            reason = "all points on the boundary"
+    else:
+        mds_coords = metric_mds(np.sqrt(pairwise_sq_dists(work)), cfg.d)
 
     params = {"alpha": cfg.alpha, "k": cfg.k, "d": cfg.d}
     sigma = None
@@ -240,8 +246,9 @@ def transform_bandwidth(x, alpha: float = 0.95, k: int = 3, seed: int = 0) -> fl
     The bandwidth ``lsdr`` picks at these parameters, by construction: the
     same working cloud, stages and ``_bandwidth``, which reads each skeletal
     point's nearest other one from ``nearest_source_distances`` and needs no
-    geodesic rows. Clouds without a tessellation fall back to the mean
-    pairwise distance of the working cloud.
+    geodesic rows. Every fallback ``lsdr`` takes at d = 1 (no tessellation,
+    no boundary point, too few skeletal points, every point on the boundary)
+    gives the mean pairwise distance of the working cloud.
     """
     cfg = LsdrConfig(d=1, alpha=alpha, k=k, seed=seed)
     work, _ = _working_cloud(as_matrix(x, "data"))

@@ -6,13 +6,12 @@ whose graph distance to the boundary is not exceeded among their k nearest
 graph neighbours, i.e. the locally deepest points of the cloud.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import DegeneracyError, DegeneracyWarning, ValidationError
+from .errors import DegeneracyError, ValidationError
 from .geometry import vertex_stars
 from .graph import ManifoldGraph, _csr
 
@@ -46,14 +45,11 @@ class SkeletonReport:
 
 
 def detect_boundary(g: ManifoldGraph) -> list[int]:
-    """Vertices incident to an edge lying in at most one surviving simplex."""
-    if len(g.simplices) == 0:
-        warnings.warn(
-            "graph has no surviving simplices; every point is a boundary point",
-            DegeneracyWarning,
-            stacklevel=2,
-        )
-        return list(range(g.n))
+    """Vertices incident to an edge lying in at most one surviving simplex.
+
+    A graph with no surviving simplex has every edge in none, so every vertex
+    of a connected graph is a boundary point.
+    """
     counts = np.bincount(g.simplex_edge_ids().ravel(), minlength=len(g.edges))
     return np.unique(g.edges[counts <= 1]).tolist()
 
@@ -117,7 +113,7 @@ def mark_skeleton(g: ManifoldGraph, d_b: np.ndarray, k: int) -> list[int]:
     1e-12 tolerance; points deeper than all their neighbours are therefore
     always skeletal. Boundary points (depth zero) never qualify: the skeleton
     and the boundary are disjoint except in the degenerate all-boundary case,
-    which the report-level fallback handles separately.
+    where ``skeleton_report`` marks every point skeletal instead.
     """
     d_b = np.asarray(d_b, dtype=float)
     if d_b.shape != (g.n,):
@@ -130,19 +126,14 @@ def skeleton_report(g: ManifoldGraph, k: int) -> SkeletonReport:
     """Run boundary detection, boundary distances and skeletal marking.
 
     A graph in which every edge lies in two or more surviving simplices has
-    no boundary point; that raises ``DegeneracyError``.
+    no boundary point; that raises ``DegeneracyError``. When every point is
+    on the boundary, every point is skeletal; the pipeline decides the rest.
     """
     boundary = detect_boundary(g)
     if not boundary:
         raise DegeneracyError("no boundary point: every edge lies in two or more surviving simplices")
     d_b = boundary_distances(g, boundary)
     if len(boundary) == g.n:
-        warnings.warn(
-            "every point is on the boundary (noise-free manifold); "
-            "marking all points skeletal",
-            DegeneracyWarning,
-            stacklevel=2,
-        )
         skeletal = list(range(g.n))
     else:
         skeletal = mark_skeleton(g, d_b, k)

@@ -21,7 +21,15 @@ from lsdr.errors import DegeneracyWarning, LsdrError, ValidationError
 from lsdr.graph import graph_distances, nearest_source_distances
 from lsdr.indices import procrustes_fit, tractable_consistency_index
 from lsdr.numerics import pairwise_sq_dists
-from lsdr.pipeline import LsdrAdapter, LsdrConfig, _principal_scores, lsdr, transform_bandwidth
+from lsdr.pipeline import (
+    LsdrAdapter,
+    LsdrConfig,
+    _mean_distance,
+    _principal_scores,
+    _working_cloud,
+    lsdr,
+    transform_bandwidth,
+)
 from lsdr.serialize import write_point_cloud
 
 from test_graph import is_connected
@@ -111,6 +119,22 @@ class TestTwoLinearClusters:
         assert not (pa.max() < pb.min() or pb.max() < pa.min())
 
 
+def _shape_cloud(shape: str) -> np.ndarray:
+    """A small cloud on which the pipeline falls back, by name."""
+    if shape == "triangle":
+        return np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    if shape == "squashed octagon":
+        t = np.arange(8) * np.pi / 4
+        return np.c_[np.cos(t), 0.9 * np.sin(t)]
+    if shape == "collinear line":
+        t = np.linspace(0.0, 1.0, 20)
+        return np.c_[3.0 * t, 4.0 * t]
+    if shape == "3x3 grid":
+        return np.array(list(itertools.product(range(3), repeat=2)), dtype=float)
+    g = np.random.default_rng(1).standard_normal((6, 4))  # cospherical in R^4
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 class TestDegenerateInputs:
     def test_noise_free_line_falls_back_to_metric_mds(self):
         t = np.linspace(0.0, 7.0, 50)
@@ -144,11 +168,7 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("shape", ["triangle", "squashed octagon"])
     def test_all_boundary_cloud_falls_back_to_mds_on_the_full_geodesics(self, shape):
-        if shape == "triangle":
-            pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
-        else:
-            t = np.arange(8) * np.pi / 4
-            pts = np.c_[np.cos(t), 0.9 * np.sin(t)]
+        pts = _shape_cloud(shape)
         n = len(pts)
         with pytest.warns(DegeneracyWarning, match="all points on the boundary"):
             res = lsdr(pts, LsdrConfig(d=1, seed=0))
@@ -159,17 +179,30 @@ class TestDegenerateInputs:
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
         assert np.array_equal(res.embedding.coords, metric_mds(q, 1))
+        # like every other fallback, the bandwidth is the mean pairwise distance
+        assert res.bandwidth is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            sigma = transform_bandwidth(pts, seed=0)
+        assert sigma == float(np.sqrt(pairwise_sq_dists(pts)).mean())
+
+    @pytest.mark.parametrize(
+        "shape", ["triangle", "squashed octagon", "collinear line", "3x3 grid", "cospherical in R^4"]
+    )
+    def test_a_fallback_warns_once(self, shape):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = lsdr(_shape_cloud(shape), LsdrConfig(d=1, seed=0))
+        assert res.degenerate_fallback
+        raised = [str(w.message) for w in caught if issubclass(w.category, DegeneracyWarning)]
+        assert raised == [f"{res.embedding.params['fallback']}; falling back to metric MDS on all points"]
 
     @pytest.mark.parametrize(
         "shape, reason",
         [("3x3 grid", "only 1 skeletal point(s)"), ("cospherical in R^4", "no boundary point")],
     )
     def test_cloud_without_a_skeleton_falls_back_at_every_entry_point(self, shape, reason):
-        if shape == "3x3 grid":
-            pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float)
-        else:
-            g = np.random.default_rng(1).standard_normal((6, 4))
-            pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+        pts = _shape_cloud(shape)
         with pytest.warns(DegeneracyWarning, match="falling back to metric MDS on all points"):
             res = lsdr(pts, LsdrConfig(d=1, seed=0))
         assert res.degenerate_fallback and res.bandwidth is None
@@ -402,6 +435,10 @@ class TestEntryPointsOnDegenerateInput:
         if fell_back:
             assert reason and bandwidth is None
             assert code == 5 and meta["fallback"] == reason
+            # transform_bandwidth runs the stages at d = 1, and only the
+            # skeleton's size makes a fallback that depends on d
+            if d == 1 or not reason.startswith("only"):
+                assert sigma == _mean_distance(_working_cloud(x)[0])
         else:
             assert reason is None and code == 0 and "fallback" not in meta
             assert sigma == bandwidth

@@ -96,6 +96,14 @@ def _swiss_roll(spec: DatasetSpec, rng) -> np.ndarray:
     return pts + rng.normal(0.0, noise, pts.shape)
 
 
+def _blobs(n: int, centers: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """``n`` normal points of scale ``sigma`` around the rows of ``centers``,
+    cluster by cluster; the first ``n % len(centers)`` clusters get one more."""
+    clusters, p = centers.shape
+    sizes = [n // clusters + (c < n % clusters) for c in range(clusters)]
+    return np.vstack([rng.normal(0.0, sigma, (size, p)) + centers[c] for c, size in enumerate(sizes)])
+
+
 def _gaussian_clusters(spec: DatasetSpec, rng) -> np.ndarray:
     p = spec.p or 10
     clusters = int(spec.params.get("clusters", 3))
@@ -109,11 +117,7 @@ def _gaussian_clusters(spec: DatasetSpec, rng) -> np.ndarray:
     for c in range(1, clusters):
         centers[c] = centers[c - 1]
         centers[c, 0] += float(gaps[c - 1])
-    sizes = [spec.n // clusters] * clusters
-    for extra in range(spec.n - sum(sizes)):
-        sizes[extra] += 1
-    rows = [rng.normal(0.0, sigma, (size, p)) + centers[c] for c, size in enumerate(sizes)]
-    return np.vstack(rows)
+    return _blobs(spec.n, centers, sigma, rng)
 
 
 def _uniform_hypercube(spec: DatasetSpec, rng) -> np.ndarray:
@@ -145,24 +149,15 @@ def _circle(n: int, rng) -> np.ndarray:
     return np.c_[np.cos(t), np.sin(t), np.zeros(n)]
 
 
-def _linked_circles(spec: DatasetSpec, rng) -> np.ndarray:
+def _two_circles(spec: DatasetSpec, rng, linked: bool) -> np.ndarray:
     noise = 0.02 if spec.noise is None else spec.noise
     half = spec.n // 2
     first = _circle(half, rng)
     second = _circle(spec.n - half, rng)
-    # rotate the second circle into the xz-plane and thread it through the first
-    second = second[:, [0, 2, 1]]
-    second[:, 0] += 1.0
-    pts = np.vstack([first, second])
-    return pts + rng.normal(0.0, noise, pts.shape)
-
-
-def _unlinked_circles(spec: DatasetSpec, rng) -> np.ndarray:
-    noise = 0.02 if spec.noise is None else spec.noise
-    half = spec.n // 2
-    first = _circle(half, rng)
-    second = _circle(spec.n - half, rng)
-    second[:, 0] += 3.0
+    if linked:
+        # rotate the second circle into the xz-plane and thread it through the first
+        second = second[:, [0, 2, 1]]
+    second[:, 0] += 1.0 if linked else 3.0
     pts = np.vstack([first, second])
     return pts + rng.normal(0.0, noise, pts.shape)
 
@@ -197,11 +192,7 @@ def _circular_clusters(spec: DatasetSpec, rng) -> np.ndarray:
     radius = 5.0
     angles = 2.0 * np.pi * np.arange(clusters) / clusters
     centers = np.c_[radius * np.cos(angles), radius * np.sin(angles), np.zeros(clusters)]
-    sizes = [spec.n // clusters] * clusters
-    for extra in range(spec.n - sum(sizes)):
-        sizes[extra] += 1
-    rows = [rng.normal(0.0, noise, (size, 3)) + centers[c] for c, size in enumerate(sizes)]
-    return np.vstack(rows)
+    return _blobs(spec.n, centers, noise, rng)
 
 
 _GENERATORS = {
@@ -211,8 +202,8 @@ _GENERATORS = {
     "uniform_hypercube": _uniform_hypercube,
     "sphere_surface": _sphere_surface,
     "grid": _grid,
-    "linked_circles": _linked_circles,
-    "unlinked_circles": _unlinked_circles,
+    "linked_circles": lambda spec, rng: _two_circles(spec, rng, linked=True),
+    "unlinked_circles": lambda spec, rng: _two_circles(spec, rng, linked=False),
     "trefoil_knot": _trefoil_knot,
     "two_linear_clusters": _two_linear_clusters,
     "circular_clusters": _circular_clusters,

@@ -5,12 +5,15 @@ graph: the tessellation proposes locality edges, the spanning tree marks the
 edges that must survive pruning to keep the graph connected.
 
 Tessellation is delegated to Qhull (scipy.spatial.Delaunay) behind this
-module's contract. Degenerate point sets are handled in two tiers: a cloud
-whose affine rank is below the ambient dimension has no meaningful
-full-dimensional tessellation and is rejected with DegeneracyError, while
-merely cospherical/cocircular configurations are resolved by a deterministic
-seeded jitter applied only inside this routine (reported coordinates and edge
-lengths always come from the unmodified input).
+module's contract. Qhull always receives the cloud scaled by the power of two
+that brings its largest coordinate into [0.5, 1): the scaling is exact, so
+the tessellation is the cloud's own at any magnitude. Degenerate point sets
+are handled in two tiers: a cloud whose affine rank is below the ambient
+dimension has no meaningful full-dimensional tessellation and is rejected
+with DegeneracyError, while merely cospherical/cocircular configurations are
+resolved by a deterministic seeded jitter applied only inside this routine
+(reported coordinates and edge lengths always come from the unmodified
+input).
 """
 
 import functools
@@ -30,7 +33,6 @@ from .numerics import _paired_sq_dists, as_matrix
 __all__ = ["Tessellation", "SpanningTree", "delaunay_tessellation", "euclidean_mcst"]
 
 DIMENSION_CAP = 6
-QHULL_COORDINATE_LIMIT = 2.0**64
 
 
 @dataclass
@@ -115,23 +117,18 @@ def singular_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > 1e-12 * s[0]))
 
 
-def affine_rank(points: np.ndarray) -> int:
-    """Rank of the centered cloud: the dimension of the affine hull."""
-    centered = points - points.mean(axis=0)
-    return singular_rank(np.linalg.svd(centered, compute_uv=False))
-
-
 def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
     """Delaunay tessellation of ``points`` in up to ``DIMENSION_CAP`` dimensions.
 
-    The exact coordinates go to Qhull first; if that fails on a degenerate
-    configuration, a seeded jitter of magnitude 1e-9 times the bounding-box
-    diagonal is applied to the coordinates handed to Qhull. A cloud with a
-    coordinate beyond ``QHULL_COORDINATE_LIMIT`` in magnitude reaches Qhull
-    scaled by a power of two that brings its largest coordinate into [0.5, 1)
-    (an exact scaling; unscaled, Qhull crashes the process on such clouds).
-    The returned structure refers to the original coordinates only, so
-    results are deterministic given the point order and the jitter seed.
+    Qhull receives ``ldexp(points, -e)``, where ``2**e`` is the smallest
+    power of two above the largest coordinate magnitude: an exact scaling
+    that puts that magnitude in [0.5, 1), so any 2**k multiple of a cloud
+    gets the same simplices, and neither huge nor tiny clouds leave the range
+    Qhull handles. If Qhull fails on a degenerate configuration, a seeded
+    jitter of magnitude 1e-9 times the scaled bounding-box diagonal is added
+    to the scaled coordinates and Qhull runs once more. The returned
+    structure refers to the original coordinates only, so results are
+    deterministic given the point order and the jitter seed.
     """
     pts = as_matrix(points, "points")
     n, p = pts.shape
@@ -142,16 +139,13 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
         )
     if n < p + 1:
         raise ValidationError(f"need at least p+1={p + 1} points for a tessellation, got n={n}")
-    if affine_rank(pts) < p:
+    if singular_rank(np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)) < p:
         raise DegeneracyError(
             "point cloud is rank deficient (lies in a lower-dimensional affine subspace); "
             "no full-dimensional tessellation exists"
         )
 
-    qhull_pts = pts
-    top = float(np.abs(pts).max())
-    if top > QHULL_COORDINATE_LIMIT:
-        qhull_pts = np.ldexp(pts, -int(np.frexp(top)[1]))
+    qhull_pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
     try:
         tri = _QhullDelaunay(qhull_pts)
     except QhullError:

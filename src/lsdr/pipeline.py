@@ -216,8 +216,9 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
     params = {"alpha": cfg.alpha, "k": cfg.k, "d": cfg.d}
     sigma = None
     if reason is not None:
+        of = " of the geodesic distances" if reason == _ALL_BOUNDARY else ""
         warnings.warn(
-            f"{reason}; falling back to metric MDS on all points",
+            f"{reason}; falling back to metric MDS{of} on all points",
             DegeneracyWarning,
             stacklevel=2,
         )

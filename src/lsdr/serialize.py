@@ -70,8 +70,8 @@ def read_point_cloud(path) -> np.ndarray:
         raise InputParseError(f"{path} contains no data rows (line 1)")
     arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
-        bad = int(np.argwhere(~np.isfinite(arr))[0][0]) + start + 1
-        raise InputParseError(f"{path}: non-finite value (line {bad})")
+        row = int(np.argwhere(~np.isfinite(arr))[0][0])
+        raise InputParseError(f"{path}: non-finite value (line {content[start + row][0]})")
     return arr
 
 

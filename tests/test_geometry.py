@@ -11,9 +11,23 @@ from scipy.cluster.hierarchy import DisjointSet
 from scipy.spatial import QhullError
 
 from lsdr import geometry
+from lsdr.datasets import FAMILIES, DatasetSpec, generate
 from lsdr.errors import DegeneracyError, ValidationError
 from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
 from lsdr.numerics import pairwise_sq_dists
+
+
+def family_clouds(p: int, n: int = 60) -> list:
+    """The cloud of every dataset family of dimension ``p``."""
+    clouds = []
+    for family in FAMILIES:
+        try:
+            x = generate(DatasetSpec(family, n, p=p, seed=1))
+        except ValidationError:  # the family's dimension is fixed
+            x = generate(DatasetSpec(family, n, seed=1))
+        if x.shape[1] == p:
+            clouds.append(x)
+    return clouds
 
 
 def pair_set(pairs) -> set:
@@ -165,13 +179,23 @@ class TestDelaunay:
         i, j = tess.edges.T
         assert np.array_equal(tess.lengths, np.sqrt(pairwise_sq_dists(big))[i, j])
 
-    def test_ordinary_clouds_reach_qhull_unscaled(self, monkeypatch):
+    @pytest.mark.parametrize("k", [-600, -7, 0, 11, 400])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_every_cloud_reaches_qhull_at_one_power_of_two_scale(self, monkeypatch, p, k):
         seen = []
         qhull = geometry._QhullDelaunay
         monkeypatch.setattr(geometry, "_QhullDelaunay", lambda pts: seen.append(pts) or qhull(pts))
-        pts = np.random.default_rng(1).standard_normal((30, 3)) * 2.0**60
-        delaunay_tessellation(pts)
-        assert len(seen) == 1 and np.array_equal(seen[0], pts)
+        for x in family_clouds(p):
+            unit = delaunay_tessellation(x)
+            seen.clear()
+            scaled = np.ldexp(x, k)
+            tess = delaunay_tessellation(scaled)
+            assert 0.5 <= np.abs(seen[0]).max() < 1.0
+            assert np.array_equal(seen[0], np.ldexp(scaled, -np.frexp(np.abs(scaled).max())[1]))
+            assert np.array_equal(tess.simplices, unit.simplices)
+            assert np.array_equal(tess.points, scaled)
+            i, j = tess.edges.T
+            assert np.array_equal(tess.lengths, np.sqrt(pairwise_sq_dists(scaled))[i, j])
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**40 + 5])
     def test_a_failed_qhull_run_is_retried_on_the_seeded_jitter(self, monkeypatch, seed):
@@ -187,11 +211,13 @@ class TestDelaunay:
         monkeypatch.setattr(geometry, "_QhullDelaunay", fail_once)
         pts = np.random.default_rng(6).standard_normal((30, 3))
         tess = delaunay_tessellation(pts, jitter_seed=seed)
+        # the largest |coordinate| is about 2.55, so Qhull sees the cloud times 1/4
+        scaled = np.ldexp(pts, -2)
         rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(b"tessellation-jitter")])
-        bbox_diagonal = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        jittered = pts + rng.uniform(-1.0, 1.0, pts.shape) * (1e-9 * bbox_diagonal)
+        bbox_diagonal = float(np.linalg.norm(scaled.max(axis=0) - scaled.min(axis=0)))
+        jittered = scaled + rng.uniform(-1.0, 1.0, pts.shape) * (1e-9 * bbox_diagonal)
         # a 1e-9 jitter rarely moves the simplices, so the retry's input is pinned too
-        assert len(seen) == 2 and np.array_equal(seen[1], jittered)
+        assert len(seen) == 2 and np.array_equal(seen[0], scaled) and np.array_equal(seen[1], jittered)
         simplices = np.sort(qhull(jittered).simplices, axis=1)
         assert np.array_equal(tess.simplices, simplices[np.lexsort(simplices.T[::-1])])
         assert np.array_equal(tess.points, pts)

@@ -195,7 +195,9 @@ class TestDegenerateInputs:
             res = lsdr(_shape_cloud(shape), LsdrConfig(d=1, seed=0))
         assert res.degenerate_fallback
         raised = [str(w.message) for w in caught if issubclass(w.category, DegeneracyWarning)]
-        assert raised == [f"{res.embedding.params['fallback']}; falling back to metric MDS on all points"]
+        # an all-boundary cloud is embedded from its geodesics, every other one from its distances
+        of = " of the geodesic distances" if shape in ("triangle", "squashed octagon") else ""
+        assert raised == [f"{res.embedding.params['fallback']}; falling back to metric MDS{of} on all points"]
 
     @pytest.mark.parametrize(
         "shape, reason",
@@ -242,6 +244,17 @@ class TestDegenerateInputs:
         meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
         assert meta["fallback"] == "only 2 skeletal point(s)"
         assert tci.failed_transforms == []
+
+    def test_a_tiny_cloud_tessellates_and_falls_back_on_its_empty_skeleton(self):
+        # Qhull tessellates the cloud at its own scale, but every squared edge
+        # length underflows to 0, so no point is skeletal
+        x = np.ldexp(generate(DatasetSpec("spiral", 600, seed=3)), -600)
+        message = r"^only 0 skeletal point\(s\); falling back to metric MDS on all points$"
+        with pytest.warns(DegeneracyWarning, match=message):
+            res = lsdr(x, LsdrConfig(d=1, seed=0))
+        assert res.degenerate_fallback and res.graph is not None
+        assert res.embedding.params["fallback"] == "only 0 skeletal point(s)"
+        assert np.array_equal(res.embedding.coords, np.zeros((600, 1)))
 
     def test_dimension_cap_triggers_approximate_pre_reduction(self):
         spec = DatasetSpec(

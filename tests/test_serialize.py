@@ -1,4 +1,5 @@
-"""The JSON writer: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``."""
+"""The JSON writer: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``;
+and the line the CSV reader names for a bad value."""
 
 import json
 
@@ -8,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lsdr.cli import main
+from lsdr.errors import InputParseError
 from lsdr.indices import IndexReport, TciReport, TransformResult
-from lsdr.serialize import write_json
+from lsdr.serialize import read_point_cloud, write_json
 
 # the separator the writer re-indents, inside a string it must leave alone
 SEPARATOR_TEXT = '"},\n      {"'
@@ -87,3 +89,14 @@ def test_the_files_commands_write(tmp_path, monkeypatch, command):
     assert len(written) >= 3
     for path in written:
         assert path.read_bytes() == expected_bytes(json.loads(path.read_text())), path.name
+
+
+def test_a_non_finite_value_is_reported_on_its_own_line(tmp_path, capsys):
+    # the comment and the blank line before the header count as lines
+    path = tmp_path / "x.csv"
+    path.write_text("# comment\n\nx0,x1\n1,2\ninf,3\n")
+    with pytest.raises(InputParseError, match=r"non-finite value \(line 5\)$"):
+        read_point_cloud(path)
+    capsys.readouterr()
+    assert main(["reduce", str(path), "--d", "1", "--out", str(tmp_path / "emb.csv")]) == 3
+    assert capsys.readouterr().err.endswith("non-finite value (line 5)\n")

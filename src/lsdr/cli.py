@@ -22,11 +22,13 @@ from .indices import (
     IdentityAdapter,
     IndexReport,
     PcaAdapter,
+    _base_output,
+    _consistency_scan,
+    _consistency_setup,
     check_knn_k,
     check_transform_subsample,
     knn_metrics,
     pca_reduce,
-    tractable_consistency_index,
     trustability_index,
 )
 from .pipeline import LsdrAdapter, LsdrConfig, lsdr, transform_bandwidth
@@ -210,17 +212,21 @@ def cmd_index(args, argv: list[str]) -> int:
         dataset=Path(args.input).stem,
         n=cloud.shape[0],
     )
-    # kNN reads only the reduced cloud: one worker thread reduces it once and
-    # scores kNN while this thread runs TI, the bandwidth and the TCI, which
-    # takes the worker's reduction as its base. Results are collected in the
-    # serial order, so the report's bytes and the error raised first are the
-    # serial run's; on any error pending work is cancelled and the worker
-    # joined before the error propagates.
+    # kNN and the consistency index's set-up read only the reduced cloud: one
+    # worker thread reduces it once, runs the set-up (x hat) and then scores
+    # kNN, while this thread runs TI, the bandwidth and the consistency scan,
+    # which takes the worker's reduction as its base. Results are collected
+    # where the serial run computes them, so the report's bytes and the error
+    # raised first are the serial run's; on any error pending work is
+    # cancelled and the worker joined before the error propagates, and the
+    # error of a result not yet collected is dropped.
     with ThreadPoolExecutor(1) as worker:
         try:
-            base = knn = None
+            base = x_hat = knn = None
             if args.tci or args.knn:
                 base = worker.submit(lambda: adapter.reduce(args.d, cloud).coords)
+            if args.tci:
+                x_hat = worker.submit(lambda: _consistency_setup(cloud, base.result()))
             if args.knn:
                 knn = worker.submit(lambda: knn_metrics(cloud, base.result(), args.knn_k))
             if args.ti:
@@ -229,18 +235,18 @@ def cmd_index(args, argv: list[str]) -> int:
                 sigma = args.bandwidth
                 if sigma is None:
                     sigma = transform_bandwidth(cloud, alpha=args.alpha, k=args.k, seed=args.seed)
-                kernel = KernelSpec("gaussian", sigma)
-                # the index checks its subsample before it reduces, so that
-                # check comes before a failed reduction surfaces
+                # tractable_consistency_index's steps, in its order
                 check_transform_subsample(args.transforms)
-                report.tci = tractable_consistency_index(
+                tci_base = _base_output(adapter, cloud, args.d, base.result())
+                report.tci = _consistency_scan(
                     adapter,
                     cloud,
                     args.d,
-                    kernel,
-                    transform_subsample=args.transforms,
-                    seed=args.seed,
-                    base=base.result(),
+                    KernelSpec("gaussian", sigma),
+                    args.transforms,
+                    args.seed,
+                    tci_base,
+                    x_hat.result(),
                 )
                 report.tci_bandwidth = sigma
             if knn is not None:

@@ -9,6 +9,7 @@ the minimum-norm coefficient vector that makes the training residuals exactly
 uncorrelated with every embedding coordinate.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +37,20 @@ __all__ = [
 
 MDS_MAX_ITER = 500
 MDS_REL_TOL = 1e-9
+
+# The modules whose functions fit and evaluate the reconstruction and call
+# one another; a warning from them belongs to the code that called in.
+_RECONSTRUCTION_MODULES = {__name__, f"{__package__}.indices"}
+
+
+def _warn_at_caller(message: str) -> None:
+    """Warn at the innermost frame outside ``_RECONSTRUCTION_MODULES``: the
+    caller of the public function, or of the consistency index's set-up, on
+    whichever thread it runs."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") in _RECONSTRUCTION_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -263,10 +278,7 @@ def distinct_rows(points) -> np.ndarray:
     x = as_matrix(points, "training points")
     _, keep = np.unique(x, axis=0, return_index=True)
     if keep.size < x.shape[0]:
-        warnings.warn(
-            f"dropped {x.shape[0] - keep.size} duplicate training point(s)",
-            stacklevel=3,
-        )
+        _warn_at_caller(f"dropped {x.shape[0] - keep.size} duplicate training point(s)")
     return np.sort(keep)
 
 
@@ -369,10 +381,8 @@ def fit_reconstruction(
     gram = a.T @ a
     rank = int(np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, float(np.abs(gram).max()))))
     if rank < d:
-        warnings.warn(
-            f"reconstruction constraint system is rank deficient (rank {rank} < {d}); "
-            "using the pseudo-inverse",
-            stacklevel=2,
+        _warn_at_caller(
+            f"reconstruction constraint system is rank deficient (rank {rank} < {d}); using the pseudo-inverse"
         )
         beta = a @ np.linalg.pinv(gram) @ c
     else:

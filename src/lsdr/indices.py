@@ -8,6 +8,7 @@ bump along one axis. Both reduce to the generalized Procrustes problem
 solved here in closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,22 @@ def _closed_form_residuals(traces: np.ndarray, s: np.ndarray, denom: float) -> l
     At^T Bt. The last step stays on Python floats: scalar ``**`` goes through
     libm pow, which can differ from the array square in the last bit.
     """
-    return [float(t) - float(u) ** 2 / denom for t, u in zip(traces, np.sum(s, axis=1))]
+    sums = np.sum(s, axis=1).tolist()
+    return [t - _square_over(u, denom) for t, u in zip(np.asarray(traces, dtype=float).tolist(), sums)]
+
+
+def _square_over(u: float, denom: float) -> float:
+    """u ** 2 / denom on Python floats. Where the square alone overflows, the
+    quotient comes from the mantissas and exponents of u and denom instead,
+    so a finite quotient stays finite. That form is kept to the overflowing
+    squares: libm's pow is not correctly rounded, so the two can differ in
+    the last bit.
+    """
+    try:
+        return u**2 / denom
+    except OverflowError:
+        (m, e), (md, ed) = math.frexp(u), math.frexp(denom)
+        return math.ldexp(m * m / md, 2 * e - ed)
 
 
 class AlgorithmAdapter:
@@ -399,18 +415,45 @@ def tractable_consistency_index(
     """
     check_transform_subsample(transform_subsample)
     x = as_matrix(x, "data")
-    n, p = x.shape
-    if base is None:
-        base = alg.reduce(d, x).coords
-    else:
-        base = as_matrix(base, "base")
-        if base.shape != (n, d):
-            raise ValidationError(f"base has shape {base.shape}, expected {(n, d)}")
+    base = _base_output(alg, x, d, base)
+    return _consistency_scan(alg, x, d, kernel, transform_subsample, seed, base, _consistency_setup(x, base))
 
+
+def _base_output(alg: AlgorithmAdapter, x: np.ndarray, d: int, base: np.ndarray | None) -> np.ndarray:
+    """``alg.reduce(d, x).coords``, or the given base checked to be a finite (n, d) array."""
+    if base is None:
+        return alg.reduce(d, x).coords
+    base = as_matrix(base, "base")
+    if base.shape != (len(x), d):
+        raise ValidationError(f"base has shape {base.shape}, expected {(len(x), d)}")
+    return base
+
+
+def _consistency_setup(x: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The consistency index's set-up: x_hat, the reconstruction of x from
+    its output ``base``, fitted on the distinct rows of x with the output
+    kernel at the median positive output distance. It reads nothing else, so
+    a caller can run it beside other work; its warnings point at the first
+    frame outside this module and ``embedding``."""
     kernel_y = KernelSpec("gaussian", _positive_distance_median(base))
     keep = distinct_rows(x)
     recon = fit_reconstruction(x[keep], base[keep], kernel_y, kernel_y)
-    x_hat = reconstruct(recon, base)
+    return reconstruct(recon, base)
+
+
+def _consistency_scan(
+    alg: AlgorithmAdapter,
+    x: np.ndarray,
+    d: int,
+    kernel: KernelSpec,
+    transform_subsample: int | None,
+    seed: int,
+    base: np.ndarray,
+    x_hat: np.ndarray,
+) -> TciReport:
+    """The consistency index's transforms scored against ``base`` with the
+    set-up's ``x_hat``, as ``tractable_consistency_index`` describes."""
+    n, p = x.shape
     residual_part = x - x_hat
 
     n_total = n * p
@@ -443,7 +486,7 @@ def tractable_consistency_index(
             if len(rows) > 1:
                 return [t for k in range(len(rows)) for t in scan(rows[k : k + 1], cols[k : k + 1])]
             return [TransformResult(int(rows[0]), int(cols[0]), residual=None, failed=True, message=str(exc))]
-        return [TransformResult(int(i), int(j), residual=r) for i, j, r in zip(rows, cols, residuals)]
+        return [TransformResult(i, j, residual=r) for i, j, r in zip(rows.tolist(), cols.tolist(), residuals)]
 
     # a chunk's bump rows (one (n,) row per distinct point) and PCA's (B, p, p)
     # arrays stay within a row block's floats for p <= n

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import lsdr
-from lsdr import cli, pipeline
+from lsdr import cli, indices, pipeline
 from lsdr.cli import main
 from lsdr.errors import DegeneracyWarning, NumericalError, ValidationError
-from lsdr.serialize import read_point_cloud, write_json
+from lsdr.serialize import read_point_cloud, write_json, write_point_cloud
 
 from test_graph import assert_dump_matches
 
@@ -328,6 +328,94 @@ class TestIndex:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
         assert not (tmp_path / "idx.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            # lsdr has no full-dimensional reduction; TI fails first
+            (["--algo", "lsdr", "--ti", "--tci", "--knn"], 2, "ERROR usage: target dimension must satisfy d < p"),
+            (["--tci", "--knn"], 4, "ERROR numerical: no bandwidth"),
+            (["--tci", "--knn", "--bandwidth", 1], 4, "ERROR numerical: no reconstruction"),
+        ],
+    )  # fmt: skip
+    def test_a_failing_set_up_comes_in_the_serial_order(self, tmp_path, monkeypatch, capsys, args, code, message):
+        # the consistency index's set-up runs on the worker thread; its error
+        # is raised where the serial run would reach it, and dropped when an
+        # earlier step fails, here only once the set-up has failed
+        data = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", 60, "--seed", 1, "--out", data])
+        capsys.readouterr()
+        set_up_failed = threading.Event()
+
+        def no_reconstruction(*args, **kwargs):
+            set_up_failed.set()
+            raise NumericalError("no reconstruction")
+
+        def after_the_set_up(step):
+            def waits(*args, **kwargs):
+                assert set_up_failed.wait(timeout=60)
+                return step(*args, **kwargs)
+
+            return waits
+
+        def no_bandwidth(*args, **kwargs):
+            raise NumericalError("no bandwidth")
+
+        monkeypatch.setattr(indices, "fit_reconstruction", no_reconstruction)
+        monkeypatch.setattr(cli, "trustability_index", after_the_set_up(cli.trustability_index))
+        monkeypatch.setattr(cli, "transform_bandwidth", after_the_set_up(no_bandwidth))
+        threads = threading.active_count()
+        assert run(["index", data, *args, "--out", tmp_path / "idx.json"]) == code
+        assert threading.active_count() == threads
+        assert set_up_failed.is_set()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["roll.csv", "roll.manifest.json"]
+
+    def test_duplicate_rows_warn_once_and_keep_the_serial_bytes(self, tmp_path):
+        # the set-up fits x hat on the distinct rows: its one warning keeps its
+        # text and category, and the report is the serial library calls'
+        cloud = lsdr.generate(lsdr.DatasetSpec("swiss_roll", 200, seed=1))
+        cloud = np.vstack([cloud, cloud[::25]])
+        data, out = tmp_path / "roll.csv", tmp_path / "idx.json"
+        write_point_cloud(data, cloud)
+        env = dict(os.environ, PYTHONPATH=str(Path(lsdr.__file__).parents[1]))
+        argv = ["index", str(data), "--algo", "pca", "--tci", "--knn", "--bandwidth", "1.5", "--d", "2",
+                "--out", str(out)]  # fmt: skip
+        done = subprocess.run([sys.executable, "-m", "lsdr.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        warned = [line for line in done.stderr.splitlines() if "duplicate" in line]
+        assert len(warned) == 1
+        # the warning points at the command's own code, not at the set-up
+        assert warned[0].split(":")[0].endswith(os.path.join("lsdr", "cli.py"))
+        assert warned[0].endswith(": UserWarning: dropped 8 duplicate training point(s)")
+
+        cloud = read_point_cloud(data)
+        expected = lsdr.IndexReport(algorithm="pca", dataset="roll", n=len(cloud))
+        with pytest.warns(UserWarning, match=r"^dropped 8 duplicate training point\(s\)$"):
+            expected.tci = lsdr.tractable_consistency_index(
+                lsdr.PcaAdapter(), cloud, 2, lsdr.KernelSpec("gaussian", 1.5), transform_subsample=32
+            )
+        expected.tci_bandwidth = 1.5
+        expected.knn_k = 5
+        expected.tsi, expected.trustworthiness, expected.continuity = lsdr.knn_metrics(cloud, expected.tci.base, 5)
+        write_json(tmp_path / "expected.json", expected.to_dict())
+        assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    def test_indices_of_a_cloud_near_the_float_limit(self, tmp_path):
+        # the square of the closed-form residual's singular-value sum
+        # overflows from about 2**250 on, though the residual does not
+        cloud = lsdr.generate(lsdr.DatasetSpec("swiss_roll", 300, seed=0))
+        reports = {}
+        for e, flag in ((250, "--ti"), (280, "--tci")):
+            data, out = tmp_path / f"roll{e}.csv", tmp_path / f"idx{e}.json"
+            write_point_cloud(data, np.ldexp(cloud, e))
+            assert run(["index", data, "--algo", "pca", "--d", 2, flag, "--out", out]) == 0
+            reports[e] = json.loads(out.read_text())
+        assert np.isfinite(reports[250]["ti"])
+        contributions = reports[280]["tci_contributions"]
+        assert len(contributions) == 32 and not any(t["failed"] for t in contributions)
+        assert np.isfinite(reports[280]["tci"])
 
     def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the reconstruction's kernel products are row blocks of 2**18 floats

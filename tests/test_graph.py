@@ -1,5 +1,6 @@
 """Edge pruning statistics, geodesic distances, and the edge-list format."""
 
+import dataclasses
 import functools
 import heapq
 import math
@@ -132,6 +133,25 @@ class TestPruneEdges:
                 assert np.array_equal(graph.lengths, tess.lengths[alive])
                 surviving = alive[tess.simplex_edge_ids()].all(axis=1)
                 assert np.array_equal(graph.simplices, tess.simplices[surviving])
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_simplex_edge_ids_are_the_tessellations_renumbered(self, p):
+        # prune_edges carries each surviving simplex's edge ids over from the
+        # tessellation; a graph built without them searches its own table
+        clouds = [cloud(p, seed) for seed in range(3)]
+        if p == 2:
+            clouds.append(generate(DatasetSpec("spiral", 400, seed=25)))
+        for pts in clouds:
+            tess = delaunay_tessellation(pts)
+            mcst = euclidean_mcst(pts, tess.edges)
+            for alpha in (0.5, 0.95, 0.99):
+                graph = prune_edges(tess, mcst, alpha)
+                assert graph._edge_ids is not None
+                searched = dataclasses.replace(graph)
+                assert searched._edge_ids is None
+                ids, expected = graph.simplex_edge_ids(), searched.simplex_edge_ids()
+                assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
+                assert detect_boundary(graph) == detect_boundary(searched)
 
     def test_star_total_is_a_left_fold(self):
         # 1 + 2**-53 rounds back to 1 at each step of a left fold; the exact

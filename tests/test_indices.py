@@ -109,6 +109,24 @@ class TestProcrustes:
             direct = float(np.sum((a - fit.mu[None, :] - fit.scale * (b @ fit.rotation.T)) ** 2))
             assert fit.residual == pytest.approx(direct, abs=1e-8)
 
+    def test_closed_form_residual_where_the_square_overflows(self):
+        # (3 * 2**600)**2 overflows; its quotient by 2**700 is 9 * 2**500
+        residuals = indices._closed_form_residuals([2.0**1000], np.array([[3.0 * 2.0**600]]), 2.0**700)
+        assert residuals == [2.0**1000 - 9.0 * 2.0**500]
+        # wherever the square is finite the residual is the plain float expression
+        rng = np.random.default_rng(8)
+        for u, t, denom in zip(rng.uniform(0, 1.3e154, 50), rng.uniform(0, 1e300, 50), rng.uniform(1.0, 1e300, 50)):
+            assert indices._closed_form_residuals([t], np.array([[u]]), denom) == [t - float(u) ** 2 / denom]
+
+    def test_residual_of_a_cloud_near_the_float_limit(self):
+        # scaling both clouds by 2**480 scales the residual by 4**480, though
+        # the square of the singular-value sum overflows on the way
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((14, 3)), rng.standard_normal((14, 3))
+        scaled = procrustes_fit(np.ldexp(a, 480), np.ldexp(b, 480)).residual
+        assert np.isfinite(scaled)
+        assert scaled == pytest.approx(procrustes_fit(a, b).residual * 4.0**480, rel=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_similarity_transforms_leave_no_residual(self, seed):
@@ -631,6 +649,20 @@ def test_consistency_scan_on_duplicate_points_matches_the_serial_scan(x):
         rows, best, _ = serial_consistency_scan(SerialPcaAdapter(), x, 2, kernel, transform_subsample=90, seed=1)
     assert _as_rows(report) == rows
     assert report.value == best
+
+
+def test_set_up_warnings_point_at_the_caller_of_the_index():
+    kernel = KernelSpec("gaussian", 1.0)
+    with pytest.warns(UserWarning, match="duplicate training point") as duplicates:
+        tractable_consistency_index(PcaAdapter(), DUPLICATE_CLOUDS[0], 2, kernel, transform_subsample=4)
+    x = np.random.default_rng(0).standard_normal((12, 2))
+    with pytest.warns(UserWarning, match="rank deficient") as rank:
+        tractable_consistency_index(ConstantAdapter(), x, 1, kernel, transform_subsample=4)
+    # and at the caller of the embedding functions that emit them
+    with pytest.warns(UserWarning, match="duplicate training point") as fitted:
+        fit_out_of_sample(DUPLICATE_CLOUDS[0], DUPLICATE_CLOUDS[0][:, :2], kernel)
+    warned = [w for w in [*duplicates, *rank, *fitted] if "duplicate" in str(w.message) or "rank" in str(w.message)]
+    assert len(warned) == 3 and all(w.filename == __file__ for w in warned)
 
 
 def numpy_median(points):

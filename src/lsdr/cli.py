@@ -213,9 +213,10 @@ def cmd_index(args, argv: list[str]) -> int:
         n=cloud.shape[0],
     )
     # kNN and the consistency index's set-up read only the reduced cloud: one
-    # worker thread reduces it once, runs the set-up (x hat) and then scores
-    # kNN, while this thread runs TI, the bandwidth and the consistency scan,
-    # which takes the worker's reduction as its base. Results are collected
+    # worker thread reduces it once, runs the set-up (x hat), scores kNN and
+    # then takes chunks of the consistency scan, while this thread runs TI,
+    # the bandwidth and the scan, which takes the worker's reduction as its
+    # base and joins the chunks in transform order. Results are collected
     # where the serial run computes them, so the report's bytes and the error
     # raised first are the serial run's; on any error pending work is
     # cancelled and the worker joined before the error propagates, and the
@@ -247,6 +248,7 @@ def cmd_index(args, argv: list[str]) -> int:
                     args.seed,
                     tci_base,
                     x_hat.result(),
+                    helper=worker,
                 )
                 report.tci_bandwidth = sigma
             if knn is not None:

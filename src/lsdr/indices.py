@@ -9,6 +9,8 @@ solved here in closed form.
 """
 
 import math
+import threading
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -450,9 +452,18 @@ def _consistency_scan(
     seed: int,
     base: np.ndarray,
     x_hat: np.ndarray,
+    helper: Executor | None = None,
 ) -> TciReport:
     """The consistency index's transforms scored against ``base`` with the
-    set-up's ``x_hat``, as ``tractable_consistency_index`` describes."""
+    set-up's ``x_hat``, as ``tractable_consistency_index`` describes.
+
+    With a ``helper`` executor, one task queued on it scores chunks beside
+    this thread once the helper reaches it: each thread takes the next chunk
+    index from one counter, and the chunks' results are joined in chunk
+    order, so the report is the serial scan's. The adapter must then be safe
+    to call from two threads at once. If this thread stops on an error, no
+    chunk is left for the helper's task, which ends after its current one.
+    """
     n, p = x.shape
     residual_part = x - x_hat
 
@@ -488,11 +499,34 @@ def _consistency_scan(
             return [TransformResult(int(rows[0]), int(cols[0]), residual=None, failed=True, message=str(exc))]
         return [TransformResult(i, j, residual=r) for i, j, r in zip(rows.tolist(), cols.tolist(), residuals)]
 
-    # a chunk's bump rows (one (n,) row per distinct point) and PCA's (B, p, p)
-    # arrays stay within a row block's floats for p <= n
-    contributions: list[TransformResult] = []
-    for rows in _row_blocks(len(chosen), n_total):
-        contributions += scan(points[rows], axes[rows])
+    # a transform is charged max(n, p*p) floats, its (n,) bump row or PCA's
+    # (p, p) scatter matrix, so each of a chunk's arrays stays within
+    # numerics._STACK_FLOATS
+    chunks = list(_row_blocks(len(chosen), max(n, p * p)))
+    scored: list[list[TransformResult]] = [[] for _ in chunks]
+    taken = 0
+    lock = threading.Lock()
+
+    def score_chunks() -> None:
+        """Score the next untaken chunk until none is left."""
+        nonlocal taken
+        while True:
+            with lock:
+                k, taken = taken, taken + 1
+            if k >= len(chunks):
+                return
+            scored[k] = scan(points[chunks[k]], axes[chunks[k]])
+
+    drain = None if helper is None else helper.submit(score_chunks)
+    try:
+        score_chunks()
+    except BaseException:
+        with lock:
+            taken = len(chunks)
+        raise
+    if drain is not None and not drain.cancel():
+        drain.result()
+    contributions = [t for chunk in scored for t in chunk]
     return TciReport(
         value=max([0.0] + [t.residual for t in contributions if not t.failed]),
         contributions=contributions,
@@ -544,18 +578,21 @@ def _rank_sum(dist: np.ndarray, ordered: np.ndarray, picked: np.ndarray) -> int:
     An entry's rank counts the entries of its row strictly below it, found
     by bisecting the sorted row ``ordered``, plus the equal ones at a lower
     index, so the row's own point (at -1) has rank 0 and its nearest
-    neighbour rank 1.
+    neighbour rank 1. The bisection runs for every entry at once: the count
+    below grows by each power of two, largest first, while the sorted value
+    it would step past is still below the entry (the lower bound that
+    ``searchsorted`` finds).
     """
     rows, cols = np.nonzero(picked)
     values = dist[rows, cols]
-    bounds = np.searchsorted(rows, np.arange(len(dist) + 1))
-    below = np.empty(len(values), dtype=np.intp)
-    for row, start, stop in zip(ordered, bounds[:-1], bounds[1:]):
-        below[start:stop] = row.searchsorted(values[start:stop])
+    n = dist.shape[1]
+    below = np.zeros(len(values), dtype=np.intp)
+    for step in (1 << np.arange(n.bit_length()))[::-1]:
+        ahead = below + step
+        below[(ahead <= n) & (ordered[rows, np.minimum(ahead, n) - 1] < values)] += step
     total = int(below.sum())
     # an entry has a tie when the next value of its sorted row equals it; the
     # last value of a row is compared with itself, and its count finds nothing
-    n = dist.shape[1]
     tied = ordered[rows, np.minimum(below + 1, n - 1)] == values
     for r, c, v in zip(rows[tied], cols[tied], values[tied]):
         total += int(np.count_nonzero(dist[r, :c] == v))
@@ -636,9 +673,18 @@ class IndexReport:
         return data
 
     def csv_row(self) -> tuple[str, str]:
-        """Header and one data row shaped like the summary tables, read from ``to_dict``."""
-        data = self.to_dict()
-        values = ("ti", "ti_normalized", "tci", "tci_normalized", "tsi", "trustworthiness", "continuity")
-        row = [data["dataset"], data["algorithm"], str(data["n"])]
-        row += ["" if data.get(key) is None else repr(float(data[key])) for key in values]
-        return ",".join(("dataset", "algorithm", "n") + values), ",".join(row)
+        """Header and one data row shaped like the summary tables, with the
+        values ``to_dict`` gives under the same keys."""
+        tci = None if self.tci is None else self.tci.value
+        values = {
+            "ti": self.ti,
+            "ti_normalized": None if self.ti is None else self.ti / self.n,
+            "tci": tci,
+            "tci_normalized": None if tci is None else tci / self.n,
+            "tsi": self.tsi,
+            "trustworthiness": self.trustworthiness,
+            "continuity": self.continuity,
+        }
+        row = [self.dataset, self.algorithm, str(self.n)]
+        row += ["" if v is None else repr(float(v)) for v in values.values()]
+        return ",".join(("dataset", "algorithm", "n", *values)), ",".join(row)

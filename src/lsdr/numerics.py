@@ -110,7 +110,7 @@ def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # Dense work is sized to about this many floats (2 MB) per array: row blocks
 # of n-wide kernels and distances, and the consistency scan's chunks of
-# transforms.
+# transforms at max(n, p*p) floats each (one bump row, or PCA's scatter).
 _STACK_FLOATS = 2**18
 
 

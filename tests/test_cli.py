@@ -265,35 +265,50 @@ class TestIndex:
         write_json(tmp_path / "expected.json", expected)
         assert both.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
+    def _assert_serial_report(self, tmp_path, adapter, flags, n, transforms):
+        # the report is the one the library's serial calls give, byte for byte
+        data = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", n, "--seed", 1, "--out", data])
+        out = tmp_path / "idx.json"
+        threads = threading.active_count()
+        assert run(["index", data, "--algo", adapter.name, *flags, "--tci", "--d", 2,
+                    "--transforms", transforms, "--out", out]) == 0  # fmt: skip
+        assert threading.active_count() == threads
+        cloud = read_point_cloud(data)
+        expected = lsdr.IndexReport(algorithm=adapter.name, dataset="roll", n=len(cloud))
+        if "--ti" in flags:
+            expected.ti = lsdr.trustability_index(adapter, cloud)
+        sigma = pipeline.transform_bandwidth(cloud)
+        expected.tci = lsdr.tractable_consistency_index(
+            adapter, cloud, 2, lsdr.KernelSpec("gaussian", sigma), transform_subsample=transforms
+        )
+        expected.tci_bandwidth = sigma
+        if "--knn" in flags:
+            expected.knn_k = 5
+            expected.tsi, expected.trustworthiness, expected.continuity = lsdr.knn_metrics(cloud, expected.tci.base, 5)
+        write_json(tmp_path / "expected.json", expected.to_dict())
+        assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert out.with_suffix(".csv").read_text() == "\n".join(expected.csv_row()) + "\n"
+
     @pytest.mark.parametrize(
         "adapter, flags",
         [(lsdr.PcaAdapter(), ["--ti"]), (lsdr.IdentityAdapter(), ["--ti"]), (lsdr.LsdrAdapter(), [])],
     )
     def test_report_is_the_serial_library_calls(self, tmp_path, adapter, flags):
-        # kNN runs on a worker thread beside TI, the bandwidth and the TCI; the
-        # report is the one the library's serial calls give, byte for byte
+        # kNN runs on a worker thread beside TI, the bandwidth and the TCI
         # (lsdr has no TI: its full-dimensional reduction is a usage error)
-        data = tmp_path / "roll.csv"
-        run(["generate", "--family", "swiss_roll", "--n", 120, "--seed", 1, "--out", data])
-        out = tmp_path / "idx.json"
-        threads = threading.active_count()
-        assert run(["index", data, "--algo", adapter.name, *flags, "--tci", "--knn", "--d", 2,
-                    "--transforms", 3, "--out", out]) == 0  # fmt: skip
-        assert threading.active_count() == threads
-        cloud = read_point_cloud(data)
-        expected = lsdr.IndexReport(algorithm=adapter.name, dataset="roll", n=len(cloud))
-        if flags:
-            expected.ti = lsdr.trustability_index(adapter, cloud)
-        sigma = pipeline.transform_bandwidth(cloud)
-        expected.tci = lsdr.tractable_consistency_index(
-            adapter, cloud, 2, lsdr.KernelSpec("gaussian", sigma), transform_subsample=3
-        )
-        expected.tci_bandwidth = sigma
-        expected.knn_k = 5
-        expected.tsi, expected.trustworthiness, expected.continuity = lsdr.knn_metrics(cloud, expected.tci.base, 5)
-        write_json(tmp_path / "expected.json", expected.to_dict())
-        assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
-        assert out.with_suffix(".csv").read_text() == "\n".join(expected.csv_row()) + "\n"
+        self._assert_serial_report(tmp_path, adapter, [*flags, "--knn"], 120, 3)
+
+    @pytest.mark.parametrize("knn", [[], ["--knn"]], ids=["tci", "tci-knn"])
+    @pytest.mark.parametrize(
+        "adapter, n, transforms",
+        [(lsdr.PcaAdapter(), 1000, 3000), (lsdr.LsdrAdapter(), 120, 3), (lsdr.IdentityAdapter(), 120, 3)],
+        ids=["pca-3000", "lsdr-3", "identity-3"],
+    )
+    def test_shared_scan_is_the_serial_index(self, tmp_path, adapter, n, transforms, knn):
+        # the worker takes chunks of the consistency scan, at once without
+        # --knn and after kNN with it; pca's 3000 transforms make 12 chunks
+        self._assert_serial_report(tmp_path, adapter, knn, n, transforms)
 
     @pytest.mark.parametrize(
         "args, code, message",

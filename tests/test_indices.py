@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -499,8 +501,10 @@ class TestChunkedConsistencyIndex:
             report = tractable_consistency_index(ChunkCountingPca(), x, d, self.kernel, **kwargs)
             assert _as_rows(report) == _as_rows(whole)
             assert report.value == whole.value
-            # the patched block size is the one the scan ran in
-            assert max(chunks) == per_chunk and sum(chunks) == len(report.contributions)
+            # the patched block size is the one the scan ran in, at max(n, p*p)
+            # floats per transform
+            assert max(chunks) == per_chunk * x.size // max(len(x), x.shape[1] ** 2)
+            assert sum(chunks) == len(report.contributions)
 
     def test_constant_base_through_the_default_stack(self):
         x = np.random.default_rng(6).standard_normal((40, 3))
@@ -540,6 +544,75 @@ class TestChunkedConsistencyIndex:
         assert all(expected in t.message for t in failed)
         kept = [t.residual for t in report.contributions if not t.failed]
         assert report.value == max(kept)
+
+
+class GatedRefusingAdapter(RefusingAdapter):
+    """``RefusingAdapter`` that records the thread of each ``transform_terms``
+    call; the main thread's first call opens ``main_started`` and waits until
+    another thread has made a call."""
+
+    def __init__(self):
+        self.calls = []
+        self.main_started = threading.Event()
+        self.helper_called = threading.Event()
+
+    def transform_terms(self, d, residual_part, bumps, which, axes, base_centered):
+        main = threading.current_thread() is threading.main_thread()
+        self.calls.append((main, len(axes)))
+        if main and not self.main_started.is_set():
+            self.main_started.set()
+            assert self.helper_called.wait(timeout=60)
+        elif not main:
+            self.helper_called.set()
+        return super().transform_terms(d, residual_part, bumps, which, axes, base_centered)
+
+
+class TestSharedConsistencyScan:
+    """With a helper executor the scan's chunks are shared between two
+    threads and joined in chunk order: the report is the serial one."""
+
+    kernel = KernelSpec("gaussian", 1.0)
+    # 50 points in 3 columns: 150 transforms, charged 50 floats each
+    x = np.random.default_rng(9).standard_normal((50, 3)) * [2.0, 1.0, 0.5]
+
+    def _scan(self, adapter, helper):
+        base = adapter.reduce(2, self.x).coords
+        x_hat = indices._consistency_setup(self.x, base)
+        return indices._consistency_scan(adapter, self.x, 2, self.kernel, None, 0, base, x_hat, helper=helper)
+
+    def test_a_failure_in_the_helpers_chunk_keeps_its_message_and_position(self, monkeypatch):
+        # chunks of 10 transforms; the helper is held busy until this thread
+        # has taken chunk 0, and this thread waits until the helper has taken
+        # chunk 1, which holds a refused transform
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 10 * 50)
+        serial = tractable_consistency_index(RefusingAdapter(), self.x, 2, self.kernel)
+        assert any(t.failed for t in serial.contributions[10:20])
+        adapter = GatedRefusingAdapter()
+        with ThreadPoolExecutor(1) as helper:
+            gate = helper.submit(adapter.main_started.wait, 60)
+            report = self._scan(adapter, helper)
+            assert gate.result(timeout=60)
+        assert _as_rows(report) == _as_rows(serial)
+        assert [t.failed for t in report.contributions] == [t.failed for t in serial.contributions]
+        assert report.value == serial.value
+        # the helper's first call was chunk 1 whole, and it reran chunk 1 one
+        # transform at a time
+        assert adapter.calls[0] == (True, 10)
+        helper_calls = [size for main, size in adapter.calls if not main]
+        assert helper_calls[:11] == [10] + [1] * 10
+
+    def test_a_helper_that_stays_busy_leaves_the_scan_to_this_thread(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 10 * 50)
+        busy = threading.Event()
+        adapter = GatedRefusingAdapter()
+        adapter.helper_called.set()
+        with ThreadPoolExecutor(1) as helper:
+            held = helper.submit(busy.wait, 60)
+            report = self._scan(adapter, helper)
+            busy.set()
+            assert held.result(timeout=60)
+        assert all(main for main, _ in adapter.calls)
+        assert _as_rows(report) == _as_rows(tractable_consistency_index(RefusingAdapter(), self.x, 2, self.kernel))
 
 
 class TestPcaTransformTerms:
@@ -837,6 +910,37 @@ class TestKnnMetrics:
         y = rng.integers(0, 3, (n, d)).astype(float)
         for k in sorted({*range(1, n // 2 + 1), n - 1}):
             assert knn_metrics(x, y, k) == brute_force_knn_metrics(x, y, k)
+
+
+class TestRankSum:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 14),
+        st.integers(1, 3),
+        st.sampled_from(["integer grid", "rounded", "duplicated rows"]),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bisection_equals_the_brute_force_rank(self, n, p, kind, data, seed):
+        # tied clouds: few distinct coordinates, values rounded to one digit,
+        # or rows drawn with repetition from half as many
+        rng = np.random.default_rng(seed)
+        if kind == "integer grid":
+            x = rng.integers(0, 3, (n, p)).astype(float)
+        elif kind == "rounded":
+            x = np.round(rng.standard_normal((n, p)), 1)
+        else:
+            x = rng.standard_normal((max(1, n // 2), p))[rng.integers(0, max(1, n // 2), n)]
+        k = data.draw(st.sampled_from(sorted({*range(1, n // 2 + 1), n - 1})), label="k")
+        own = np.arange(data.draw(st.integers(0, n - 1), label="first row"), n)
+        dist, ordered, near = indices._neighbourhoods(x, own, k)
+        for picked in (near, ~near, rng.random(dist.shape) < 0.5):
+            # the entries strictly below, plus the equal ones at a lower index
+            expected = sum(
+                int(np.count_nonzero(dist[r] < dist[r, c]) + np.count_nonzero(dist[r, :c] == dist[r, c]))
+                for r, c in zip(*np.nonzero(picked))
+            )
+            assert indices._rank_sum(dist, ordered, picked) == expected
 
 
 class TestPcaReduce:

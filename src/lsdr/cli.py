@@ -22,9 +22,9 @@ from .indices import (
     IdentityAdapter,
     IndexReport,
     PcaAdapter,
-    _base_output,
     _consistency_scan,
     _consistency_setup,
+    _reduced,
     check_knn_k,
     check_transform_subsample,
     knn_metrics,
@@ -225,7 +225,7 @@ def cmd_index(args, argv: list[str]) -> int:
         try:
             base = x_hat = knn = None
             if args.tci or args.knn:
-                base = worker.submit(lambda: adapter.reduce(args.d, cloud).coords)
+                base = worker.submit(_reduced, adapter, args.d, cloud)
             if args.tci:
                 x_hat = worker.submit(lambda: _consistency_setup(cloud, base.result()))
             if args.knn:
@@ -238,7 +238,6 @@ def cmd_index(args, argv: list[str]) -> int:
                     sigma = transform_bandwidth(cloud, alpha=args.alpha, k=args.k, seed=args.seed)
                 # tractable_consistency_index's steps, in its order
                 check_transform_subsample(args.transforms)
-                tci_base = _base_output(adapter, cloud, args.d, base.result())
                 report.tci = _consistency_scan(
                     adapter,
                     cloud,
@@ -246,7 +245,7 @@ def cmd_index(args, argv: list[str]) -> int:
                     KernelSpec("gaussian", sigma),
                     args.transforms,
                     args.seed,
-                    tci_base,
+                    base.result(),
                     x_hat.result(),
                     helper=worker,
                 )

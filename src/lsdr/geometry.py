@@ -41,14 +41,17 @@ class Tessellation:
 
     ``simplices`` is the (s, p+1) index array with ascending rows in
     lexicographic order; ``edges`` the (m, 2) pairs i < j of their edges in
-    lexicographic order, and ``lengths`` their (m,) Euclidean lengths measured
-    on the original coordinates.
+    lexicographic order, ``lengths`` their (m,) Euclidean lengths measured
+    on the original coordinates, and ``simplex_edges`` the (s, C(p+1, 2))
+    rows of ``edges`` that hold each simplex's vertex pairs, in
+    ``np.triu_indices`` order.
     """
 
     points: np.ndarray
     simplices: np.ndarray
     edges: np.ndarray
     lengths: np.ndarray
+    simplex_edges: np.ndarray
 
     @property
     def n(self) -> int:
@@ -57,12 +60,6 @@ class Tessellation:
     @property
     def p(self) -> int:
         return self.points.shape[1]
-
-    def simplex_edge_ids(self) -> np.ndarray:
-        """(s, C(p+1, 2)) row of the edge table holding each edge of each simplex."""
-        i, j = np.triu_indices(self.p + 1, 1)
-        keys = self.simplices[:, i] * self.n + self.simplices[:, j]
-        return np.searchsorted(edge_keys(self.edges, self.n), keys)
 
 
 @dataclass
@@ -159,10 +156,16 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
 
     simplices = _lexicographic(np.sort(tri.simplices.astype(np.intp), axis=1))
     i, j = np.triu_indices(p + 1, 1)
-    keys = np.unique(simplices[:, i] * n + simplices[:, j])
+    pair_keys = simplices[:, i] * n + simplices[:, j]
+    keys, simplex_edges = np.unique(pair_keys, return_inverse=True)
     edges = np.column_stack(np.divmod(keys, n))
     return Tessellation(
-        points=pts, simplices=simplices, edges=edges, lengths=edge_lengths(pts, edges)
+        points=pts,
+        simplices=simplices,
+        edges=edges,
+        lengths=edge_lengths(pts, edges),
+        # numpy before 2.0 gives the inverse flat, numpy 2 in the keys' shape
+        simplex_edges=simplex_edges.reshape(pair_keys.shape),
     )
 
 

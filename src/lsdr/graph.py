@@ -8,7 +8,7 @@ depends on the order of the vertices. Shortest paths over the surviving
 weighted edges approximate geodesic distances on the underlying manifold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
@@ -35,21 +35,13 @@ class ManifoldGraph(Tessellation):
 
     The layout is the tessellation's: ``edges`` holds (m, 2) pairs i < j in
     lexicographic order with their (m,) ``lengths`` and ``simplices`` the
-    surviving (s, p+1) ascending rows in lexicographic order. ``mcst_edges``
-    are the protected spanning-tree pairs, also in lexicographic order.
+    surviving (s, p+1) ascending rows in lexicographic order, with their
+    ``simplex_edges`` in this graph's edge table. ``mcst_edges`` are the
+    protected spanning-tree pairs, also in lexicographic order.
     """
 
     mcst_edges: np.ndarray
     alpha: float
-    # each surviving simplex's edge ids, when ``prune_edges`` carried them
-    # over from the tessellation's
-    _edge_ids: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def simplex_edge_ids(self) -> np.ndarray:
-        """The ids ``prune_edges`` carried over, or the tessellation's search."""
-        if self._edge_ids is None:
-            return super().simplex_edge_ids()
-        return self._edge_ids
 
 
 @dataclass
@@ -105,9 +97,8 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     of the tessellation, the tree and alpha, not of the row order of the
     cloud; only a star total's summation order follows the edge ids, which
     can move a statistic that sits within rounding of its threshold.
-    Simplices that lose any edge are dropped; the graph's
-    ``simplex_edge_ids`` are the tessellation's, renumbered, with no second
-    search.
+    Simplices that lose any edge are dropped; the graph's ``simplex_edges``
+    are the tessellation's, renumbered, with no search.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
@@ -132,20 +123,18 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
             break
         alive[removed] = False
 
-    edge_ids = tess.simplex_edge_ids()
-    surviving = alive[edge_ids].all(axis=1)
-    graph = ManifoldGraph(
+    surviving = alive[tess.simplex_edges].all(axis=1)
+    return ManifoldGraph(
         points=tess.points,
         edges=tess.edges[alive],
         lengths=tess.lengths[alive],
         simplices=tess.simplices[surviving],
+        # the surviving edges keep their order, so a surviving simplex's edge
+        # ids are its tessellation ids renumbered by the live edges before them
+        simplex_edges=(np.cumsum(alive) - 1)[tess.simplex_edges[surviving]],
         mcst_edges=mcst.edges,
         alpha=alpha,
     )
-    # the surviving edges keep their order, so a surviving simplex's edge ids
-    # are its tessellation ids renumbered by the count of live edges before them
-    graph._edge_ids = (np.cumsum(alive) - 1)[edge_ids[surviving]]
-    return graph
 
 
 def _csr(g: ManifoldGraph) -> csr_matrix:

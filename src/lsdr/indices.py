@@ -149,19 +149,26 @@ class AlgorithmAdapter:
         with non-finite entries raises ``ValidationError``.
         """
         traces = np.empty(len(which))
-        cross = np.empty((len(which), base_centered.shape[1], base_centered.shape[1]))
+        cross = np.empty((len(which), d, d))
         for b, (row, axis) in enumerate(zip(which, axes)):
             cloud = residual_part.copy()
             cloud[:, axis] += bumps[row]
-            moved = self.reduce(d, cloud).coords
-            if moved.shape != base_centered.shape:
-                raise ValidationError(f"adapter produced shape {moved.shape}, expected {base_centered.shape}")
-            if not np.all(np.isfinite(moved)):
-                raise ValidationError("adapter output contains non-finite entries")
+            moved = _reduced(self, d, cloud)
             at = moved - moved.mean(axis=0)
             traces[b] = _square_sum(at)
             cross[b] = at.T @ base_centered
         return traces, cross
+
+
+def _reduced(alg: AlgorithmAdapter, d: int, x: np.ndarray) -> np.ndarray:
+    """``alg.reduce(d, x).coords``; anything but a finite (n, d) array raises
+    ``ValidationError``."""
+    coords = alg.reduce(d, x).coords
+    if coords.shape != (len(x), d):
+        raise ValidationError(f"adapter produced shape {coords.shape}, expected {(len(x), d)}")
+    if not np.all(np.isfinite(coords)):
+        raise ValidationError("adapter output contains non-finite entries")
+    return coords
 
 
 def pca_reduce(x, d: int) -> Embedding:
@@ -253,17 +260,14 @@ def trustability_index(alg: AlgorithmAdapter, x) -> float:
 
     The similarity-alignment residual of X onto Y = reduce(p, X), in the
     closed form of ``procrustes_fit``, and therefore zero (up to roundoff)
-    whenever the output is a translated, scaled rotation of the input.
+    whenever the output is a translated, scaled rotation of the input. An
+    output that is not a finite (n, p) array raises ``ValidationError``.
     """
     x = as_matrix(x, "data")
-    n, p = x.shape
     xt = x - x.mean(axis=0)
     if float(np.sum(xt * xt)) <= 0.0:
         raise ValidationError("data has zero total variance; trustability is undefined")
-    y = alg.reduce(p, x).coords
-    if y.shape != (n, p):
-        raise ValidationError(f"adapter produced shape {y.shape}, expected {(n, p)}")
-    return procrustes_fit(y, x).residual
+    return procrustes_fit(_reduced(alg, x.shape[1], x), x).residual
 
 
 @dataclass
@@ -380,8 +384,6 @@ def tractable_consistency_index(
     kernel: KernelSpec,
     transform_subsample: int | None = None,
     seed: int = 0,
-    *,
-    base: np.ndarray | None = None,
 ) -> TciReport:
     """Worst-case output movement over the finite boundary transform set.
 
@@ -394,9 +396,13 @@ def tractable_consistency_index(
     ``alg.transform_terms`` gives each transform's trace(At^T At) and At^T Bt
     from one bump per distinct point of the chunk, and one residual rule
     scores them. An output that is wrong-shaped or not finite is a failure,
-    as is an adapter that raises. A failing chunk goes back through the same
-    scan one transform at a time, so each failing transform is recorded with
-    its own message and excluded.
+    as is an adapter that raises or gives terms for a different number of
+    transforms. A failing chunk goes back through the same scan one
+    transform at a time, so each failing transform is recorded with its own
+    message and excluded.
+    The output on the untransformed data, the base every residual is
+    measured against, must itself be a finite (n, d) array, else
+    ``ValidationError``.
 
     The default ``transform_terms`` (the pipeline, identity and user
     adapters) reduces one transformed cloud at a time, so the residuals equal
@@ -409,26 +415,11 @@ def tractable_consistency_index(
     median positive pairwise output distance from ``_positive_distance_median``,
     and the reconstruction x_hat is fitted and evaluated on row blocks of its
     kernel, so memory grows with n, not n^2.
-
-    ``base`` is the output on the untransformed data, ``alg.reduce(d,
-    x).coords``, for a caller that already has it; without it the index
-    reduces x itself. A given base must be a finite (n, d) array, else
-    ``ValidationError``.
     """
     check_transform_subsample(transform_subsample)
     x = as_matrix(x, "data")
-    base = _base_output(alg, x, d, base)
+    base = _reduced(alg, d, x)
     return _consistency_scan(alg, x, d, kernel, transform_subsample, seed, base, _consistency_setup(x, base))
-
-
-def _base_output(alg: AlgorithmAdapter, x: np.ndarray, d: int, base: np.ndarray | None) -> np.ndarray:
-    """``alg.reduce(d, x).coords``, or the given base checked to be a finite (n, d) array."""
-    if base is None:
-        return alg.reduce(d, x).coords
-    base = as_matrix(base, "base")
-    if base.shape != (len(x), d):
-        raise ValidationError(f"base has shape {base.shape}, expected {(len(x), d)}")
-    return base
 
 
 def _consistency_setup(x: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -487,6 +478,10 @@ def _consistency_scan(
             distinct, which = np.unique(rows, return_inverse=True)
             bumps = kernel_matrix(kernel, x[distinct], x_hat)
             traces, cross = alg.transform_terms(d, residual_part, bumps, which, cols, base_centered)
+            if len(traces) != len(rows) or len(cross) != len(rows):
+                raise ValidationError(
+                    f"adapter gave {len(traces)} traces and {len(cross)} cross terms, expected {len(rows)} of each"
+                )
             if base_constant:
                 # the similarity term vanishes; only the translation is free
                 residuals = [float(t) for t in traces]

@@ -50,7 +50,7 @@ def detect_boundary(g: ManifoldGraph) -> list[int]:
     A graph with no surviving simplex has every edge in none, so every vertex
     of a connected graph is a boundary point.
     """
-    counts = np.bincount(g.simplex_edge_ids().ravel(), minlength=len(g.edges))
+    counts = np.bincount(g.simplex_edges.ravel(), minlength=len(g.edges))
     return np.unique(g.edges[counts <= 1]).tolist()
 
 

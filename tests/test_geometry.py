@@ -13,7 +13,7 @@ from scipy.spatial import QhullError
 from lsdr import geometry
 from lsdr.datasets import FAMILIES, DatasetSpec, generate
 from lsdr.errors import DegeneracyError, ValidationError
-from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
+from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst
 from lsdr.numerics import pairwise_sq_dists
 
 
@@ -33,6 +33,20 @@ def family_clouds(p: int, n: int = 60) -> list:
 def pair_set(pairs) -> set:
     """The rows of an (m, 2) index array as a set of tuples."""
     return set(map(tuple, np.asarray(pairs).tolist()))
+
+
+def searched_simplex_edges(simplices, edges, n: int) -> np.ndarray:
+    """Each simplex's vertex pairs, in ``np.triu_indices`` order, looked up in
+    the edge table by binary search: the reference for ``simplex_edges``."""
+    i, j = np.triu_indices(simplices.shape[1], 1)
+    return np.searchsorted(edge_keys(edges, n), simplices[:, i] * n + simplices[:, j])
+
+
+def assert_simplex_edges_are_searched(g) -> None:
+    """``g.simplex_edges`` equals the search over ``g``'s own edge table, dtype included."""
+    expected = searched_simplex_edges(g.simplices, g.edges, g.n)
+    assert g.simplex_edges.dtype == expected.dtype
+    assert np.array_equal(g.simplex_edges, expected)
 
 
 def circumcircle(a, b, c):
@@ -221,6 +235,7 @@ class TestDelaunay:
         simplices = np.sort(qhull(jittered).simplices, axis=1)
         assert np.array_equal(tess.simplices, simplices[np.lexsort(simplices.T[::-1])])
         assert np.array_equal(tess.points, pts)
+        assert_simplex_edges_are_searched(tess)
 
     def test_a_cloud_qhull_rejects_even_jittered_is_degenerate(self, monkeypatch):
         def fail(pts):
@@ -251,6 +266,14 @@ class TestDelaunay:
         for s in tess.simplices:
             from_simplices.update(itertools.combinations(s.tolist(), 2))
         assert pair_set(tess.edges) == from_simplices
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_simplex_edges_are_the_searched_rows(self, p):
+        clouds = family_clouds(p) + [np.random.default_rng(seed).standard_normal((40, p)) for seed in range(3)]
+        if p == 2:
+            clouds.append(generate(DatasetSpec("spiral", 400, seed=25)))
+        for pts in clouds:
+            assert_simplex_edges_are_searched(delaunay_tessellation(pts))
 
     def test_no_edge_flip_improves_the_minimum_angle(self):
         # 2D local optimality: flipping any interior edge of a convex quad

@@ -1,6 +1,5 @@
 """Edge pruning statistics, geodesic distances, and the edge-list format."""
 
-import dataclasses
 import functools
 import heapq
 import math
@@ -26,7 +25,7 @@ from lsdr.numerics import beta_quantile, regularized_incomplete_beta
 from lsdr.skeleton import boundary_distances, detect_boundary
 
 from test_edge_table import cloud
-from test_geometry import pair_set
+from test_geometry import assert_simplex_edges_are_searched, pair_set, searched_simplex_edges
 from test_numerics import quadrature_beta_quantile
 
 
@@ -39,11 +38,13 @@ def build_graph(points, edges, simplices=(), mcst=(), alpha=0.95):
         return rows[np.lexsort(rows.T[::-1])]
 
     pairs = table(edges, 2)
+    rows = table(simplices, pts.shape[1] + 1)
     return ManifoldGraph(
         points=pts,
         edges=pairs,
         lengths=edge_lengths(pts, pairs),
-        simplices=table(simplices, pts.shape[1] + 1),
+        simplices=rows,
+        simplex_edges=searched_simplex_edges(rows, pairs, len(pts)),
         mcst_edges=table(mcst, 2),
         alpha=alpha,
     )
@@ -131,13 +132,13 @@ class TestPruneEdges:
                 graph = prune_edges(tess, mcst, alpha)
                 assert np.array_equal(graph.edges, tess.edges[alive])
                 assert np.array_equal(graph.lengths, tess.lengths[alive])
-                surviving = alive[tess.simplex_edge_ids()].all(axis=1)
+                surviving = alive[tess.simplex_edges].all(axis=1)
                 assert np.array_equal(graph.simplices, tess.simplices[surviving])
 
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_simplex_edge_ids_are_the_tessellations_renumbered(self, p):
         # prune_edges carries each surviving simplex's edge ids over from the
-        # tessellation; a graph built without them searches its own table
+        # tessellation; they are the rows a search of the graph's own table finds
         clouds = [cloud(p, seed) for seed in range(3)]
         if p == 2:
             clouds.append(generate(DatasetSpec("spiral", 400, seed=25)))
@@ -146,12 +147,7 @@ class TestPruneEdges:
             mcst = euclidean_mcst(pts, tess.edges)
             for alpha in (0.5, 0.95, 0.99):
                 graph = prune_edges(tess, mcst, alpha)
-                assert graph._edge_ids is not None
-                searched = dataclasses.replace(graph)
-                assert searched._edge_ids is None
-                ids, expected = graph.simplex_edge_ids(), searched.simplex_edge_ids()
-                assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
-                assert detect_boundary(graph) == detect_boundary(searched)
+                assert_simplex_edges_are_searched(graph)
 
     def test_star_total_is_a_left_fold(self):
         # 1 + 2**-53 rounds back to 1 at each step of a left fold; the exact
@@ -374,11 +370,13 @@ class TestGraphDistances:
             if i != j and (i, j) not in edges:
                 edges[(i, j)] = int(rng.integers(1, 33)) / 8.0
         pairs = sorted(edges)
+        no_simplices = np.empty((0, 3), dtype=np.intp)
         g = ManifoldGraph(
             points=pts,
             edges=np.array(pairs),
             lengths=np.array([edges[e] for e in pairs]),
-            simplices=np.empty((0, 3), dtype=np.intp),
+            simplices=no_simplices,
+            simplex_edges=searched_simplex_edges(no_simplices, np.array(pairs), n),
             mcst_edges=np.empty((0, 2), dtype=np.intp),
             alpha=0.9,
         )

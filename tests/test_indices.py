@@ -244,34 +244,55 @@ class TestTractableConsistencyIndex:
         with pytest.raises(ValidationError):
             tractable_consistency_index(PcaAdapter(), x, 1, KernelSpec("gaussian", None))
 
-    @pytest.mark.parametrize("alg", [PcaAdapter(), IdentityAdapter()])
-    def test_a_given_base_gives_the_same_report(self, alg):
-        x = generate(DatasetSpec("swiss_roll", 80, seed=2))
-        kernel = KernelSpec("gaussian", 1.5)
-        own = tractable_consistency_index(alg, x, 2, kernel, transform_subsample=20, seed=4)
-        given = tractable_consistency_index(
-            alg, x, 2, kernel, transform_subsample=20, seed=4, base=alg.reduce(2, x).coords
-        )
-        assert _as_rows(given) == _as_rows(own)
-        assert (given.value, given.subsampled, given.n_transforms_total) == (
-            own.value,
-            own.subsampled,
-            own.n_transforms_total,
-        )
-        assert np.array_equal(given.base, own.base)
-
     @pytest.mark.parametrize(
-        "base, message",
+        "bend, message",
         [
-            (np.zeros((12, 1)), r"base has shape \(12, 1\), expected \(12, 2\)"),
-            (np.zeros((11, 2)), r"base has shape \(11, 2\), expected \(12, 2\)"),
-            (np.full((12, 2), np.nan), "base contains non-finite entries"),
+            (lambda y: y[1:], r"adapter produced shape \(11, 2\), expected \(12, 2\)"),
+            (lambda y: np.hstack([y, y]), r"adapter produced shape \(12, 4\), expected \(12, 2\)"),
+            (lambda y: np.where(np.arange(12)[:, None] == 3, np.nan, y), "adapter output contains non-finite entries"),
         ],
+        ids=["missing-row", "double-width", "nan"],
     )
-    def test_rejects_a_wrong_base(self, base, message):
+    def test_rejects_a_wrong_base(self, bend, message):
+        # the output on the untransformed cloud is checked like every other
         x = np.random.default_rng(1).standard_normal((12, 3))
         with pytest.raises(ValidationError, match=message):
-            tractable_consistency_index(PcaAdapter(), x, 2, KernelSpec("gaussian", 1.0), base=base)
+            tractable_consistency_index(BentAdapter(bend), x, 2, KernelSpec("gaussian", 1.0))
+
+    def test_missing_terms_fail_their_transforms(self):
+        # a chunk given fewer terms than transforms reruns one transform at a
+        # time, and each one fails with its own message
+        x = np.random.default_rng(1).standard_normal((12, 3))
+        report = tractable_consistency_index(
+            ShortTermsAdapter(), x, 2, KernelSpec("gaussian", 1.0), transform_subsample=10
+        )
+        assert len(report.contributions) == 10
+        assert len(report.failed_transforms) == 10 and report.value == 0.0
+        assert {t.message for t in report.contributions} == {"adapter gave 0 traces and 0 cross terms, expected 1 of each"}
+
+
+class BentAdapter(PcaAdapter):
+    """PCA whose every output is passed through ``bend``."""
+
+    name = "bent"
+
+    def __init__(self, bend):
+        self.bend = bend
+
+    def reduce(self, d, x):
+        emb = pca_reduce(x, d)
+        emb.coords = self.bend(emb.coords)
+        return emb
+
+
+class ShortTermsAdapter(PcaAdapter):
+    """PCA's terms with the last transform's left out."""
+
+    name = "short-terms"
+
+    def transform_terms(self, d, residual_part, bumps, which, axes, base_centered):
+        traces, cross = super().transform_terms(d, residual_part, bumps, which, axes, base_centered)
+        return traces[:-1], cross[:-1]
 
 
 def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0):

@@ -23,6 +23,7 @@ from lsdr.skeleton import (
     skeleton_report,
 )
 
+from test_geometry import searched_simplex_edges
 from test_graph import adjacency, build_graph
 
 
@@ -155,11 +156,13 @@ def with_extra_vertices(g: ManifoldGraph, twins: int, tiny: bool) -> ManifoldGra
         lengths.append(np.array([1e-20]))
     edges = np.vstack(pairs)
     order = np.lexsort(edges.T[::-1])
+    points = np.vstack(points)
     return ManifoldGraph(
-        points=np.vstack(points),
+        points=points,
         edges=edges[order],
         lengths=np.concatenate(lengths)[order],
         simplices=g.simplices,
+        simplex_edges=searched_simplex_edges(g.simplices, edges[order], len(points)),
         mcst_edges=g.mcst_edges,
         alpha=g.alpha,
     )

@@ -36,6 +36,10 @@ def main():
                 transform_subsample=args.transforms, seed=args.seed,
             )
         tag = " (lower bound)" if report.subsampled else ""
+        if report.value is None:
+            # no transform was scored, so there is no value to print
+            print(f"{adapter.name:6s} TCI: every one of {len(report.contributions)} transforms failed")
+            continue
         print(
             f"{adapter.name:6s} TCI = {report.value:12.4f}   normalized {report.value / args.n:10.4f}"
             f"   over {len(report.contributions)} transforms{tag}"

@@ -261,6 +261,14 @@ def cmd_index(args, argv: list[str]) -> int:
     header, row = report.csv_row()
     summary.write_text(header + "\n" + row + "\n")
     _write_manifest(manifest, "index", argv, args.seed, outputs, started)
+    if report.tci is not None and report.tci.value is None:
+        first = report.tci.failed_transforms[0]
+        return _fail(
+            "numerical",
+            f"every consistency transform failed; the first (point {first.point_index}, "
+            f"axis {first.axis}): {first.message}",
+            EXIT_NUMERICAL,
+        )
     print(f"wrote {out}")
     return EXIT_OK
 

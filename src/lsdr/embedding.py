@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _max_asymmetry, _row_blocks, _symmetrize, as_matrix, pairwise_sq_dists, sym_eigen
 from .skeleton import SkeletonReport
 
 __all__ = [
@@ -116,7 +116,7 @@ def _validate_distance_matrix(q) -> np.ndarray:
     n = q.shape[0]
     if q.shape[1] != n:
         raise ValidationError(f"distance matrix must be square, got shape {q.shape}")
-    if float(np.abs(q - q.T).max()) > 1e-12 * max(1.0, float(np.abs(q).max())):
+    if _max_asymmetry(q) > 1e-12 * max(1.0, float(max(q.max(), -q.min()))):
         raise ValidationError("distance matrix is not symmetric")
     if float(np.abs(np.diag(q)).max()) > 0.0:
         raise ValidationError("distance matrix must have a zero diagonal")
@@ -128,32 +128,67 @@ def _validate_distance_matrix(q) -> np.ndarray:
 def classical_scaling(q: np.ndarray, d: int) -> np.ndarray:
     """Coordinates from double centering of the squared distances.
 
-    Negative eigenvalues (non-Euclidean inputs) are clamped to zero; they
-    only affect this initialization, the stress refinement works on the raw
-    distances.
+    Only the top d eigenpairs of the double-centred matrix are computed
+    (``sym_eigen``'s top-k solve: Lanczos to machine precision relative to
+    each eigenvalue, from a fixed start vector, each vector's largest entry
+    positive); the matrix is built in place from one copy of the squared
+    distances. Negative eigenvalues (non-Euclidean inputs) are clamped to
+    zero; they only affect this initialization, the stress refinement works
+    on the raw distances.
     """
-    sq = q * q
-    b = -0.5 * (sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean())
-    b = 0.5 * (b + b.T)
-    eigenvalues, eigenvectors = sym_eigen(b)
-    top = np.clip(eigenvalues[:d], 0.0, None)
-    return eigenvectors[:, :d] * np.sqrt(top)
+    b = q * q
+    col_means, row_means, mean = b.mean(axis=0), b.mean(axis=1)[:, None], b.mean()
+    # -0.5 * (sq - col_means - row_means + mean), one operation at a time
+    b -= col_means
+    b -= row_means
+    b += mean
+    b *= -0.5
+    eigenvalues, eigenvectors = sym_eigen(_symmetrize(b), d)
+    top = np.clip(eigenvalues, 0.0, None)
+    return eigenvectors * np.sqrt(top)
 
 
-def _stress(q_pairs: np.ndarray, dist_pairs: np.ndarray) -> float:
-    # the pairs i < j, gathered in row-major order by an upper-triangle mask:
-    # MDS stops on these sums
-    return float(np.sqrt(np.sum((q_pairs - dist_pairs) ** 2)))
+def _pair_blocks(n: int) -> list[tuple[slice, np.ndarray, slice]]:
+    """Row blocks of an n x n matrix, each with the mask of its pairs i < j
+    and their slice of the row-major list of all such pairs."""
+    blocks, at = [], 0
+    for rows in _row_blocks(n, n):
+        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        count = int(np.count_nonzero(upper))
+        blocks.append((rows, upper, slice(at, at + count)))
+        at += count
+    return blocks
 
 
-def _guttman_step(q: np.ndarray, y: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    n = y.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dist > 0.0, q / np.where(dist > 0.0, dist, 1.0), 0.0)
-    b = -ratio
-    np.fill_diagonal(b, 0.0)
-    np.fill_diagonal(b, -b.sum(axis=1))
-    return (b @ y) / n
+def _majorization_terms(
+    q: np.ndarray, y: np.ndarray, blocks: list, b: np.ndarray, residuals: np.ndarray
+) -> float:
+    """The stress of ``y`` against ``q``, and the Guttman matrix B(y) in ``b``.
+
+    One pass over ``_pair_blocks`` of the distances of ``y``. ``residuals``
+    gets the squared residuals (q_ij - |y_i - y_j|)^2 of the pairs i < j in
+    row-major order and the stress is the square root of their ``np.sum``;
+    row i of ``b`` (C-ordered) gets -q_ij / |y_i - y_j| off the diagonal (-0.0
+    where the distance is 0) and minus its own row sum on it, so
+    ``(b @ y) / n`` is the Guttman transform. Every float is the one the
+    whole s x s arrays would give; none of them is formed.
+    """
+    n = len(q)
+    for rows, upper, pairs in blocks:
+        dist = pairwise_sq_dists(y[rows], y)
+        np.sqrt(dist, out=dist)
+        block = residuals[pairs]
+        np.subtract(q[rows][upper], dist[upper], out=block)
+        np.square(block, out=block)
+        ratio = b[rows]
+        ratio.fill(0.0)
+        np.divide(q[rows], dist, out=ratio, where=dist > 0.0)
+        np.negative(ratio, out=ratio)
+        # entry (r, rows.start + r) of the block, for every row r
+        diagonal = ratio.reshape(-1)[rows.start :: n + 1]
+        diagonal[:] = 0.0
+        diagonal[:] = -ratio.sum(axis=1)
+    return float(np.sqrt(np.sum(residuals)))
 
 
 def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
@@ -162,27 +197,27 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
     Classical scaling provides the start; majorization steps then lower the
     stress monotonically until the relative change drops below 1e-9 or 500
     iterations pass. Appending to ``stress_trace`` exposes the per-iteration
-    stress values for convergence checks.
+    stress values for convergence checks. Besides ``q`` the iteration holds
+    one s x s matrix (the Guttman matrix), the s(s - 1)/2 squared residuals
+    the stress sums and their s x s mask.
     """
     q = _validate_distance_matrix(q)
     n = q.shape[0]
     if not 1 <= d < n:
         raise ValidationError(f"target dimension must satisfy 1 <= d < n, got d={d}, n={n}")
     y = classical_scaling(q, d)
-    dist = np.sqrt(pairwise_sq_dists(y))
-    # the mask and q's pairs are built once; only the distances change
-    upper = np.triu(np.ones(q.shape, dtype=bool), 1)
-    q_pairs = q[upper]
-    current = _stress(q_pairs, dist[upper])
+    blocks = _pair_blocks(n)
+    b = np.empty((n, n))
+    residuals = np.empty(n * (n - 1) // 2)
+    current = _majorization_terms(q, y, blocks, b, residuals)
     if stress_trace is not None:
         stress_trace.append(current)
     scale = float(q.max())
     for _ in range(MDS_MAX_ITER):
         if current <= 1e-14 * scale:
             break
-        y_next = _guttman_step(q, y, dist)
-        dist = np.sqrt(pairwise_sq_dists(y_next))
-        nxt = _stress(q_pairs, dist[upper])
+        y_next = (b @ y) / n
+        nxt = _majorization_terms(q, y_next, blocks, b, residuals)
         if stress_trace is not None:
             stress_trace.append(nxt)
         if not np.isfinite(nxt):
@@ -206,7 +241,8 @@ def nadaraya_embed(
     Skeletal points are not pinned: their own row is the weighted average
     including themselves. If every weight for some point underflows to zero
     the point falls back to its nearest skeletal point's embedding and a
-    warning is emitted.
+    warning is emitted. The n x s weights are formed a row block at a time
+    (``numerics._row_blocks``), so memory grows with n + s, not n * s.
     """
     y_skel = as_matrix(skeletal_coords, "skeletal coordinates")
     x_skel = as_matrix(skeletal_points, "skeletal points")
@@ -215,19 +251,24 @@ def nadaraya_embed(
         raise ValidationError("skeletal coordinates and points disagree on count")
     if x_skel.shape[0] < 1:
         raise ValidationError("need at least one skeletal point")
-    weights = kernel_matrix(kernel, x_all, x_skel)
-    totals = weights.sum(axis=1)
-    alive = totals > 0.0
-    dead = np.flatnonzero(~alive)
-    out = np.empty((x_all.shape[0], y_skel.shape[1]))
-    out[alive] = (weights[alive] @ y_skel) / totals[alive, None]
-    if dead.size:
+    n = x_all.shape[0]
+    out = np.empty((n, y_skel.shape[1]))
+    dead = 0
+    for rows in _row_blocks(n, x_skel.shape[0]):
+        weights = kernel_matrix(kernel, x_all[rows], x_skel)
+        totals = weights.sum(axis=1)[:, None]
+        alive = totals > 0.0
+        np.divide(weights @ y_skel, totals, out=out[rows], where=alive)
+        gone = np.flatnonzero(~alive[:, 0]) + rows.start
+        if gone.size:
+            dead += gone.size
+            out[gone] = y_skel[np.argmin(pairwise_sq_dists(x_all[gone], x_skel), axis=1)]
+    if dead:
         warnings.warn(
-            f"kernel weights underflowed for {dead.size} point(s); "
+            f"kernel weights underflowed for {dead} point(s); "
             "falling back to nearest skeletal embedding",
             stacklevel=2,
         )
-        out[dead] = y_skel[np.argmin(pairwise_sq_dists(x_all[dead], x_skel), axis=1)]
     return out
 
 

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ValidationError
 from .geometry import SpanningTree, Tessellation, edge_keys, vertex_stars
-from .numerics import beta_quantile
+from .numerics import _row_blocks, beta_quantile
 
 __all__ = [
     "ManifoldGraph",
@@ -46,10 +46,14 @@ class ManifoldGraph(Tessellation):
 
 @dataclass
 class GeodesicDistances:
-    """Shortest-path distance rows for the requested source vertices."""
+    """The geodesic block among a set of vertices.
+
+    ``dists[i, j]`` is the shortest-path length from ``sources[i]`` to
+    ``sources[j]``: a len(sources) x len(sources) block, never n-wide rows.
+    """
 
     sources: list[int]
-    dists: np.ndarray  # len(sources) x n, row i from sources[i]
+    dists: np.ndarray
 
 
 def _star_thresholds(p: int, alpha: float, max_star: int) -> list[float]:
@@ -152,18 +156,28 @@ def _csr(g: ManifoldGraph) -> csr_matrix:
     return csr_matrix((lengths, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n))
 
 
-def graph_distances(g: ManifoldGraph, sources) -> GeodesicDistances:
-    """Single-source shortest-path lengths from each vertex in ``sources``.
+def graph_distances(g: ManifoldGraph, vertices) -> GeodesicDistances:
+    """The square block of shortest-path lengths among ``vertices``.
 
-    Row i holds the distances from ``sources[i]``; unreachable vertices read
-    inf. Edge lengths are non-negative, so every label-setting algorithm
-    settles each vertex at the same float, min over neighbours u of
-    fl(d(u) + w), whatever its visiting order.
+    Entry (i, j) is the length of a shortest path from ``vertices[i]`` to
+    ``vertices[j]``, inf when there is none; rows and columns follow the
+    order of ``vertices``. Dijkstra runs over one symmetric length matrix
+    from chunks of the vertices, each chunk's n-wide rows one row block
+    (``numerics._row_blocks``), and keeps only the requested columns, so
+    memory grows as len(vertices)^2 plus one block, not len(vertices) * n.
+    Each row is its own single-source search, so the chunking moves no bit.
+    Edge lengths are non-negative, so every label-setting algorithm settles
+    each vertex at the same float, min over neighbours u of fl(d(u) + w),
+    whatever its visiting order.
     """
-    src = [int(s) for s in sources]
-    if not src:
-        raise ValidationError("graph_distances needs at least one source")
-    return GeodesicDistances(sources=src, dists=dijkstra(_csr(g), directed=True, indices=src))
+    src = np.array([int(v) for v in vertices], dtype=np.intp)
+    if len(src) == 0:
+        raise ValidationError("graph_distances needs at least one vertex")
+    lengths = _csr(g)
+    dists = np.empty((len(src), len(src)))
+    for rows in _row_blocks(len(src), g.n):
+        dists[rows] = dijkstra(lengths, directed=True, indices=src[rows])[:, src]
+    return GeodesicDistances(sources=src.tolist(), dists=dists)
 
 
 def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:

@@ -285,11 +285,13 @@ class TransformResult:
 class TciReport:
     """Max residual over the evaluated transform set plus per-transform detail.
 
-    ``base`` holds the output on the untransformed data, the coordinates
-    every residual is measured against.
+    ``value`` is None when no transform was scored (every one failed): zero
+    is the score of a perfectly consistent algorithm, not of one that could
+    not be scored. ``base`` holds the output on the untransformed data, the
+    coordinates every residual is measured against.
     """
 
-    value: float
+    value: float | None
     contributions: list[TransformResult]
     subsampled: bool
     n_transforms_total: int
@@ -522,8 +524,9 @@ def _consistency_scan(
     if drain is not None and not drain.cancel():
         drain.result()
     contributions = [t for chunk in scored for t in chunk]
+    residuals = [t.residual for t in contributions if not t.failed]
     return TciReport(
-        value=max([0.0] + [t.residual for t in contributions if not t.failed]),
+        value=max(residuals) if residuals else None,
         contributions=contributions,
         subsampled=subsampled,
         n_transforms_total=n_total,
@@ -660,8 +663,9 @@ class IndexReport:
         if self.tci_bandwidth is not None:
             data["tci_bandwidth"] = self.tci_bandwidth
         if self.tci is not None:
-            data["tci"] = self.tci.value
-            data["tci_normalized"] = self.tci.value / self.n
+            value = self.tci.value
+            data["tci"] = value
+            data["tci_normalized"] = None if value is None else value / self.n
             data["tci_subsampled_lower_bound"] = self.tci.subsampled
             data["tci_transforms_total"] = self.tci.n_transforms_total
             data["tci_contributions"] = [vars(t).copy() for t in self.tci.contributions]

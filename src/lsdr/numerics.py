@@ -1,18 +1,23 @@
-"""Validated numerics: one eigendecomposition wrapper, the Beta CDF and
-quantile behind the edge-pruning threshold, pairwise and paired squared
-distances and the row blocks that bound the size of dense work.
+"""Validated numerics: one eigendecomposition wrapper (every pair, or the top
+k), the Beta CDF and quantile behind the edge-pruning threshold, pairwise and
+paired squared distances, in-place symmetrizing and the row blocks that bound
+the size of dense work.
 
-``sym_eigen`` wraps LAPACK (via numpy). ``regularized_incomplete_beta`` and
-``beta_quantile`` wrap ``scipy.special.betainc`` and ``betaincinv``, adding
+``sym_eigen`` wraps LAPACK (via numpy) for every pair and ARPACK (via
+``scipy.sparse.linalg.eigsh``) for the top k. ``regularized_incomplete_beta``
+and ``beta_quantile`` wrap ``scipy.special.betainc`` and ``betaincinv``, adding
 the argument checks scipy leaves out (it returns NaN where these raise
 ``ValidationError``).
 """
 
+import inspect
+
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist
 from scipy.special import betainc, betaincinv
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "as_matrix",
@@ -37,24 +42,83 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues in descending order and the matrix whose columns are
     the matching orthonormal eigenvectors. A matrix asymmetric beyond
     1e-10 * max(1, |m|) is rejected.
+
+    Without ``k`` every pair comes from LAPACK (via numpy), the vectors
+    signed as LAPACK returns them. With ``k`` (1 <= k < n) only the k
+    largest pairs come back, from implicitly restarted Lanczos (ARPACK's
+    ``eigsh``, ``which="LA"``; Lehoucq, Sorensen & Yang 1998) with
+    ``tol=0``, so each Ritz pair converges to machine precision relative to
+    its Ritz value. The start vector and the vectors of any restart come
+    from one generator seeded with a constant, so a matrix gives the same
+    bytes on every call and in every process (an older scipy whose
+    ``eigsh`` takes no ``rng`` cannot be given restart vectors; there the
+    top k of the full solve are used). The start vector is not the ones
+    vector, which a double-centred matrix maps to zero. Each of the k
+    vectors is signed so that its entry of largest magnitude, the first of
+    them on ties, is positive. An all-zero matrix has no Krylov space: its
+    k pairs are zero eigenvalues with the first k unit vectors, and ARPACK
+    is not called. A Lanczos run that fails raises ``NumericalError``.
     """
     m = as_matrix(m, "sym_eigen input")
-    if m.shape[0] != m.shape[1]:
+    n = m.shape[0]
+    if m.shape[1] != n:
         raise ValidationError(f"sym_eigen input must be square, got shape {m.shape}")
-    if float(np.abs(m - m.T).max()) > 1e-10 * max(1.0, float(np.abs(m).max())):
+    if _max_asymmetry(m) > 1e-10 * max(1.0, float(max(m.max(), -m.min()))):
         raise ValidationError("sym_eigen input is not symmetric within tolerance")
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    # reorder the rows of the transpose, so that the eigenvector matrix is
-    # column-major as ``v[:, order]`` makes it: products with a matrix of
-    # another layout take another BLAS path and round differently
-    return w[order], v.T[order].T
+    if k is None:
+        w, v = np.linalg.eigh(m)
+        order = np.argsort(w)[::-1]
+        # reorder the rows of the transpose, so that the eigenvector matrix is
+        # column-major as ``v[:, order]`` makes it: products with a matrix of
+        # another layout take another BLAS path and round differently
+        return w[order], v.T[order].T
+    if not 1 <= k < n:
+        raise ValidationError(f"sym_eigen needs 1 <= k < n, got k={k}, n={n}")
+    if not m.any():
+        return np.zeros(k), np.eye(n, k)
+    if _SEEDED_LANCZOS:
+        rng = np.random.default_rng(_LANCZOS_SEED)
+        try:
+            w, v = eigsh(m, k=k, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+        except ArpackError as exc:
+            raise NumericalError(f"top-{k} eigensolve failed: {exc}") from None
+        # descending, column-major like the full solve's vectors
+        w, v = w[::-1], v[:, ::-1].copy(order="F")
+    else:
+        w, v = sym_eigen(m)
+        w, v = w[:k], v[:, :k]
+    peak = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[peak, np.arange(k)] < 0.0, -1.0, 1.0)
+    return w, v
+
+
+def _max_asymmetry(m: np.ndarray) -> float:
+    """max |m - m.T| of a square matrix, in row blocks, with no n x n temporary."""
+    n = len(m)
+    return max(float(np.abs(m[rows] - m[:, rows].T).max()) for rows in _row_blocks(n, n))
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``m`` with 0.5 * (m + m.T) and return it.
+
+    Each pair i < j is averaged once, a row block of the upper triangle at a
+    time, and written to both of its entries, so the floats are those of
+    ``0.5 * (m + m.T)`` with no n x n temporary.
+    """
+    n = len(m)
+    for rows in _row_blocks(n, n):
+        cols = slice(rows.start, n)
+        mean = m[rows, cols] + m[cols, rows].T
+        mean *= 0.5
+        m[rows, cols] = mean
+        m[cols, rows] = mean.T
+    return m
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -112,6 +176,15 @@ def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # of n-wide kernels and distances, and the consistency scan's chunks of
 # transforms at max(n, p*p) floats each (one bump row, or PCA's scatter).
 _STACK_FLOATS = 2**18
+
+# Seed of the generator that makes the start vector of ``sym_eigen``'s top-k
+# solve and the vectors of its restarts. A scipy whose ``eigsh`` takes
+# ``rng`` asks its caller for restart vectors; older releases draw them from
+# a generator that keeps its state between calls, so a result that needed a
+# restart (a matrix of low rank) would depend on earlier calls. Under those
+# releases the top-k solve takes the top k of the full solve.
+_LANCZOS_SEED = 0x1A2C
+_SEEDED_LANCZOS = "rng" in inspect.signature(eigsh).parameters
 
 
 def _row_blocks(n_rows: int, row_floats: int):

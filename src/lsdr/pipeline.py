@@ -4,7 +4,9 @@ Stage 1 tessellates the cloud, protects the minimum spanning tree, prunes
 implausible edges and computes graph geodesics. Stage 2 finds the boundary
 and the skeletal points. Stage 3 embeds the skeletal points by metric MDS on
 their geodesic distances and carries every other point along by a kernel
-weighted average of the skeletal embeddings.
+weighted average of the skeletal embeddings. It holds the s x s geodesic
+block among the s skeletal points, never an n-wide row, and forms the n x s
+kernel weights a row block at a time.
 
 Rank-deficient (noise-free) clouds are first trimmed to their affine rank by
 an exact distance-preserving reduction and processed there; clouds wider
@@ -47,7 +49,7 @@ from .graph import (
     prune_edges,
 )
 from .indices import AlgorithmAdapter
-from .numerics import _row_blocks, as_matrix, pairwise_sq_dists
+from .numerics import _row_blocks, _symmetrize, as_matrix, pairwise_sq_dists
 from .skeleton import SkeletonReport, skeleton_report
 
 __all__ = [
@@ -88,10 +90,12 @@ class LsdrConfig:
 class LsdrResult:
     """Embedding plus every intermediate artifact for inspection.
 
-    ``geodesics`` holds the rows of the skeletal points only, the rows stage
-    3 reads; on the all-boundary fallback every point is skeletal, so it
-    holds every row. ``bandwidth`` is None on a fallback; the recommended
-    rule reads no geodesic rows, the same as ``transform_bandwidth``.
+    ``geodesics`` holds the s x s geodesic block among the skeletal points,
+    the matrix metric MDS reads: symmetrized as 0.5 * (q + q.T), with a zero
+    diagonal. No n-wide row is kept or formed. On the all-boundary fallback
+    every point is skeletal, so it is the full n x n matrix. ``bandwidth``
+    is None on a fallback; the recommended rule reads no geodesic block, the
+    same as ``transform_bandwidth``.
     """
 
     embedding: Embedding
@@ -206,8 +210,9 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         # full geodesic matrix
         skeletal = stages.skeleton.skeletal_points
         geodesics = graph_distances(stages.graph, skeletal)
-        q = geodesics.dists[:, skeletal]
-        q = 0.5 * (q + q.T)
+        # the block MDS reads, symmetrized in place: a path summed in the
+        # two directions can differ in its last bit
+        q = _symmetrize(geodesics.dists)
         np.fill_diagonal(q, 0.0)
         mds_coords = metric_mds(q, cfg.d)
     else:

@@ -194,6 +194,26 @@ class TestIndex:
         assert report["tci"] == report["tci_contributions"][0]["residual"]
         assert report["tci_subsampled_lower_bound"] is True
 
+    def test_a_consistency_index_with_no_scored_transform_exits_4(self, tmp_path, monkeypatch, capsys):
+        # the report is written with no value, and the exit code says why
+        from test_indices import FailingTermsAdapter
+
+        data = tmp_path / "c.csv"
+        run(["generate", "--family", "uniform_hypercube", "--n", 20, "--p", 3, "--seed", 4, "--out", data])
+        monkeypatch.setattr(cli, "_resolve_adapter", lambda args: FailingTermsAdapter())
+        out = tmp_path / "idx.json"
+        capsys.readouterr()
+        code = run(["index", data, "--tci", "--transforms", 4, "--bandwidth", 1.0, "--out", out])
+        assert code == 4
+        report = json.loads(out.read_text())
+        first = report["tci_contributions"][0]
+        assert report["tci"] is None and report["tci_normalized"] is None
+        assert all(c["failed"] for c in report["tci_contributions"])
+        assert capsys.readouterr().err == (
+            f"ERROR numerical: every consistency transform failed; the first (point {first['point_index']}, "
+            f"axis {first['axis']}): no terms\n"
+        )
+
     def test_tci_bandwidth_of_a_one_column_cloud_is_the_mean_distance(self, tmp_path):
         # no tessellation exists in one dimension: the bandwidth takes the
         # same fallback as reduce, the mean pairwise distance

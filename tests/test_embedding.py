@@ -7,7 +7,6 @@ from lsdr.datasets import DatasetSpec, spiral_with_angle
 from lsdr import numerics
 from lsdr.embedding import (
     KernelSpec,
-    _stress,
     classical_scaling,
     distinct_rows,
     embed_out_of_sample,
@@ -33,7 +32,7 @@ def euclidean_distances(x):
 def stress(q, y):
     """The sum MDS stops on: distance mismatches over pairs i < j, row-major."""
     upper = np.triu(np.ones(q.shape, dtype=bool), 1)
-    return _stress(q[upper], euclidean_distances(y)[upper])
+    return float(np.sqrt(np.sum((q[upper] - euclidean_distances(y)[upper]) ** 2)))
 
 
 def swiss_roll(n, seed, noise=0.05):
@@ -212,25 +211,23 @@ class TestRecommendedBandwidth:
         )
 
     @staticmethod
-    def _nearest(geo, skeletal):
+    def _nearest(geo):
         """Row minima of the skeletal geodesic block, its diagonal at inf."""
-        between = geo.dists[:, skeletal]
+        between = geo.dists.copy()
         np.fill_diagonal(between, np.inf)
         return between.min(axis=1)
 
     def test_two_skeletal_points(self):
         rep = self._report([0], [0.0, 0.0, 0.0], [1, 2])
-        geo = GeodesicDistances(
-            sources=[1, 2], dists=np.array([[1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-        )
-        assert recommended_bandwidth(rep, self._nearest(geo, [1, 2])) == pytest.approx(2.0)
+        geo = GeodesicDistances(sources=[1, 2], dists=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert recommended_bandwidth(rep, self._nearest(geo)) == pytest.approx(2.0)
 
     def test_unit_spaced_path_with_unit_depth(self):
         n = 4
         rep = self._report([0], np.ones(n), list(range(n)))
         dists = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
         geo = GeodesicDistances(sources=list(range(n)), dists=dists)
-        assert recommended_bandwidth(rep, self._nearest(geo, list(range(n)))) == pytest.approx(np.sqrt(2.0))
+        assert recommended_bandwidth(rep, self._nearest(geo)) == pytest.approx(np.sqrt(2.0))
 
     def test_single_skeletal_point_is_rejected(self):
         # the pipeline never asks: a skeleton of at most d points falls back

@@ -7,7 +7,10 @@ import operator
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
+import lsdr.graph as graph_module
+from lsdr import numerics
 from lsdr.errors import ValidationError
 from lsdr.datasets import DatasetSpec, generate
 from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst, vertex_stars
@@ -348,13 +351,13 @@ def heap_dijkstra(g, sources) -> np.ndarray:
 class TestGraphDistances:
     def test_path(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1), (1, 2)])
-        res = graph_distances(g, [0])
+        res = graph_distances(g, range(3))
         assert res.dists[0, 2] == pytest.approx(2.0)
 
     def test_triangle_direct_edge_wins(self):
         g = build_graph([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [(0, 1), (0, 2), (1, 2)])
-        res = graph_distances(g, [1])
-        assert res.dists[0, 2] == pytest.approx(5.0)
+        res = graph_distances(g, range(3))
+        assert res.dists[1, 2] == pytest.approx(5.0)
 
     def test_matches_floyd_warshall_exactly(self):
         # dyadic rational weights keep every path sum exact, so the two
@@ -429,7 +432,7 @@ class TestGraphDistances:
         # each edge in both directions, the zero kept as an explicit entry
         matrix = _csr(g)
         assert matrix.nnz == 4 and matrix[0, 1] == matrix[1, 0] == 0.0
-        assert graph_distances(g, [0, 2]).dists.tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert graph_distances(g, range(3)).dists[[0, 2]].tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         assert boundary_distances(g, [0]).tolist() == [0.0, 0.0, 1.0]
         assert boundary_distances(g, [2]).tolist() == [1.0, 1.0, 0.0]
         assert nearest_source_distances(g, [0, 1]).tolist() == [0.0, 0.0]
@@ -437,9 +440,32 @@ class TestGraphDistances:
 
     def test_row_and_block_follow_the_source_order(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [(0, 1), (1, 2)])
+        assert graph_distances(g, range(3)).dists[0].tolist() == [0.0, 1.0, 3.0]
         res = graph_distances(g, [2, 0])
-        assert res.dists[1].tolist() == [0.0, 1.0, 3.0]
-        assert res.dists[:, [2, 0]].tolist() == [[0.0, 3.0], [3.0, 0.0]]
+        assert res.sources == [2, 0]
+        assert res.dists.tolist() == [[0.0, 3.0], [3.0, 0.0]]
+
+    def test_chunked_block_is_the_all_pairs_matrix_restricted(self, monkeypatch):
+        # a tiny row block splits the sources into chunks of two; each row is
+        # its own search, so the block keeps the all-pairs matrix's bits
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(0, 1, (150, 2))
+        tess = delaunay_tessellation(pts)
+        graph = prune_edges(tess, euclidean_mcst(pts, tess.edges), 0.95)
+        full = graph_distances(graph, range(graph.n)).dists
+        vertices = [int(v) for v in rng.permutation(graph.n)[:37]] + [5]
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(len(kwargs["indices"]))
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 2 * graph.n)
+        monkeypatch.setattr(graph_module, "dijkstra", counted)
+        res = graph_distances(graph, vertices)
+        assert runs == [2] * 19
+        assert res.sources == vertices
+        assert np.array_equal(res.dists, full[np.ix_(vertices, vertices)])
 
     def test_requires_sources(self):
         g = build_graph([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])

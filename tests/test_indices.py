@@ -267,8 +267,33 @@ class TestTractableConsistencyIndex:
             ShortTermsAdapter(), x, 2, KernelSpec("gaussian", 1.0), transform_subsample=10
         )
         assert len(report.contributions) == 10
-        assert len(report.failed_transforms) == 10 and report.value == 0.0
+        assert len(report.failed_transforms) == 10 and report.value is None
         assert {t.message for t in report.contributions} == {"adapter gave 0 traces and 0 cross terms, expected 1 of each"}
+
+
+class FailingTermsAdapter(PcaAdapter):
+    """PCA whose ``transform_terms`` raises on every chunk."""
+
+    name = "failing-terms"
+
+    def transform_terms(self, d, residual_part, bumps, which, axes, base_centered):
+        raise RuntimeError("no terms")
+
+
+class TestNoScoredTransform:
+    def test_a_report_with_no_scored_transform_has_no_value(self):
+        # zero is the score of a perfectly consistent algorithm, so a report
+        # whose every transform failed carries no number at all
+        x = np.random.default_rng(1).standard_normal((12, 3))
+        report = tractable_consistency_index(
+            FailingTermsAdapter(), x, 2, KernelSpec("gaussian", 1.0), transform_subsample=4
+        )
+        assert len(report.failed_transforms) == 4 == len(report.contributions)
+        assert report.value is None
+        data = IndexReport("failing-terms", "x", 12, tci=report).to_dict()
+        assert data["tci"] is None and data["tci_normalized"] is None
+        header, row = IndexReport("failing-terms", "x", 12, tci=report).csv_row()
+        assert dict(zip(header.split(","), row.split(",")))["tci"] == ""
 
 
 class BentAdapter(PcaAdapter):
@@ -547,7 +572,7 @@ class TestChunkedConsistencyIndex:
             report = tractable_consistency_index(adapter(x), x, 2, self.kernel, transform_subsample=3)
         assert len(report.failed_transforms) == 3
         assert all(t.residual is None and message in t.message for t in report.contributions)
-        assert report.value == 0.0
+        assert report.value is None
         json.dumps(IndexReport(adapter.name, "x", 40, tci=report).to_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("adapter", [SerialPcaAdapter, RefusingAdapter, NonFiniteAdapter])

@@ -1,14 +1,23 @@
 """The eigendecomposition wrapper, the Beta CDF and quantile, and pairwise distances."""
 
+import os
+import subprocess
+import sys
 from math import lgamma
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from lsdr.errors import ValidationError
+import lsdr
+from lsdr import numerics
+from lsdr.embedding import classical_scaling
+from lsdr.errors import NumericalError, ValidationError
 from lsdr.numerics import (
+    _symmetrize,
     as_matrix,
     beta_quantile,
     pairwise_sq_dists,
@@ -57,6 +66,153 @@ class TestSymEigen:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             sym_eigen(np.ones((2, 3)))
+
+
+def double_centred(points):
+    """-1/2 J D^2 J of a cloud's squared distances, as classical scaling forms it."""
+    sq = pairwise_sq_dists(points)
+    return _symmetrize(-0.5 * (sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean()))
+
+
+COLLINEAR = np.c_[np.arange(5.0), 2.0 * np.arange(5.0) + 1.0, np.zeros(5)]
+
+# the top two pairs of the collinear cloud's double-centred matrix and its
+# classical scaling at d = 2, printed as hex bytes
+COLLINEAR_BYTES = (
+    "import numpy as np; from lsdr.embedding import classical_scaling; "
+    "from lsdr.numerics import pairwise_sq_dists, sym_eigen; from test_numerics import COLLINEAR, double_centred; "
+    "w, v = sym_eigen(double_centred(COLLINEAR), 2); "
+    "print((w.tobytes() + v.tobytes() + classical_scaling(np.sqrt(pairwise_sq_dists(COLLINEAR)), 2).tobytes()).hex())"
+)
+
+
+def collinear_bytes() -> bytes:
+    w, v = sym_eigen(double_centred(COLLINEAR), 2)
+    return w.tobytes() + v.tobytes() + classical_scaling(np.sqrt(pairwise_sq_dists(COLLINEAR)), 2).tobytes()
+
+
+def assert_top_pairs(m, w, v, k, rtol=1e-12):
+    """w holds the k largest eigenvalues of m, descending; v orthonormal eigenvectors."""
+    full = np.linalg.eigvalsh(m)[::-1][:k]
+    scale = max(1.0, float(np.abs(full).max()))
+    assert w.shape == (k,) and v.shape == (len(m), k)
+    assert np.all(np.diff(w) <= 0.0)
+    assert np.abs(w - full).max() <= rtol * scale
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+    assert np.abs(m @ v - v * w).max() <= rtol * scale
+
+
+class TestTopEigenpairs:
+    def test_matches_the_full_solve_and_signs_each_vector_by_its_largest_entry(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((30, 30))
+        m = m + m.T
+        w, v = sym_eigen(m, 3)
+        assert_top_pairs(m, w, v, 3)
+        # the rule: each vector's entry of largest magnitude (the first of them) is positive
+        peak = np.argmax(np.abs(v), axis=0)
+        assert np.all(v[peak, np.arange(3)] > 0.0)
+        _, full = sym_eigen(m)
+        for j in range(3):
+            assert min(np.abs(v[:, j] - full[:, j]).max(), np.abs(v[:, j] + full[:, j]).max()) < 1e-10
+
+    def test_an_all_zero_matrix_gives_zero_pairs_without_lanczos(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK was called")
+
+        monkeypatch.setattr(numerics, "eigsh", refuse)
+        w, v = sym_eigen(np.zeros((5, 5)), 2)
+        assert w.tolist() == [0.0, 0.0]
+        assert np.array_equal(v, np.eye(5, 2))
+        # coincident points: every distance is zero, so is the start
+        assert np.array_equal(classical_scaling(np.zeros((4, 4)), 2), np.zeros((4, 2)))
+
+    def test_the_start_vector_survives_double_centring(self, monkeypatch):
+        # the double-centred matrix sends the ones vector to zero, so a start
+        # along it would leave Lanczos nothing to work on
+        starts = []
+        real = numerics.eigsh
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs["v0"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "eigsh", spy)
+        b = double_centred(np.random.default_rng(3).standard_normal((12, 2)))
+        w, v = sym_eigen(b, 1)
+        (v0,) = starts
+        assert np.ptp(v0) > 0.5
+        assert np.linalg.norm(b @ v0) > 0.1 * np.linalg.norm(b @ v[:, 0])
+        assert_top_pairs(b, w, v, 1)
+
+    def test_d_plus_one_points(self):
+        # s = d + 1: Lanczos asks for all but one pair
+        triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+        b = double_centred(triangle)
+        w, v = sym_eigen(b, 2)
+        assert_top_pairs(b, w, v, 2)
+        q = np.sqrt(pairwise_sq_dists(triangle))
+        y = classical_scaling(q, 2)
+        assert np.abs(np.sqrt(pairwise_sq_dists(y)) - q).max() < 1e-12
+        line = np.array([[0.0], [1.0]])
+        assert np.abs(np.abs(classical_scaling(np.sqrt(pairwise_sq_dists(line)), 1)[:, 0]) - 0.5).max() < 1e-15
+
+    def test_tied_top_eigenvalues(self):
+        # a square's corners: the top two eigenvalues are equal, so any
+        # orthonormal basis of their plane is a solution; the distances are not
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        b = double_centred(corners)
+        w, v = sym_eigen(b, 2)
+        assert_top_pairs(b, w, v, 2)
+        assert w == pytest.approx([1.0, 1.0], abs=1e-14)
+        q = np.sqrt(pairwise_sq_dists(corners))
+        y = classical_scaling(q, 2)
+        assert np.abs(np.sqrt(pairwise_sq_dists(y)) - q).max() < 1e-12
+
+    def test_rank_below_k_gives_the_same_bytes_on_every_call_and_in_a_fresh_process(self):
+        # collinear points at d = 2: the double-centred matrix has rank one, so
+        # Lanczos runs out of directions and restarts from generated vectors
+        y = classical_scaling(np.sqrt(pairwise_sq_dists(COLLINEAR)), 2)
+        assert np.abs(y[:, 1]).max() < 1e-6 * np.abs(y[:, 0]).max()
+        first = collinear_bytes()
+        # another restarting solve in between must not change the next one
+        sym_eigen(double_centred(np.c_[np.arange(8.0), np.zeros(8)]), 3)
+        assert collinear_bytes() == first
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(lsdr.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", COLLINEAR_BYTES], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        assert fresh.stdout.strip() == first.hex()
+
+    def test_without_caller_restart_vectors_the_full_solve_gives_the_top_pairs(self, monkeypatch):
+        # a scipy whose eigsh takes no rng draws restart vectors from a
+        # generator it keeps between calls; there the top k come from the full solve
+        monkeypatch.setattr(numerics, "_SEEDED_LANCZOS", False)
+        m = np.random.default_rng(4).standard_normal((8, 8))
+        m = m + m.T
+        w, v = sym_eigen(m, 2)
+        assert_top_pairs(m, w, v, 2)
+        full_w, full_v = sym_eigen(m)
+        assert np.array_equal(w, full_w[:2])
+        assert np.array_equal(np.abs(v), np.abs(full_v[:, :2]))
+        peak = np.argmax(np.abs(v), axis=0)
+        assert np.all(v[peak, np.arange(2)] > 0.0)
+
+    def test_a_failed_lanczos_run_is_a_numerical_error(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((4, 0)))
+
+        monkeypatch.setattr(numerics, "eigsh", stall)
+        with pytest.raises(NumericalError, match="top-1 eigensolve failed"):
+            sym_eigen(double_centred(np.random.default_rng(5).standard_normal((4, 2))), 1)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_must_lie_below_n(self, k):
+        with pytest.raises(ValidationError, match="1 <= k < n"):
+            sym_eigen(np.eye(4), k)
 
 
 class TestBetaQuantile:

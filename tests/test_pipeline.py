@@ -79,6 +79,8 @@ class TestSpiralPipeline:
         q = full.dists[np.ix_(skeletal, skeletal)]
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
+        # the result keeps that block, the matrix MDS read, and no n-wide row
+        assert np.array_equal(res.geodesics.dists, q)
         sigma = recommended_bandwidth(res.skeleton, nearest_source_distances(res.graph, skeletal))
         work = res.working_points
         coords = nadaraya_embed(
@@ -178,6 +180,7 @@ class TestDegenerateInputs:
         q = graph_distances(res.graph, range(n)).dists
         q = 0.5 * (q + q.T)
         np.fill_diagonal(q, 0.0)
+        assert np.array_equal(res.geodesics.dists, q)
         assert np.array_equal(res.embedding.coords, metric_mds(q, 1))
         # like every other fallback, the bandwidth is the mean pairwise distance
         assert res.bandwidth is None

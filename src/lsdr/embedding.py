@@ -148,68 +148,56 @@ def classical_scaling(q: np.ndarray, d: int) -> np.ndarray:
     return eigenvectors * np.sqrt(top)
 
 
-def _pair_blocks(n: int) -> list[tuple[slice, np.ndarray, slice]]:
-    """Row blocks of an n x n matrix, each with the mask of its pairs i < j
-    and their slice of the row-major list of all such pairs."""
-    blocks, at = [], 0
-    for rows in _row_blocks(n, n):
-        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
-        count = int(np.count_nonzero(upper))
-        blocks.append((rows, upper, slice(at, at + count)))
-        at += count
-    return blocks
-
-
-def _majorization_terms(
-    q: np.ndarray, y: np.ndarray, blocks: list, b: np.ndarray, residuals: np.ndarray
-) -> float:
+def _majorization_terms(q: np.ndarray, y: np.ndarray, b: np.ndarray) -> float:
     """The stress of ``y`` against ``q``, and the Guttman matrix B(y) in ``b``.
 
-    One pass over ``_pair_blocks`` of the distances of ``y``. ``residuals``
-    gets the squared residuals (q_ij - |y_i - y_j|)^2 of the pairs i < j in
-    row-major order and the stress is the square root of their ``np.sum``;
-    row i of ``b`` (C-ordered) gets -q_ij / |y_i - y_j| off the diagonal (-0.0
-    where the distance is 0) and minus its own row sum on it, so
-    ``(b @ y) / n`` is the Guttman transform. Every float is the one the
-    whole s x s arrays would give; none of them is formed.
+    One pass over row blocks of the distances of ``y``. Each block's rows of
+    ``b`` first hold the squared residuals (q_ij - |y_i - y_j|)^2; their row
+    sums are halved (exact) and the stress is the square root of their
+    ``np.sum``, each pair counted once from each end, so the order of the sum
+    does not depend on the block size. The rows are then overwritten:
+    -q_ij / |y_i - y_j| off the diagonal (-0.0 where the distance is 0) and
+    minus the row sum on it, so ``(b @ y) / n`` (``b`` C-ordered) is the
+    Guttman transform. Every float is the one the whole s x s arrays would
+    give; none of them is formed.
     """
     n = len(q)
-    for rows, upper, pairs in blocks:
+    row_sums = np.empty(n)
+    for rows in _row_blocks(n, n):
         dist = pairwise_sq_dists(y[rows], y)
         np.sqrt(dist, out=dist)
-        block = residuals[pairs]
-        np.subtract(q[rows][upper], dist[upper], out=block)
+        block = b[rows]
+        np.subtract(q[rows], dist, out=block)
         np.square(block, out=block)
-        ratio = b[rows]
-        ratio.fill(0.0)
-        np.divide(q[rows], dist, out=ratio, where=dist > 0.0)
-        np.negative(ratio, out=ratio)
+        block.sum(axis=1, out=row_sums[rows])
+        block.fill(0.0)
+        np.divide(q[rows], dist, out=block, where=dist > 0.0)
+        np.negative(block, out=block)
         # entry (r, rows.start + r) of the block, for every row r
-        diagonal = ratio.reshape(-1)[rows.start :: n + 1]
+        diagonal = block.reshape(-1)[rows.start :: n + 1]
         diagonal[:] = 0.0
-        diagonal[:] = -ratio.sum(axis=1)
-    return float(np.sqrt(np.sum(residuals)))
+        diagonal[:] = -block.sum(axis=1)
+    row_sums *= 0.5
+    return float(np.sqrt(np.sum(row_sums)))
 
 
 def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
     """Embed a distance matrix into d dimensions by stress minimization.
 
-    Classical scaling provides the start; majorization steps then lower the
-    stress monotonically until the relative change drops below 1e-9 or 500
-    iterations pass. Appending to ``stress_trace`` exposes the per-iteration
-    stress values for convergence checks. Besides ``q`` the iteration holds
-    one s x s matrix (the Guttman matrix), the s(s - 1)/2 squared residuals
-    the stress sums and their s x s mask.
+    Classical scaling provides the start; majorization steps (SMACOF, de
+    Leeuw 1988) then lower the stress monotonically until the relative
+    change drops below 1e-9 or 500 iterations pass. Appending to
+    ``stress_trace`` exposes the per-iteration stress values for convergence
+    checks. Besides ``q`` the iteration holds one s x s matrix, the Guttman
+    matrix, and one row block of distances.
     """
     q = _validate_distance_matrix(q)
     n = q.shape[0]
     if not 1 <= d < n:
         raise ValidationError(f"target dimension must satisfy 1 <= d < n, got d={d}, n={n}")
     y = classical_scaling(q, d)
-    blocks = _pair_blocks(n)
     b = np.empty((n, n))
-    residuals = np.empty(n * (n - 1) // 2)
-    current = _majorization_terms(q, y, blocks, b, residuals)
+    current = _majorization_terms(q, y, b)
     if stress_trace is not None:
         stress_trace.append(current)
     scale = float(q.max())
@@ -217,7 +205,7 @@ def metric_mds(q, d: int, stress_trace: list | None = None) -> np.ndarray:
         if current <= 1e-14 * scale:
             break
         y_next = (b @ y) / n
-        nxt = _majorization_terms(q, y_next, blocks, b, residuals)
+        nxt = _majorization_terms(q, y_next, b)
         if stress_trace is not None:
             stress_trace.append(nxt)
         if not np.isfinite(nxt):

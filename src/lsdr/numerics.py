@@ -93,9 +93,15 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     else:
         w, v = sym_eigen(m)
         w, v = w[:k], v[:, :k]
+    return w, _sign_columns(v)
+
+
+def _sign_columns(v: np.ndarray) -> np.ndarray:
+    """Negate, in place, each column of ``v`` whose entry of largest
+    magnitude (the first of them on ties) is negative; return ``v``."""
     peak = np.argmax(np.abs(v), axis=0)
-    v *= np.where(v[peak, np.arange(k)] < 0.0, -1.0, 1.0)
-    return w, v
+    v *= np.where(v[peak, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
+    return v
 
 
 def _max_asymmetry(m: np.ndarray) -> float:

@@ -12,10 +12,13 @@ Rank-deficient (noise-free) clouds are first trimmed to their affine rank by
 an exact distance-preserving reduction and processed there; clouds wider
 than the tessellation's dimension cap keep their first ``DIMENSION_CAP``
 principal components. Only rank-one clouds, where no tessellation exists,
-degrade to plain metric MDS on all points, as do clouds with no boundary
-point and clouds with fewer than d + 1 skeletal points, too few for metric
-MDS to place d dimensions; an all-boundary cloud is embedded by metric MDS
-of its full geodesic matrix. Every embedding has exactly d columns.
+degrade to metric MDS on all points, in closed form: their working cloud's
+one principal-component column (Gower 1966), signed like ``sym_eigen``'s
+vectors, and d - 1 zero columns, with no n x n matrix. Clouds with no
+boundary point and clouds with fewer than d + 1 skeletal points, too few
+for metric MDS to place d dimensions, fall back to metric MDS of their
+distances; an all-boundary cloud is embedded by metric MDS of its full
+geodesic matrix. Every embedding has exactly d columns.
 ``_stages`` decides every fallback, and ``lsdr`` warns once for it. The
 kernel is always the Gaussian; only its bandwidth is a choice.
 ``transform_bandwidth`` takes the same working cloud, stages and fallbacks
@@ -49,7 +52,7 @@ from .graph import (
     prune_edges,
 )
 from .indices import AlgorithmAdapter
-from .numerics import _row_blocks, _symmetrize, as_matrix, pairwise_sq_dists
+from .numerics import _row_blocks, _sign_columns, _symmetrize, as_matrix, pairwise_sq_dists
 from .skeleton import SkeletonReport, skeleton_report
 
 __all__ = [
@@ -139,6 +142,7 @@ def _working_cloud(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 _ALL_BOUNDARY = "all points on the boundary"
+_RANK_ONE = "cloud lies on an exact one-dimensional manifold (no tessellation)"
 
 
 @dataclass
@@ -153,7 +157,7 @@ class _Stages:
 
 def _stages(work: np.ndarray, cfg: LsdrConfig) -> _Stages:
     if work.shape[1] < 2:
-        return _Stages("cloud lies on an exact one-dimensional manifold (no tessellation)")
+        return _Stages(_RANK_ONE)
     try:
         tess = delaunay_tessellation(work, jitter_seed=cfg.seed)
     except DegeneracyError as exc:
@@ -215,6 +219,12 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         q = _symmetrize(geodesics.dists)
         np.fill_diagonal(q, 0.0)
         mds_coords = metric_mds(q, cfg.d)
+    elif reason == _RANK_ONE:
+        # metric MDS's exact answer: the one principal component, signed
+        # like sym_eigen's vectors, then zero columns
+        mds_coords = np.zeros((n, cfg.d))
+        mds_coords[:, 0] = work[:, 0]
+        _sign_columns(mds_coords)
     else:
         mds_coords = metric_mds(np.sqrt(pairwise_sq_dists(work)), cfg.d)
 

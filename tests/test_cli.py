@@ -535,11 +535,23 @@ class TestErrorsAndRerun:
         # no path of reduce or index ends in exit 4 (numerical): the stress
         # check of metric MDS is the only NumericalError, and a cloud whose
         # stress would overflow has already overflowed classical scaling
+        cloud = tmp_path / "spiral.csv"
+        write_point_cloud(cloud, lsdr.generate(lsdr.DatasetSpec("spiral", 60, seed=0)) * 1e153)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["reduce", cloud, "--d", 1, "--out", tmp_path / "emb.csv"]) == 2
+        assert capsys.readouterr().err == "ERROR usage: sym_eigen input contains non-finite entries\n"
+
+    def test_a_line_too_large_to_scale_reduces_to_its_principal_component(self, tmp_path):
+        # a rank-one cloud takes no squared distance: its embedding is its
+        # principal-component column
         line = tmp_path / "line.csv"
         line.write_text("x0,x1\n" + "".join(f"{t * 3e151!r},{t * 6e151!r}\n" for t in range(30)))
-        with np.errstate(over="ignore"):
-            assert run(["reduce", line, "--d", 1, "--out", tmp_path / "emb.csv"]) == 2
-        assert capsys.readouterr().err == "ERROR usage: sym_eigen input contains non-finite entries\n"
+        with pytest.warns(DegeneracyWarning, match="one-dimensional manifold"):
+            assert run(["reduce", line, "--d", 1, "--out", tmp_path / "emb.csv"]) == 0
+        coords = read_point_cloud(tmp_path / "emb.csv")
+        assert coords.shape == (30, 1) and np.isfinite(coords).all()
+        exact = np.abs(np.arange(30) - 14.5) * np.sqrt(45.0) * 1e151
+        assert np.allclose(np.abs(coords[:, 0]), exact, rtol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e120, 1e130])
     def test_a_cloud_of_huge_coordinates_reduces_in_its_own_process(self, tmp_path, scale):

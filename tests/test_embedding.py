@@ -30,9 +30,35 @@ def euclidean_distances(x):
 
 
 def stress(q, y):
-    """The sum MDS stops on: distance mismatches over pairs i < j, row-major."""
-    upper = np.triu(np.ones(q.shape, dtype=bool), 1)
-    return float(np.sqrt(np.sum((q[upper] - euclidean_distances(y)[upper]) ** 2)))
+    """The sum MDS stops on: half of each row's squared distance mismatches,
+    summed over the rows, so each pair counts once from each end."""
+    return float(np.sqrt(np.sum(0.5 * ((q - euclidean_distances(y)) ** 2).sum(axis=1))))
+
+
+def whole_array_smacof(q, d):
+    """Metric MDS over whole s x s arrays: the iterates and the stress trace."""
+    n = len(q)
+
+    def guttman(y):
+        dist = euclidean_distances(y)
+        b = np.zeros_like(q)
+        np.divide(q, dist, out=b, where=dist > 0.0)
+        b = -b
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        return b
+
+    y = classical_scaling(q, d)
+    trace = [stress(q, y)]
+    for _ in range(500):
+        if trace[-1] <= 1e-14 * q.max():
+            break
+        y_next = (guttman(y) @ y) / n
+        trace.append(stress(q, y_next))
+        y = y_next
+        if trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < 1e-9:
+            break
+    return y, trace
 
 
 def swiss_roll(n, seed, noise=0.05):
@@ -111,6 +137,24 @@ class TestMetricMds:
             for j in range(i + 1, 30):
                 total += (q[i, j] - np.linalg.norm(y[i] - y[j])) ** 2
         assert trace[-1] == pytest.approx(np.sqrt(total), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_row_blocks_give_the_whole_array_iteration(self, d, monkeypatch):
+        # s = 700 makes two row blocks of the Guttman matrix
+        x, _ = swiss_roll(700, 5, noise=0.5)
+        q = euclidean_distances(x)
+        assert len(list(numerics._row_blocks(700, 700))) == 2
+        trace: list = []
+        y = metric_mds(q, d, stress_trace=trace)
+        expected_y, expected_trace = whole_array_smacof(q, d)
+        assert len(trace) > 2
+        assert np.array_equal(y, expected_y)
+        assert trace == expected_trace
+        # the stress does not depend on the block size
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 7 * 700)
+        small: list = []
+        assert np.array_equal(metric_mds(q, d, stress_trace=small), y)
+        assert small == trace
 
     def test_rejects_asymmetric_input(self):
         q = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsdr import pipeline
 from lsdr.cli import main as cli_main
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
 from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
@@ -148,6 +149,31 @@ class TestDegenerateInputs:
         positions = np.c_[5.0 * t]
         fit = procrustes_fit(res.embedding.coords, positions)
         assert fit.residual < 1e-8 * 50
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_rank_one_cloud_is_its_principal_component_without_metric_mds(self, d, monkeypatch):
+        def refuse(q, d):
+            raise AssertionError("metric MDS ran on a rank-one cloud")
+
+        monkeypatch.setattr(pipeline, "metric_mds", refuse)
+        t = np.random.default_rng(6).uniform(-5.0, 5.0, 200)
+        x = np.outer(t, [1.0, -2.0, 2.0]) + 3.0  # a unit-speed direction times 3
+        with pytest.warns(DegeneracyWarning, match="one-dimensional manifold"):
+            res = lsdr(x, LsdrConfig(d=d, seed=0))
+        coords = res.embedding.coords
+        assert coords.shape == (200, d)
+        # the working cloud's column, its largest-magnitude entry positive
+        column = res.working_points[:, 0]
+        peak = np.argmax(np.abs(column))
+        assert np.array_equal(coords[:, 0], column if column[peak] > 0.0 else -column)
+        assert coords[peak, 0] > 0.0
+        exact = 3.0 * (t - t.mean())
+        exact = exact if exact[peak] > 0.0 else -exact
+        assert np.abs(coords[:, 0] - exact).max() <= 1e-14 * np.abs(exact).max()
+        assert np.array_equal(coords[:, 1:], np.zeros((200, d - 1)))
+        with pytest.warns(DegeneracyWarning, match="one-dimensional manifold"):
+            coincident = lsdr(np.ones((10, 3)), LsdrConfig(d=d, seed=0)).embedding.coords
+        assert np.array_equal(coincident, np.zeros((10, d)))
 
     def test_embedding_params_record_the_fallback(self):
         t = np.linspace(0.0, 1.0, 20)

@@ -648,34 +648,11 @@ class IndexReport:
     continuity: float | None = None
     tci_bandwidth: float | None = None
 
-    def to_dict(self) -> dict:
-        data = {
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "n": self.n,
-            "ti": self.ti,
-            "ti_normalized": None if self.ti is None else self.ti / self.n,
-            "knn_k": self.knn_k,
-            "tsi": self.tsi,
-            "trustworthiness": self.trustworthiness,
-            "continuity": self.continuity,
-        }
-        if self.tci_bandwidth is not None:
-            data["tci_bandwidth"] = self.tci_bandwidth
-        if self.tci is not None:
-            value = self.tci.value
-            data["tci"] = value
-            data["tci_normalized"] = None if value is None else value / self.n
-            data["tci_subsampled_lower_bound"] = self.tci.subsampled
-            data["tci_transforms_total"] = self.tci.n_transforms_total
-            data["tci_contributions"] = [vars(t).copy() for t in self.tci.contributions]
-        return data
-
-    def csv_row(self) -> tuple[str, str]:
-        """Header and one data row shaped like the summary tables, with the
-        values ``to_dict`` gives under the same keys."""
+    def _values(self) -> dict:
+        """The seven index values, each raw value beside its value over n,
+        that ``to_dict`` and ``csv_row`` both report."""
         tci = None if self.tci is None else self.tci.value
-        values = {
+        return {
             "ti": self.ti,
             "ti_normalized": None if self.ti is None else self.ti / self.n,
             "tci": tci,
@@ -684,6 +661,29 @@ class IndexReport:
             "trustworthiness": self.trustworthiness,
             "continuity": self.continuity,
         }
+
+    def to_dict(self) -> dict:
+        data = {
+            "algorithm": self.algorithm,
+            "dataset": self.dataset,
+            "n": self.n,
+            "knn_k": self.knn_k,
+            **self._values(),
+        }
+        if self.tci_bandwidth is not None:
+            data["tci_bandwidth"] = self.tci_bandwidth
+        if self.tci is None:
+            del data["tci"], data["tci_normalized"]
+        else:
+            data["tci_subsampled_lower_bound"] = self.tci.subsampled
+            data["tci_transforms_total"] = self.tci.n_transforms_total
+            data["tci_contributions"] = [vars(t).copy() for t in self.tci.contributions]
+        return data
+
+    def csv_row(self) -> tuple[str, str]:
+        """Header and one data row shaped like the summary tables, with the
+        values ``to_dict`` gives under the same keys."""
+        values = self._values()
         row = [self.dataset, self.algorithm, str(self.n)]
         row += ["" if v is None else repr(float(v)) for v in values.values()]
         return ",".join(("dataset", "algorithm", "n", *values)), ",".join(row)

@@ -10,8 +10,6 @@ the argument checks scipy leaves out (it returns NaN where these raise
 ``ValidationError``).
 """
 
-import inspect
-
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist
@@ -56,9 +54,7 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     ``tol=0``, so each Ritz pair converges to machine precision relative to
     its Ritz value. The start vector and the vectors of any restart come
     from one generator seeded with a constant, so a matrix gives the same
-    bytes on every call and in every process (an older scipy whose
-    ``eigsh`` takes no ``rng`` cannot be given restart vectors; there the
-    top k of the full solve are used). The start vector is not the ones
+    bytes on every call and in every process. The start vector is not the ones
     vector, which a double-centred matrix maps to zero. Each of the k
     vectors is signed so that its entry of largest magnitude, the first of
     them on ties, is positive. An all-zero matrix has no Krylov space: its
@@ -82,18 +78,13 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"sym_eigen needs 1 <= k < n, got k={k}, n={n}")
     if not m.any():
         return np.zeros(k), np.eye(n, k)
-    if _SEEDED_LANCZOS:
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        try:
-            w, v = eigsh(m, k=k, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-        except ArpackError as exc:
-            raise NumericalError(f"top-{k} eigensolve failed: {exc}") from None
-        # descending, column-major like the full solve's vectors
-        w, v = w[::-1], v[:, ::-1].copy(order="F")
-    else:
-        w, v = sym_eigen(m)
-        w, v = w[:k], v[:, :k]
-    return w, _sign_columns(v)
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    try:
+        w, v = eigsh(m, k=k, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except ArpackError as exc:
+        raise NumericalError(f"top-{k} eigensolve failed: {exc}") from None
+    # descending, column-major like the full solve's vectors
+    return w[::-1], _sign_columns(v[:, ::-1].copy(order="F"))
 
 
 def _sign_columns(v: np.ndarray) -> np.ndarray:
@@ -184,13 +175,10 @@ def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _STACK_FLOATS = 2**18
 
 # Seed of the generator that makes the start vector of ``sym_eigen``'s top-k
-# solve and the vectors of its restarts. A scipy whose ``eigsh`` takes
-# ``rng`` asks its caller for restart vectors; older releases draw them from
-# a generator that keeps its state between calls, so a result that needed a
-# restart (a matrix of low rank) would depend on earlier calls. Under those
-# releases the top-k solve takes the top k of the full solve.
+# solve and the vectors of its restarts: ``eigsh`` asks its caller for restart
+# vectors, so a result that needs a restart (a matrix of low rank) does not
+# depend on earlier calls.
 _LANCZOS_SEED = 0x1A2C
-_SEEDED_LANCZOS = "rng" in inspect.signature(eigsh).parameters
 
 
 def _row_blocks(n_rows: int, row_floats: int):

@@ -187,20 +187,6 @@ class TestTopEigenpairs:
         )
         assert fresh.stdout.strip() == first.hex()
 
-    def test_without_caller_restart_vectors_the_full_solve_gives_the_top_pairs(self, monkeypatch):
-        # a scipy whose eigsh takes no rng draws restart vectors from a
-        # generator it keeps between calls; there the top k come from the full solve
-        monkeypatch.setattr(numerics, "_SEEDED_LANCZOS", False)
-        m = np.random.default_rng(4).standard_normal((8, 8))
-        m = m + m.T
-        w, v = sym_eigen(m, 2)
-        assert_top_pairs(m, w, v, 2)
-        full_w, full_v = sym_eigen(m)
-        assert np.array_equal(w, full_w[:2])
-        assert np.array_equal(np.abs(v), np.abs(full_v[:, :2]))
-        peak = np.argmax(np.abs(v), axis=0)
-        assert np.all(v[peak, np.arange(2)] > 0.0)
-
     def test_a_failed_lanczos_run_is_a_numerical_error(self, monkeypatch):
         def stall(*args, **kwargs):
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((4, 0)))

@@ -8,9 +8,11 @@ one BLAS thread, on the benchmark's spiral (seed 25), d = 1:
 
 It reports, per size, the seconds of the whole ``lsdr`` call and of its
 geodesic, metric-MDS and kernel-embedding calls, the process's peak RSS,
-and the RSS growth over the call. Run it under ``ulimit -v`` so a size that
-overruns the memory kills the child process, not the machine. With
-``--out`` the results are merged into the JSON file under ``--label``.
+the RSS growth over the call, and the peak RSS of each geodesic helper
+(VmHWM, which counts the pages a helper shares with its parent since the
+fork). Run it under ``ulimit -v`` so a size that overruns the memory kills
+the child process, not the machine. With ``--out`` the results are merged
+into the JSON file under ``--label``.
 """
 
 import argparse
@@ -28,7 +30,7 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = r"""
-import json, resource, sys, time
+import json, multiprocessing, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import lsdr
 from lsdr import pipeline
@@ -54,6 +56,12 @@ start = time.perf_counter()
 result = lsdr.lsdr(x, lsdr.LsdrConfig(d=1))
 total = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+helper_peaks = [
+    int(line.split()[1])
+    for child in multiprocessing.active_children()
+    for line in open(f"/proc/{child.pid}/status")
+    if line.startswith("VmHWM:")
+]
 print(json.dumps({
     "n": n,
     "skeletal_points": len(result.skeleton.skeletal_points),
@@ -61,6 +69,7 @@ print(json.dumps({
     "stage_seconds": {k: round(v, 3) for k, v in seconds.items()},
     "peak_rss_mb": round(peak / 1024, 1),
     "rss_growth_mb": round((peak - before) / 1024, 1),
+    "helper_peak_rss_mb": [round(kb / 1024, 1) for kb in helper_peaks],
 }))
 """
 

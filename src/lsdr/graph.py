@@ -8,6 +8,10 @@ depends on the order of the vertices. Shortest paths over the surviving
 weighted edges approximate geodesic distances on the underlying manifold.
 """
 
+import os
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from io import StringIO
 
@@ -156,27 +160,193 @@ def _csr(g: ManifoldGraph) -> csr_matrix:
     return csr_matrix((lengths, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n))
 
 
+def _block(lengths: csr_matrix, src: np.ndarray, part: slice, out: np.ndarray) -> None:
+    """Write into ``out`` the rows of the geodesic block from ``src[part]``.
+
+    Dijkstra runs from chunks of those sources, each chunk's n-wide rows one
+    row block (``numerics._row_blocks``), and keeps the columns of ``src``.
+    """
+    for rows in _row_blocks(len(out), lengths.shape[0]):
+        out[rows] = dijkstra(lengths, directed=True, indices=src[part][rows])[:, src]
+
+
+# Below this many vertices settled per call (sources times graph vertices)
+# the block is computed in-process: sending the parts costs more than the
+# helpers save. On a 2-core VM with one helper the split lost at 23 sources
+# x 150 vertices (0.69 -> 0.89 ms), tied at 30 x 200 (1.1 ms) and won from
+# 49 x 300 on (2.1 -> 1.95 ms; 254 x 1500: 51 -> 28 ms).
+_SPLIT_FLOOR = 10_000
+
+
+def _serve(conn) -> None:
+    """A helper's loop: compute each part it is sent, reply with its rows.
+
+    The rows go back one row block per message, so the caller receives at
+    most one row block into a buffer of its own before it lands in place.
+    The helper serves until the caller's end of the pipe closes.
+    """
+    # a terminal's Ctrl-C reaches the whole process group; the caller
+    # handles it, and its exit stops the helper
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            lengths, src, part = conn.recv()
+        except EOFError:
+            return
+        out = np.empty((part.stop - part.start, len(src)))
+        _block(lengths, src, part, out)
+        for rows in _row_blocks(len(out), len(src)):
+            conn.send_bytes(out[rows])
+
+
+class _Helpers:
+    """Persistent helper processes that compute parts of geodesic blocks.
+
+    csgraph's Dijkstra holds the interpreter lock, so only processes run
+    rows side by side. The calling thread sends each helper its part over
+    the helper's own pipe and computes its own part meanwhile; an executor
+    would not overlap, because its feeder thread waits for the lock the
+    caller's Dijkstra holds. One helper per core beyond the caller's, forked
+    on the first large call made while the process runs a single Python
+    thread (a fork copies only the calling thread, and any lock another
+    thread holds stays held in the child); otherwise the call runs in-process
+    and starts nothing. Helpers are daemons, so multiprocessing's exit
+    handler terminates and joins them.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.started = False
+        self.live = []  # (process, connection) pairs
+
+    def start(self) -> None:
+        import multiprocessing  # here, so that importing lsdr does not pay for it
+
+        self.started = True
+        # a daemon (a multiprocessing pool's worker, say) may start no process,
+        # and only Linux reports the CPUs this process may run on
+        if multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity"):
+            return
+        context = multiprocessing.get_context("fork")
+        with warnings.catch_warnings():
+            # From Python 3.12 os.fork warns whenever the process has more
+            # than one OS thread, and an idle OpenBLAS pool counts. Only the
+            # calling Python thread exists here, and a helper never calls
+            # BLAS: it runs csgraph's Dijkstra and numpy indexing.
+            warnings.filterwarnings(
+                "ignore", message=r"This process .* is multi-threaded, use of fork\(\)", category=DeprecationWarning
+            )
+            for _ in range(len(os.sched_getaffinity(0)) - 1):
+                ours, theirs = context.Pipe()
+                process = context.Process(target=_serve, args=(theirs,), daemon=True)
+                # listed before the fork, so the child closes its copy of our end
+                self.live.append((process, ours))
+                try:
+                    process.start()
+                except OSError:  # no fork (out of memory or processes): fewer helpers
+                    self.live.pop()
+                    ours.close()
+                    break
+                finally:
+                    theirs.close()
+
+    def drop(self, helper) -> None:
+        """Stop using ``helper``: close its pipe, terminate and reap it."""
+        if helper in self.live:
+            self.live.remove(helper)
+        process, conn = helper
+        conn.close()
+        process.terminate()
+        process.join()
+
+    def split(self, lengths: csr_matrix, src: np.ndarray, dists: np.ndarray) -> None:
+        """Fill ``dists`` with the block: one contiguous part per process.
+
+        Each part's rows are written in place, from the helper's messages or,
+        when a helper fails, from the same searches run here. A call that
+        ends early drops every helper it has not read back, so no stale rows
+        stay in a pipe.
+        """
+        if not self.started and threading.active_count() == 1:
+            self.start()
+        bounds = [len(src) * k // (len(self.live) + 1) for k in range(len(self.live) + 2)]
+        parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        pending, here = [], [parts[0]]
+        for helper, part in zip(list(self.live), parts[1:]):
+            _, conn = helper
+            try:
+                conn.send((lengths, src, part))
+                pending.append((helper, part))
+            except (EOFError, OSError):
+                self.drop(helper)
+                here.append(part)
+        try:
+            for part in here:
+                _block(lengths, src, part, dists[part])
+            while pending:
+                helper, part = pending[0]
+                _, conn = helper
+                try:
+                    for rows in _row_blocks(part.stop - part.start, len(src)):
+                        conn.recv_bytes_into(dists[part][rows].reshape(-1))
+                except (EOFError, OSError):
+                    self.drop(helper)
+                    _block(lengths, src, part, dists[part])
+                pending.pop(0)
+        finally:
+            for helper, _ in pending:
+                self.drop(helper)
+
+
+_helpers = _Helpers()
+
+
+def _forget_helpers() -> None:
+    """In a forked child: the helpers, their pipes and their lock are the parent's."""
+    global _helpers
+    if _helpers.live:
+        from multiprocessing import process
+
+        for helper, conn in _helpers.live:
+            conn.close()
+            # or the child's exit handler would terminate the parent's helpers
+            process._children.discard(helper)
+    _helpers = _Helpers()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, where no helper starts
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
 def graph_distances(g: ManifoldGraph, vertices) -> GeodesicDistances:
     """The square block of shortest-path lengths among ``vertices``.
 
     Entry (i, j) is the length of a shortest path from ``vertices[i]`` to
     ``vertices[j]``, inf when there is none; rows and columns follow the
     order of ``vertices``. Dijkstra runs over one symmetric length matrix
-    from chunks of the vertices, each chunk's n-wide rows one row block
-    (``numerics._row_blocks``), and keeps only the requested columns, so
-    memory grows as len(vertices)^2 plus one block, not len(vertices) * n.
-    Each row is its own single-source search, so the chunking moves no bit.
-    Edge lengths are non-negative, so every label-setting algorithm settles
-    each vertex at the same float, min over neighbours u of fl(d(u) + w),
-    whatever its visiting order.
+    from chunks of the vertices and keeps only the requested columns, so
+    memory grows as len(vertices)^2 plus one row block, not
+    len(vertices) * n. Above ``_SPLIT_FLOOR`` the rows are split between
+    this process and its helpers (``_Helpers``); a call that finds them busy
+    on another thread computes its block here. Each row is its own
+    single-source search, so neither the chunking nor the split moves a
+    bit. Edge lengths are non-negative, so every label-setting algorithm
+    settles each vertex at the same float, min over neighbours u of
+    fl(d(u) + w), whatever its visiting order.
     """
     src = np.array([int(v) for v in vertices], dtype=np.intp)
     if len(src) == 0:
         raise ValidationError("graph_distances needs at least one vertex")
     lengths = _csr(g)
     dists = np.empty((len(src), len(src)))
-    for rows in _row_blocks(len(src), g.n):
-        dists[rows] = dijkstra(lengths, directed=True, indices=src[rows])[:, src]
+    helpers = _helpers
+    if len(src) * g.n < _SPLIT_FLOOR or not helpers.lock.acquire(blocking=False):
+        _block(lengths, src, slice(None), dists)
+    else:
+        try:
+            helpers.split(lengths, src, dists)
+        finally:
+            helpers.lock.release()
     return GeodesicDistances(sources=src.tolist(), dists=dists)
 
 

@@ -1,9 +1,16 @@
 """Edge pruning statistics, geodesic distances, and the edge-list format."""
 
+import errno
 import functools
 import heapq
 import math
+import multiprocessing
 import operator
+import os
+import signal
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +334,16 @@ class TestPruneEdges:
             prune_edges(tess, mcst, 1.0)
 
 
+def counting_dijkstra(runs: list):
+    """csgraph's ``dijkstra``, appending each call's source count to ``runs``."""
+
+    def counted(*args, **kwargs):
+        runs.append(len(kwargs["indices"]))
+        return dijkstra(*args, **kwargs)
+
+    return counted
+
+
 def heap_dijkstra(g, sources) -> np.ndarray:
     """Reference: textbook heap Dijkstra from every vertex of ``sources`` at once."""
     adj = adjacency(g)
@@ -455,13 +472,8 @@ class TestGraphDistances:
         full = graph_distances(graph, range(graph.n)).dists
         vertices = [int(v) for v in rng.permutation(graph.n)[:37]] + [5]
         runs = []
-
-        def counted(*args, **kwargs):
-            runs.append(len(kwargs["indices"]))
-            return dijkstra(*args, **kwargs)
-
         monkeypatch.setattr(numerics, "_STACK_FLOATS", 2 * graph.n)
-        monkeypatch.setattr(graph_module, "dijkstra", counted)
+        monkeypatch.setattr(graph_module, "dijkstra", counting_dijkstra(runs))
         res = graph_distances(graph, vertices)
         assert runs == [2] * 19
         assert res.sources == vertices
@@ -471,6 +483,199 @@ class TestGraphDistances:
         g = build_graph([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])
         with pytest.raises(ValidationError):
             graph_distances(g, [])
+
+
+def block_bytes(g, sources):
+    """The bytes of ``graph_distances``'s block (a pool worker's task)."""
+    return graph_distances(g, sources).dists.tobytes()
+
+
+@pytest.fixture(scope="module")
+def spiral_block():
+    """The pruned spiral n=1500 (seed 26) graph, 200 sources out of order,
+    and their block computed in-process."""
+    x = generate(DatasetSpec("spiral", 1500, seed=26))
+    tess = delaunay_tessellation(x)
+    g = prune_edges(tess, euclidean_mcst(x, tess.edges), 0.95)
+    sources = [int(v) for v in np.random.default_rng(8).permutation(g.n)[:200]]
+    assert len(sources) * g.n >= graph_module._SPLIT_FLOOR
+    serial = np.empty((len(sources), len(sources)))
+    graph_module._block(_csr(g), np.array(sources), slice(None), serial)
+    return g, sources, serial.tobytes()
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Fresh, unstarted helpers for a two-CPU affinity (so one helper on any
+    machine), each stopped after the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fresh = graph_module._Helpers()
+    monkeypatch.setattr(graph_module, "_helpers", fresh)
+    yield fresh
+    for helper in list(fresh.live):
+        fresh.drop(helper)
+
+
+class TestSplitBlock:
+    """Above the size floor the block is split between this process and its
+    helpers; every path must give the in-process bytes."""
+
+    def test_split_block_equals_the_in_process_block(self, spiral_block, helpers, monkeypatch):
+        g, sources, serial = spiral_block
+        assert graph_distances(g, sources).dists.tobytes() == serial
+        assert len(helpers.live) == 1 and helpers.live[0][0].is_alive()
+        # the calling process searches from its own half of the sources only
+        runs = []
+        monkeypatch.setattr(graph_module, "dijkstra", counting_dijkstra(runs))
+        res = graph_distances(g, sources)
+        assert sum(runs) == len(sources) // 2
+        assert res.sources == sources and res.dists.tobytes() == serial
+
+    def test_one_cpu_starts_no_process(self, spiral_block, helpers, monkeypatch):
+        g, sources, serial = spiral_block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        children = multiprocessing.active_children()
+        assert graph_distances(g, sources).dists.tobytes() == serial
+        assert helpers.started and helpers.live == []
+        assert multiprocessing.active_children() == children
+
+    def test_a_failed_fork_leaves_the_rows_in_process(self, spiral_block, helpers, monkeypatch):
+        g, sources, serial = spiral_block
+
+        def no_fork(process):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        assert graph_distances(g, sources).dists.tobytes() == serial
+        assert helpers.started and helpers.live == []
+
+    def test_a_pool_worker_starts_no_process(self, spiral_block, helpers):
+        # multiprocessing forbids a daemonic process, as a pool's worker is,
+        # to start children
+        g, sources, serial = spiral_block
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork beside threads, Python 3.12+
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                assert pool.apply(block_bytes, (g, sources), {}) == serial
+
+    def test_a_first_call_beside_another_thread_starts_no_process(self, spiral_block, helpers):
+        g, sources, serial = spiral_block
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(30,))
+        waiting.start()
+        try:
+            assert graph_distances(g, sources).dists.tobytes() == serial
+            assert not helpers.started and helpers.live == []
+        finally:
+            release.set()
+            waiting.join(timeout=30)
+        assert not waiting.is_alive()
+        # alone again, the next call starts them
+        assert graph_distances(g, sources).dists.tobytes() == serial
+        assert len(helpers.live) == 1
+
+    @pytest.mark.parametrize("when", ["before the call", "during the call"])
+    def test_a_killed_helper_is_dropped_and_its_rows_computed_here(self, spiral_block, helpers, monkeypatch, when):
+        g, sources, serial = spiral_block
+        graph_distances(g, sources)
+        [(process, _)] = helpers.live
+
+        def kill():
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=30)
+            assert process.exitcode == -signal.SIGKILL
+
+        if when == "before the call":
+            kill()
+        else:
+            # the helper dies after it got its part, while this process
+            # searches from its own: the rows come from a failed receive
+            block = graph_module._block
+
+            def killing_block(*args):
+                if process.exitcode is None:
+                    kill()
+                block(*args)
+
+            monkeypatch.setattr(graph_module, "_block", killing_block)
+        runs = []
+        monkeypatch.setattr(graph_module, "dijkstra", counting_dijkstra(runs))
+        assert graph_distances(g, sources).dists.tobytes() == serial
+        # every row was searched here
+        assert sum(runs) == len(sources)
+        assert helpers.live == []
+        assert graph_distances(g, sources).dists.tobytes() == serial
+
+    def test_a_call_that_fails_drops_the_helpers_it_did_not_read(self, spiral_block, helpers, monkeypatch):
+        # the helper's rows of the failed call must not be read by the next
+        g, sources, serial = spiral_block
+        graph_distances(g, sources)
+        [(process, _)] = helpers.live
+
+        def failing_block(*args):
+            raise MemoryError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "_block", failing_block)
+            with pytest.raises(MemoryError):
+                graph_distances(g, sources)
+        assert helpers.live == [] and process.exitcode is not None
+        assert not helpers.lock.locked()
+        assert graph_distances(g, sources).dists.tobytes() == serial
+
+    def test_two_threads_at_once_both_get_the_serial_bytes(self, spiral_block, helpers):
+        g, sources, serial = spiral_block
+        graph_distances(g, sources)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def call(slot):
+            start.wait(timeout=30)
+            results[slot] = graph_distances(g, sources).dists.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial, serial]
+        # neither call left a helper out of step or the lock held
+        assert len(helpers.live) == 1 and not helpers.lock.locked()
+        assert graph_distances(g, sources).dists.tobytes() == serial
+
+    def test_a_forked_child_holds_no_helpers(self, spiral_block, helpers):
+        g, sources, serial = spiral_block
+        graph_distances(g, sources)
+        [(process, _)] = helpers.live
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork beside BLAS threads; the child
+            # only reports its state
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                # the children multiprocessing's exit handler would terminate
+                children = [child.pid for child in multiprocessing.active_children()]
+                state = (len(graph_module._helpers.live), graph_module._helpers.started, process.pid in children)
+                os.write(write, repr(state).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as reply:
+            state = reply.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert state == repr((0, False, False))
+        # the parent keeps its helper
+        assert helpers.live[0][0] is process and process.is_alive()
+        assert graph_distances(g, sources).dists.tobytes() == serial
 
 
 def assert_dump_matches(text: str, graph: ManifoldGraph) -> None:

@@ -9,7 +9,6 @@ solved here in closed form.
 """
 
 import math
-import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass
 
@@ -450,12 +449,14 @@ def _consistency_scan(
     """The consistency index's transforms scored against ``base`` with the
     set-up's ``x_hat``, as ``tractable_consistency_index`` describes.
 
-    With a ``helper`` executor, one task queued on it scores chunks beside
-    this thread once the helper reaches it: each thread takes the next chunk
-    index from one counter, and the chunks' results are joined in chunk
-    order, so the report is the serial scan's. The adapter must then be safe
-    to call from two threads at once. If this thread stops on an error, no
-    chunk is left for the helper's task, which ends after its current one.
+    With a ``helper`` executor, every chunk is queued on it last chunk
+    first, so the helper takes chunks from the end while this thread walks
+    them from the start: it scores each chunk whose future it can still
+    cancel and takes the result of one the helper has begun. The results are
+    joined in chunk order, so the report is the serial scan's, and an error
+    that ``scan`` does not catch surfaces at its chunk's position. The
+    adapter must then be safe to call from two threads at once. Whatever is
+    still queued when this thread stops, on an error too, is cancelled.
     """
     n, p = x.shape
     residual_part = x - x_hat
@@ -500,30 +501,18 @@ def _consistency_scan(
     # (p, p) scatter matrix, so each of a chunk's arrays stays within
     # numerics._STACK_FLOATS
     chunks = list(_row_blocks(len(chosen), max(n, p * p)))
-    scored: list[list[TransformResult]] = [[] for _ in chunks]
-    taken = 0
-    lock = threading.Lock()
-
-    def score_chunks() -> None:
-        """Score the next untaken chunk until none is left."""
-        nonlocal taken
-        while True:
-            with lock:
-                k, taken = taken, taken + 1
-            if k >= len(chunks):
-                return
-            scored[k] = scan(points[chunks[k]], axes[chunks[k]])
-
-    drain = None if helper is None else helper.submit(score_chunks)
+    # last chunk first: queued in order, both threads would reach for the same chunk
+    queued = [] if helper is None else [helper.submit(scan, points[c], axes[c]) for c in reversed(chunks)][::-1]
+    contributions: list[TransformResult] = []
     try:
-        score_chunks()
-    except BaseException:
-        with lock:
-            taken = len(chunks)
-        raise
-    if drain is not None and not drain.cancel():
-        drain.result()
-    contributions = [t for chunk in scored for t in chunk]
+        for k, chunk in enumerate(chunks):
+            if helper is None or queued[k].cancel():
+                contributions += scan(points[chunk], axes[chunk])
+            else:
+                contributions += queued[k].result()
+    finally:
+        for future in queued:
+            future.cancel()
     residuals = [t.residual for t in contributions if not t.failed]
     return TciReport(
         value=max(residuals) if residuals else None,

@@ -623,6 +623,36 @@ class TestSplitBlock:
         assert not helpers.lock.locked()
         assert graph_distances(g, sources).dists.tobytes() == serial
 
+    def test_three_cpus_split_the_block_in_thirds(self, spiral_block, helpers, monkeypatch):
+        g, sources, serial = spiral_block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert graph_distances(g, sources).dists.tobytes() == serial
+        assert len(helpers.live) == 2 and all(process.is_alive() for process, _ in helpers.live)
+        # the calling process searches from its own third of the sources only
+        runs = []
+        monkeypatch.setattr(graph_module, "dijkstra", counting_dijkstra(runs))
+        res = graph_distances(g, sources)
+        assert sum(runs) == len(sources) // 3
+        assert res.sources == sources and res.dists.tobytes() == serial
+
+    def test_a_failing_own_part_drops_both_unread_helpers(self, spiral_block, helpers, monkeypatch):
+        g, sources, serial = spiral_block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        graph_distances(g, sources)
+        processes = [process for process, _ in helpers.live]
+        assert len(processes) == 2
+
+        def failing_block(*args):
+            raise MemoryError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "_block", failing_block)
+            with pytest.raises(MemoryError):
+                graph_distances(g, sources)
+        assert helpers.live == [] and all(process.exitcode is not None for process in processes)
+        assert not helpers.lock.locked()
+        assert graph_distances(g, sources).dists.tobytes() == serial
+
     def test_two_threads_at_once_both_get_the_serial_bytes(self, spiral_block, helpers):
         g, sources, serial = spiral_block
         graph_distances(g, sources)

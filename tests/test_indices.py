@@ -613,6 +613,45 @@ class GatedRefusingAdapter(RefusingAdapter):
         return super().transform_terms(d, residual_part, bumps, which, axes, base_centered)
 
 
+class Interrupt(BaseException):
+    """An error the consistency scan does not catch."""
+
+
+class InterruptingAdapter(SerialPcaAdapter):
+    """Records the thread of each ``transform_terms`` call and raises
+    ``Interrupt`` in every call made on the named thread. When that is the
+    helper, the main thread's calls wait until the helper has made one."""
+
+    def __init__(self, on_main):
+        self.on_main = on_main
+        self.calls = []
+        self.helper_called = threading.Event()
+
+    def transform_terms(self, d, residual_part, bumps, which, axes, base_centered):
+        main = threading.current_thread() is threading.main_thread()
+        self.calls.append((main, len(axes)))
+        if not main:
+            self.helper_called.set()
+        if main == self.on_main:
+            raise Interrupt("main" if main else "helper")
+        if main:
+            assert self.helper_called.wait(timeout=60)
+        return super().transform_terms(d, residual_part, bumps, which, axes, base_centered)
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """One worker thread; keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
 class TestSharedConsistencyScan:
     """With a helper executor the scan's chunks are shared between two
     threads and joined in chunk order: the report is the serial one."""
@@ -659,6 +698,42 @@ class TestSharedConsistencyScan:
             assert held.result(timeout=60)
         assert all(main for main, _ in adapter.calls)
         assert _as_rows(report) == _as_rows(tractable_consistency_index(RefusingAdapter(), self.x, 2, self.kernel))
+
+    def test_an_error_in_this_threads_chunk_leaves_the_helper_no_chunk(self, monkeypatch):
+        # chunks of 10 transforms; the helper is held on a gate until the
+        # scan has raised
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 10 * 50)
+        adapter = InterruptingAdapter(on_main=True)
+        gate = threading.Event()
+        with RecordingExecutor() as helper:
+            held = helper.submit(gate.wait, 60)
+            with pytest.raises(Interrupt, match="main"):
+                self._scan(adapter, helper)
+            gate.set()
+            assert held.result(timeout=60)
+        # this thread's first chunk was its only call, and the helper took none
+        assert adapter.calls == [(True, 10)]
+        chunks = helper.futures[1:]
+        assert len(chunks) == 15 and all(future.cancelled() for future in chunks)
+
+    def test_an_error_in_the_helpers_chunk_surfaces_at_its_position(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_STACK_FLOATS", 10 * 50)
+        adapter = InterruptingAdapter(on_main=False)
+        with RecordingExecutor() as helper:
+            with pytest.raises(Interrupt, match="helper") as raised:
+                self._scan(adapter, helper)
+            # nothing is left queued or running once the scan has returned
+            assert all(future.done() for future in helper.futures)
+            # queued last chunk first: this thread scored a leading run of
+            # chunks, whose futures it cancelled, and the helper the rest,
+            # each of which raised; the error is that of the first of them
+            chunks = helper.futures[::-1]
+            mine = sum(future.cancelled() for future in chunks)
+            assert all(future.cancelled() for future in chunks[:mine])
+            assert all(isinstance(future.exception(), Interrupt) for future in chunks[mine:])
+            assert 1 <= mine < len(chunks) == 15
+            assert raised.value is chunks[mine].exception()
+        assert sorted(adapter.calls) == [(False, 10)] * (15 - mine) + [(True, 10)] * mine
 
 
 class TestPcaTransformTerms:

@@ -535,19 +535,26 @@ def check_knn_k(n: int, k: int) -> None:
         raise ValidationError(f"k must satisfy 1 <= k <= n/2 or k = n - 1, got k={k}, n={n}")
 
 
-def _neighbourhoods(points: np.ndarray, own: np.ndarray, k: int):
+def _neighbourhoods(points: np.ndarray, own: np.ndarray, k: int, out: np.ndarray | None = None):
     """Distances, sorted distances and neighbourhoods of the rows ``own``.
 
     Row i holds the squared distances from point own[i] to every point, its
     own entry set to -1, below every distance; ``ordered`` holds each row
-    sorted. The mask keeps the k + 1 smallest entries of each row, the point
-    and its k neighbours, ties broken by ascending index: every entry up to
-    the (k + 1)-th smallest value, except in a row with more entries equal to
-    that value than there is room for, which keeps only the first of those.
+    sorted. Given ``out``, a (2, len(own), len(points)) float array whose
+    two planes are C-contiguous, the distances and the sorted rows are
+    written into its planes, with the bits of fresh arrays. The mask keeps
+    the k + 1 smallest entries of each row, the point and its k neighbours,
+    ties broken by ascending index: every entry up to the (k + 1)-th
+    smallest value, except in a row with more entries equal to that value
+    than there is room for, which keeps only the first of those.
     """
-    dist = pairwise_sq_dists(points[own], points)
+    if out is None:
+        out = np.empty((2, len(own), len(points)))
+    dist = pairwise_sq_dists(points[own], points, out=out[0])
     dist[np.arange(len(own)), own] = -1.0
-    ordered = np.sort(dist, axis=1)
+    ordered = out[1]
+    np.copyto(ordered, dist)
+    ordered.sort(axis=1)
     kth = ordered[:, k, None]
     near = dist <= kth
     if k + 1 < len(points):
@@ -568,20 +575,24 @@ def _rank_sum(dist: np.ndarray, ordered: np.ndarray, picked: np.ndarray) -> int:
     neighbour rank 1. The bisection runs for every entry at once: the count
     below grows by each power of two, largest first, while the sorted value
     it would step past is still below the entry (the lower bound that
-    ``searchsorted`` finds).
+    ``searchsorted`` finds). Entries are found and read by their positions
+    in the raveled arrays, row * n + column.
     """
-    rows, cols = np.nonzero(picked)
-    values = dist[rows, cols]
     n = dist.shape[1]
+    flat = np.flatnonzero(picked)
+    starts = flat - flat % n
+    values = dist.ravel()[flat]
+    ordered = ordered.ravel()
     below = np.zeros(len(values), dtype=np.intp)
     for step in (1 << np.arange(n.bit_length()))[::-1]:
         ahead = below + step
-        below[(ahead <= n) & (ordered[rows, np.minimum(ahead, n) - 1] < values)] += step
+        below[(ahead <= n) & (ordered[starts + np.minimum(ahead, n) - 1] < values)] += step
     total = int(below.sum())
     # an entry has a tie when the next value of its sorted row equals it; the
     # last value of a row is compared with itself, and its count finds nothing
-    tied = ordered[rows, np.minimum(below + 1, n - 1)] == values
-    for r, c, v in zip(rows[tied], cols[tied], values[tied]):
+    tied = ordered[starts + np.minimum(below + 1, n - 1)] == values
+    for at, v in zip(flat[tied], values[tied]):
+        r, c = divmod(int(at), n)
         total += int(np.count_nonzero(dist[r, :c] == v))
     return total
 
@@ -594,8 +605,13 @@ def knn_metrics(x, y, k: int) -> tuple[float, float, float]:
     neighbours that are not data neighbours) by their data rank; continuity
     penalizes the points an embedding drops, by their embedding rank. Ranks
     come from exact squared Euclidean distances, ties broken by ascending
-    index; ``check_knn_k`` gives the valid k. Rows are taken in blocks, so
-    memory grows with n, not n^2.
+    index; ``check_knn_k`` gives the valid k. Rows are taken in blocks of
+    ``_row_blocks(n, 4 * n)``, and each call allocates one scratch for a
+    block's four n-wide arrays (data distances, their sorted rows, embedding
+    distances, theirs), of at most ``numerics._STACK_FLOATS`` floats (2 MB),
+    or 4n floats when one row needs more. Every block reuses it: distances
+    go in through ``pairwise_sq_dists(out=)`` and are sorted in place, so
+    memory grows with n, not n^2, and no block maps fresh pages.
     """
     x = as_matrix(x, "data")
     y = as_matrix(y, "embedding")
@@ -603,11 +619,13 @@ def knn_metrics(x, y, k: int) -> tuple[float, float, float]:
     if y.shape[0] != n:
         raise ValidationError("data and embedding disagree on count")
     check_knn_k(n, k)
+    blocks = list(_row_blocks(n, 4 * n))
+    scratch = np.empty((2, 2, blocks[0].stop, n))
     missed = trust_penalty = cont_penalty = 0
-    for rows in _row_blocks(n, n):
+    for rows in blocks:
         own = np.arange(rows.start, rows.stop)
-        dist_x, ordered_x, near_x = _neighbourhoods(x, own, k)
-        dist_y, ordered_y, near_y = _neighbourhoods(y, own, k)
+        dist_x, ordered_x, near_x = _neighbourhoods(x, own, k, out=scratch[0, :, : len(own)])
+        dist_y, ordered_y, near_y = _neighbourhoods(y, own, k, out=scratch[1, :, : len(own)])
         dropped = near_x & ~near_y
         intruders = near_y & ~near_x
         n_dropped = int(np.count_nonzero(dropped))

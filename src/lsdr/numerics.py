@@ -136,7 +136,7 @@ def beta_quantile(a: float, b: float, alpha: float) -> float:
     return float(betaincinv(a, b, alpha))
 
 
-def pairwise_sq_dists(a, b=None) -> np.ndarray:
+def pairwise_sq_dists(a, b=None, *, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and the rows of b.
 
     This is the package's one squared-distance kernel; ``b`` defaults to
@@ -145,7 +145,10 @@ def pairwise_sq_dists(a, b=None) -> np.ndarray:
     expansion |a|^2 + |b|^2 - 2 a.b, so it matches the sequential loop
     ``sum(d * d for d in a[i] - b[j])`` bit for bit: equal points are exactly
     0 apart, equal distances stay tied, and the square form is exactly
-    symmetric with a zero diagonal.
+    symmetric with a zero diagonal. Given ``out``, a C-contiguous float64
+    array of shape (len(a), len(b)), the distances are written there and
+    ``out`` is returned, with the same bits; this lets a caller reuse one
+    scratch across row blocks.
     """
     a = as_matrix(a, "point cloud")
     b = a if b is None else as_matrix(b, "second point cloud")
@@ -153,7 +156,7 @@ def pairwise_sq_dists(a, b=None) -> np.ndarray:
         raise ValidationError(
             f"point clouds must share their dimension, got {a.shape[1]} and {b.shape[1]}"
         )
-    return cdist(a, b, "sqeuclidean")
+    return cdist(a, b, "sqeuclidean", out=out)
 
 
 def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,8 +173,9 @@ def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Dense work is sized to about this many floats (2 MB) per array: row blocks
-# of n-wide kernels and distances, and the consistency scan's chunks of
-# transforms at max(n, p*p) floats each (one bump row, or PCA's scatter).
+# of n-wide kernels and distances, the consistency scan's chunks of
+# transforms at max(n, p*p) floats each (one bump row, or PCA's scatter), and
+# the one scratch of ``knn_metrics``, which holds a block's four n-wide arrays.
 _STACK_FLOATS = 2**18
 
 # Seed of the generator that makes the start vector of ``sym_eigen``'s top-k

@@ -666,12 +666,13 @@ class TestSharedConsistencyScan:
         return indices._consistency_scan(adapter, self.x, 2, self.kernel, None, 0, base, x_hat, helper=helper)
 
     def test_a_failure_in_the_helpers_chunk_keeps_its_message_and_position(self, monkeypatch):
-        # chunks of 10 transforms; the helper is held busy until this thread
-        # has taken chunk 0, and this thread waits until the helper has taken
-        # chunk 1, which holds a refused transform
+        # chunks of 10 transforms, queued on the helper last chunk first; the
+        # helper is held busy until this thread has taken chunk 0, and this
+        # thread waits until the helper has taken chunk 14, which holds a
+        # refused transform
         monkeypatch.setattr(numerics, "_STACK_FLOATS", 10 * 50)
         serial = tractable_consistency_index(RefusingAdapter(), self.x, 2, self.kernel)
-        assert any(t.failed for t in serial.contributions[10:20])
+        assert any(t.failed for t in serial.contributions[140:150])
         adapter = GatedRefusingAdapter()
         with ThreadPoolExecutor(1) as helper:
             gate = helper.submit(adapter.main_started.wait, 60)
@@ -680,8 +681,8 @@ class TestSharedConsistencyScan:
         assert _as_rows(report) == _as_rows(serial)
         assert [t.failed for t in report.contributions] == [t.failed for t in serial.contributions]
         assert report.value == serial.value
-        # the helper's first call was chunk 1 whole, and it reran chunk 1 one
-        # transform at a time
+        # the helper's first call was chunk 14 whole, and it reran chunk 14
+        # one transform at a time
         assert adapter.calls[0] == (True, 10)
         helper_calls = [size for main, size in adapter.calls if not main]
         assert helper_calls[:11] == [10] + [1] * 10
@@ -933,6 +934,22 @@ def test_consistency_set_up_holds_no_n_by_n_array():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_knn_metrics_holds_one_row_block_of_scratch():
+    # one scratch of 2**18 floats (2 MB) holds a block's data and embedding
+    # distances and their sorted rows, 16 rows of 4000 floats each; four
+    # fresh 2 MB arrays per block, with the previous block's still alive
+    # while the next is built, peak at over 13 MB
+    x = generate(DatasetSpec("swiss_roll", 4000, seed=1))
+    y = pca_reduce(x, 2).coords
+    tracemalloc.start()
+    try:
+        knn_metrics(x, y, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def brute_force_knn_metrics(x, y, k):
     """Direct transcription of the neighbourhood formulas with explicit sets."""
     n = len(x)
@@ -1031,6 +1048,39 @@ class TestKnnMetrics:
         y = rng.integers(0, 3, (n, d)).astype(float)
         for k in sorted({*range(1, n // 2 + 1), n - 1}):
             assert knn_metrics(x, y, k) == brute_force_knn_metrics(x, y, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(2, 4),
+        st.data(),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_over_several_blocks_and_a_short_last_one(self, per_block, full, data, p, d, seed):
+        # blocks of a few rows, so ties in integer-grid clouds cross block edges
+        n = per_block * full + data.draw(st.integers(1, per_block - 1), label="rows in the last block")
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, (n, p)).astype(float)
+        y = rng.integers(0, 3, (n, d)).astype(float)
+        rows = []
+        neighbourhoods = indices._neighbourhoods
+
+        def recorded(points, own, k, **scratch):
+            rows.append(len(own))
+            return neighbourhoods(points, own, k, **scratch)
+
+        for k in sorted({1, n // 3, n // 2, n - 1}):
+            rows.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(numerics, "_STACK_FLOATS", per_block * 4 * n)
+                m.setattr(indices, "_neighbourhoods", recorded)
+                got = knn_metrics(x, y, k)
+            # the data's and the embedding's rows, block by block
+            blocks = [per_block] * full + [n - per_block * full]
+            assert rows == [r for r in blocks for _ in range(2)]
+            assert got == brute_force_knn_metrics(x, y, k)
 
 
 class TestRankSum:

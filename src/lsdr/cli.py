@@ -88,11 +88,14 @@ def _write_manifest(path: Path, command: str, argv: list[str], seed: int, output
 
 def _refuse_colliding_outputs(source: str | None, outputs: list[Path]) -> None:
     """Stop before anything is read or written if an output is the input or
-    another output, or would go into a directory that does not exist."""
+    another output, is a directory, or would go into a directory that does
+    not exist."""
     seen = {} if source is None else {Path(source).resolve(): f"the input {source}"}
     for path in outputs:
         if not path.parent.is_dir():
             raise ValidationError(f"output {path} needs the directory {path.parent}, which does not exist")
+        if path.is_dir():
+            raise ValidationError(f"output {path} is a directory")
         resolved = path.resolve()
         if resolved in seen:
             raise ValidationError(f"output {path} would overwrite {seen[resolved]}")

@@ -220,7 +220,17 @@ _PARAMS = {
 
 
 def generate(spec: DatasetSpec) -> np.ndarray:
-    """Generate the point cloud for ``spec``; exactly ``spec.n`` rows."""
-    pts = _GENERATORS[spec.family](spec, _rng(spec))
+    """Generate the point cloud for ``spec``; exactly ``spec.n`` finite rows.
+
+    Scales so large that the generator overflows or draws a coordinate that
+    is not finite are a ValidationError; any other cloud is returned as drawn.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = _GENERATORS[spec.family](spec, _rng(spec))
+    except OverflowError:
+        pts = None
+    if pts is None or not np.isfinite(pts).all():
+        raise ValidationError(f"dataset {spec.family!r} overflows the float range at these scales")
     assert pts.shape[0] == spec.n
     return pts

@@ -24,7 +24,7 @@ from .embedding import (
 )
 from . import numerics
 from .errors import ValidationError
-from .numerics import _paired_sq_dists, _row_blocks, as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _paired_sq_dists, _row_blocks, _sign_columns, as_matrix, pairwise_sq_dists, sym_eigen
 
 __all__ = [
     "ProcrustesFit",
@@ -182,9 +182,7 @@ def pca_reduce(x, d: int) -> Embedding:
         raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
     centered = x - x.mean(axis=0)
     eigenvalues, eigenvectors = sym_eigen(centered.T @ centered / max(n - 1, 1))
-    components = eigenvectors[:, :d].copy()
-    lead = components[np.argmax(np.abs(components), axis=0), np.arange(d)]
-    np.negative(components, out=components, where=lead < 0)
+    components = _sign_columns(eigenvectors[:, :d].copy())
     return Embedding(
         coords=centered @ components,
         algorithm="pca",

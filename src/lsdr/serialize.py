@@ -5,7 +5,6 @@ always serializes to identical bytes; reproducibility tests depend on that.
 """
 
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -103,53 +102,13 @@ def write_paired(path, x: np.ndarray, emb: Embedding) -> None:
     write_point_cloud(path, np.hstack([np.asarray(x, dtype=float), emb.coords]), cols)
 
 
-# the types json encodes as scalars, exactly; values of any other type, such
-# as a float subclass, take the general path
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _types(values) -> set:
-    return set(map(type, values))
-
-
-def _indented(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, flat parts from the C encoder.
-
-    json's C encoder runs only without ``indent``. A value nested d levels
-    deep encodes as it does alone, with every line after the first indented
-    by 2d more spaces, so each container is encoded on its own and indented
-    into its parent. Containers of scalars, and lists of non-empty dicts of
-    scalars, go to the C encoder with the newline and indentation of their
-    items as the item separator, and are then re-bracketed. A raw newline
-    appears only between items, never inside a string (json escapes it), so
-    these edits touch no string. A dict with a key that is not a string goes
-    through ``json.dumps`` whole.
-    """
-    if not isinstance(value, (list, tuple, dict)) or not value:
-        return json.dumps(value)
-    if isinstance(value, dict) and _types(value) != {str}:
-        return json.dumps(value, indent=2, sort_keys=True)
-    if _types(value.values() if isinstance(value, dict) else value) <= _SCALARS:
-        flat = json.dumps(value, sort_keys=True, separators=(",\n  ", ": "))
-        return flat[0] + "\n  " + flat[1:-1] + "\n" + flat[-1]
-    if isinstance(value, dict):
-        body = ",\n".join(f"{json.dumps(key)}: {_indented(value[key])}" for key in sorted(value))
-        return "{\n  " + body.replace("\n", "\n  ") + "\n}"
-    if (
-        _types(value) == {dict}
-        and all(value)
-        and _types(chain.from_iterable(value)) == {str}
-        and _types(chain.from_iterable(map(dict.values, value))) <= _SCALARS
-    ):
-        flat = json.dumps(value, sort_keys=True, separators=(",\n    ", ": "))
-        return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
-    body = ",\n".join(map(_indented, value))
-    return "[\n  " + body.replace("\n", "\n  ") + "\n]"
-
-
 def write_json(path, payload: dict) -> None:
-    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
-    Path(path).write_text(_indented(payload) + "\n")
+    """Write ``json.dumps(payload, sort_keys=True)`` and a newline: one line,
+    the encoding of the embedding CSV's header (``python -m json.tool``
+    indents it for reading)."""
+    with open(path, "w") as f:
+        f.write(json.dumps(payload, sort_keys=True))
+        f.write("\n")
 
 
 def read_json(path) -> dict:

@@ -505,6 +505,12 @@ class TestUsageErrorsWriteNothing:
                 ["reduce", "x.csv", "--d", 1, "--out", "emb.csv"],
                 ["index", "x.csv", "--algo", "pca", "--tci", "--d", 1, "--out", "idx.json"],
             )
+        ]
+        + [
+            (["generate", "--family", "spiral", "--n", 20, "--noise", "1e308", "--out", "big.csv"],
+             "dataset 'spiral' overflows the float range"),
+            (["generate", "--family", "gaussian_clusters", "--n", 20, "--p", 2, "--separation", "1e308",
+              "--out", "big.csv"], "dataset 'gaussian_clusters' overflows the float range"),
         ],
     )  # fmt: skip
     def test_refused_before_anything_is_written(self, tmp_path, monkeypatch, capsys, args, message):
@@ -518,6 +524,30 @@ class TestUsageErrorsWriteNothing:
         assert len(err) == 1 and err[0].startswith("ERROR usage: ") and message in err[0]
         assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
         assert (tmp_path / "x.csv").read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "args, directory",
+        [
+            (["generate", "--family", "spiral", "--n", 20, "--out", "out"], "out"),
+            (["generate", "--family", "spiral", "--n", 20, "--out", "a.csv"], "a.manifest.json"),
+            (["reduce", "x.csv", "--d", 1, "--out", "out"], "out"),
+            (["reduce", "x.csv", "--d", 1, "--out", "e.csv"], "e_paired.csv"),
+            (["reduce", "x.csv", "--d", 1, "--out", "e.csv"], "e_skeleton.json"),
+            (["index", "x.csv", "--ti", "--out", "out"], "out"),
+            (["index", "x.csv", "--ti", "--out", "idx.json"], "idx.csv"),
+        ],
+    )  # fmt: skip
+    def test_an_output_that_is_a_directory_is_refused(self, tmp_path, monkeypatch, capsys, args, directory):
+        monkeypatch.chdir(tmp_path)
+        run(["generate", "--family", "spiral", "--n", 60, "--seed", 1, "--out", "x.csv"])
+        (tmp_path / "x.manifest.json").unlink()
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "kept.txt").write_text("kept\n")
+        capsys.readouterr()
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"ERROR usage: output {directory} is a directory\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["x.csv", directory])
+        assert [f.name for f in (tmp_path / directory).iterdir()] == ["kept.txt"]
 
 
 class TestErrorsAndRerun:
@@ -576,6 +606,32 @@ class TestErrorsAndRerun:
         out.unlink()
         assert run(["rerun", tmp_path / "d.manifest.json"]) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["generate", "--family", "spiral", "--n", 60, "--seed", 9, "--out", "d.csv"],
+            ["reduce", "x.csv", "--d", 1, "--dump-graph", "--plot", "--out", "e.csv"],
+            ["index", "x.csv", "--ti", "--tci", "--knn", "--transforms", 8, "--d", 1, "--out", "i.json"],
+        ],
+    )  # fmt: skip
+    def test_an_indented_manifest_reruns_byte_for_byte(self, tmp_path, monkeypatch, command):
+        # manifests were once written indented, by json.dumps(..., indent=2,
+        # sort_keys=True); they replay, and the replay writes one line
+        monkeypatch.chdir(tmp_path)
+        run(["generate", "--family", "spiral", "--n", 80, "--seed", 1, "--out", "x.csv"])
+        assert run(command) == 0
+        manifest = Path(str(command[-1])).with_suffix(".manifest.json")
+        recorded = json.loads(manifest.read_text())
+        outputs = [Path(path) for path in recorded["outputs"]]
+        first = [path.read_bytes() for path in outputs]
+        manifest.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+        for path in outputs:
+            path.unlink()
+        assert run(["rerun", manifest]) == 0
+        assert [path.read_bytes() for path in outputs] == first
+        text = manifest.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_rerun_warns_when_the_blas_thread_settings_differ(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

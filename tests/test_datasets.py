@@ -36,6 +36,22 @@ def test_parameters_the_family_does_not_read_are_rejected(family, params):
         DatasetSpec(family, 30, params=params)
 
 
+@pytest.mark.parametrize(
+    "family, kwargs",
+    [(family, {"noise": 1e308}) for family in FAMILIES if family != "uniform_hypercube"]
+    + [
+        ("gaussian_clusters", {"p": 2, "params": {"separation": 1e308}}),
+        ("gaussian_clusters", {"p": 2, "params": {"gaps": [1e308, 1e308]}}),
+        ("spiral", {"params": {"turns": 1e300}}),
+    ],
+)
+def test_scales_that_overflow_the_float_range_are_refused(family, kwargs):
+    # the spiral's uniform noise raises OverflowError in numpy; the others
+    # would draw infinite coordinates
+    with pytest.raises(ValidationError, match=f"dataset '{family}' overflows the float range"):
+        generate(DatasetSpec(family, 50, seed=3, **kwargs))
+
+
 class TestSpiral:
     def test_clean_radius_monotone_in_angle(self):
         spec = DatasetSpec("spiral", 200, seed=3)

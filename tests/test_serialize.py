@@ -1,5 +1,5 @@
-"""The JSON writer: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``;
-and the line the CSV reader names for a bad value."""
+"""The JSON writer: the bytes of ``json.dumps(payload, sort_keys=True)`` and a
+newline; and the line the CSV reader names for a bad value."""
 
 import json
 
@@ -13,7 +13,7 @@ from lsdr.errors import InputParseError
 from lsdr.indices import IndexReport, TciReport, TransformResult
 from lsdr.serialize import read_point_cloud, write_json
 
-# the separator the writer re-indents, inside a string it must leave alone
+# an item separator and a newline inside a string, which json must escape
 SEPARATOR_TEXT = '"},\n      {"'
 
 texts = st.text() | st.sampled_from(
@@ -27,8 +27,7 @@ scalars = (
     | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
     | texts
 )
-# lists of dicts of scalars, the shape of a report's contributions; an empty
-# dict among them sends the list down the general path
+# lists of dicts of scalars, the shape of a report's contributions
 flat_dict_lists = st.lists(st.dictionaries(texts, scalars, max_size=6), max_size=8)
 payloads = st.recursive(
     scalars | flat_dict_lists,
@@ -41,7 +40,7 @@ payloads = st.recursive(
 
 
 def expected_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("input")
     red.add_argument("--algo", choices=("lsdr", "pca"), default="lsdr")
     red.add_argument("--d", type=int, required=True)
-    red.add_argument("--alpha", type=float, default=0.95)
-    red.add_argument("--k", type=int, default=3)
+    red.add_argument("--alpha", type=float, default=LsdrConfig.alpha)
+    red.add_argument("--k", type=int, default=LsdrConfig.k)
     red.add_argument("--bandwidth", type=float, default=None)
     red.add_argument("--seed", type=int, default=0)
     red.add_argument("--dump-graph", action="store_true")
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("input")
     idx.add_argument("--algo", choices=("lsdr", "pca", "identity"), default="pca")
     idx.add_argument("--d", type=int, default=2)
-    idx.add_argument("--alpha", type=float, default=0.95)
-    idx.add_argument("--k", type=int, default=3)
+    idx.add_argument("--alpha", type=float, default=LsdrConfig.alpha)
+    idx.add_argument("--k", type=int, default=LsdrConfig.k)
     idx.add_argument("--ti", action="store_true")
     idx.add_argument("--tci", action="store_true")
     idx.add_argument("--knn", action="store_true")

@@ -97,17 +97,27 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
 
     The squared distances come from ``pairwise_sq_dists``, so equal points
     are exactly 0 apart: ``kernel_matrix(spec, x, x)`` is exactly symmetric
-    with a diagonal of exactly 1.
+    with a diagonal of exactly 1. Where 2 sigma^2 leaves the float range the
+    kernel is the Gaussian's limit: every weight is 1 when it overflows, and
+    1 only where the distance is 0 when it underflows to 0.
     """
     a = as_matrix(a, "kernel input a")
     b = as_matrix(b, "kernel input b")
     if a.shape[1] != b.shape[1]:
         raise ValidationError("kernel inputs must share their dimension")
+    k = pairwise_sq_dists(a, b)
+    try:
+        scale = 2.0 * float(spec.bandwidth) ** 2
+    except OverflowError:  # the square of a Python float raises past the float range
+        scale = np.inf
+    if scale == np.inf:
+        return np.ones_like(k)
+    if scale == 0.0:
+        return np.where(k == 0.0, 1.0, 0.0)
     # one array, scaled and exponentiated in place; d / -(2 sigma^2) is the
     # float -d / (2 sigma^2), since IEEE division sets the sign apart from
     # the rounded magnitude
-    k = pairwise_sq_dists(a, b)
-    k /= -(2.0 * spec.bandwidth**2)
+    k /= -scale
     return np.exp(k, out=k)
 
 
@@ -408,7 +418,8 @@ def fit_reconstruction(
         np.add.reduce(k, axis=0, out=column_sums)
     a /= n
     gram = a.T @ a
-    rank = int(np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, float(np.abs(gram).max()))))
+    # relative to the system's own scale, so a 2^e multiple of the data has the same rank
+    rank = int(np.linalg.matrix_rank(gram, tol=1e-12 * float(np.abs(gram).max())))
     if rank < d:
         _warn_at_caller(
             f"reconstruction constraint system is rank deficient (rank {rank} < {d}); using the pseudo-inverse"

@@ -79,15 +79,12 @@ def vertex_stars(edges: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Each edge once per endpoint, grouped by vertex, edge ids ascending within one.
 
     Returns each incidence's position in ``edges.ravel()`` (edge id times two
-    plus the endpoint), its vertex, its column within that vertex's star, and
-    the (n,) star sizes.
+    plus the endpoint), its vertex, and the (n,) star sizes.
     """
     ends = edges.ravel()
     position = np.argsort(ends, kind="stable")
     owner = ends[position]
-    counts = np.bincount(owner, minlength=n)
-    column = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-    return position, owner, column, counts
+    return position, owner, np.bincount(owner, minlength=n)
 
 
 def _lexicographic(rows: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import os
 import signal
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
@@ -42,10 +42,25 @@ class ManifoldGraph(Tessellation):
     surviving (s, p+1) ascending rows in lexicographic order, with their
     ``simplex_edges`` in this graph's edge table. ``mcst_edges`` are the
     protected spanning-tree pairs, also in lexicographic order.
+
+    ``adjacency`` is the symmetric n x n edge-length matrix, each edge in
+    both directions, built once from the edge table; every search over the
+    graph reads it. Searches run with ``directed=True``, which scans one row
+    per settled vertex where ``directed=False`` would transpose the matrix
+    and scan two.
     """
 
     mcst_edges: np.ndarray
     alpha: float
+    adjacency: csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # one set of (u, v) and (v, u) triples, not m + m.T: sparse addition
+        # drops explicit zeros, and zero-length edges (coincident points)
+        # must stay explicit entries, which scipy.sparse.csgraph treats as edges
+        u, v = self.edges.T
+        lengths = np.concatenate([self.lengths, self.lengths])
+        self.adjacency = csr_matrix((lengths, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(self.n, self.n))
 
 
 @dataclass
@@ -118,7 +133,7 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     # squares by Python's float power: numpy's square rounds differently on
     # about one length in a thousand, which moves statistics at the threshold
     sq = np.array([length**2 for length in tess.lengths.tolist()])
-    position, owner, _, counts = vertex_stars(tess.edges, n)
+    position, owner, counts = vertex_stars(tess.edges, n)
     ids = position // 2
     thresholds = _star_thresholds(p, alpha, int(counts.max(initial=0)))
     alive = np.ones(len(sq), dtype=bool)
@@ -143,21 +158,6 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
         mcst_edges=mcst.edges,
         alpha=alpha,
     )
-
-
-def _csr(g: ManifoldGraph) -> csr_matrix:
-    """The symmetric n x n edge-length matrix: each edge in both directions.
-
-    Searches over it run with ``directed=True``, which scans one row per
-    settled vertex where ``directed=False`` would transpose the matrix and
-    scan two. It is built from one set of (u, v) and (v, u) triples, not as
-    ``m + m.T``: sparse addition drops explicit zeros, and zero-length edges
-    (coincident points) must stay as explicit entries, which
-    ``scipy.sparse.csgraph`` treats as edges.
-    """
-    u, v = g.edges.T
-    lengths = np.concatenate([g.lengths, g.lengths])
-    return csr_matrix((lengths, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n))
 
 
 def _block(lengths: csr_matrix, src: np.ndarray, part: slice, out: np.ndarray) -> None:
@@ -327,28 +327,26 @@ def graph_distances(g: ManifoldGraph, vertices) -> GeodesicDistances:
 
     Entry (i, j) is the length of a shortest path from ``vertices[i]`` to
     ``vertices[j]``, inf when there is none; rows and columns follow the
-    order of ``vertices``. Dijkstra runs over one symmetric length matrix
-    from chunks of the vertices and keeps only the requested columns, so
-    memory grows as len(vertices)^2 plus one row block, not
-    len(vertices) * n. Above ``_SPLIT_FLOOR`` the rows are split between
-    this process and its helpers (``_Helpers``); a call that finds them busy
-    on another thread computes its block here. Each row is its own
-    single-source search, so neither the chunking nor the split moves a
-    bit. Edge lengths are non-negative, so every label-setting algorithm
-    settles each vertex at the same float, min over neighbours u of
-    fl(d(u) + w), whatever its visiting order.
+    order of ``vertices``. Dijkstra runs over ``g.adjacency`` from chunks of
+    the vertices and keeps only the requested columns, so memory grows as
+    len(vertices)^2 plus one row block, not len(vertices) * n. Above
+    ``_SPLIT_FLOOR`` the rows are split between this process and its helpers
+    (``_Helpers``); a call that finds them busy on another thread computes
+    its block here. Each row is its own single-source search, so neither the
+    chunking nor the split moves a bit. Edge lengths are non-negative, so
+    every label-setting algorithm settles each vertex at the same float, min
+    over neighbours u of fl(d(u) + w), whatever its visiting order.
     """
     src = np.array([int(v) for v in vertices], dtype=np.intp)
     if len(src) == 0:
         raise ValidationError("graph_distances needs at least one vertex")
-    lengths = _csr(g)
     dists = np.empty((len(src), len(src)))
     helpers = _helpers
     if len(src) * g.n < _SPLIT_FLOOR or not helpers.lock.acquire(blocking=False):
-        _block(lengths, src, slice(None), dists)
+        _block(g.adjacency, src, slice(None), dists)
     else:
         try:
-            helpers.split(lengths, src, dists)
+            helpers.split(g.adjacency, src, dists)
         finally:
             helpers.lock.release()
     return GeodesicDistances(sources=src.tolist(), dists=dists)
@@ -374,7 +372,7 @@ def nearest_source_distances(g: ManifoldGraph, sources) -> np.ndarray:
         raise ValidationError("nearest_source_distances needs at least one source")
     if len(np.unique(src)) != len(src):
         raise ValidationError("nearest_source_distances needs distinct sources")
-    near, _, label = dijkstra(_csr(g), directed=True, indices=src, min_only=True, return_predecessors=True)
+    near, _, label = dijkstra(g.adjacency, directed=True, indices=src, min_only=True, return_predecessors=True)
     # both ends of an edge are reached, or neither is and both carry the
     # same "unreached" label
     u, v = g.edges.T

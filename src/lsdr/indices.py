@@ -471,7 +471,9 @@ def _consistency_scan(
 
     base_centered = base - base.mean(axis=0)
     denom = float(np.sum(base_centered * base_centered))
-    base_constant = denom <= 1e-24
+    # constant up to the rounding of its mean: a floor relative to the base's
+    # own magnitude, so a 2^e multiple of the base is judged alike
+    base_constant = denom <= 1e-24 * float(np.sum(base * base))
 
     def scan(rows: np.ndarray, cols: np.ndarray) -> list[TransformResult]:
         """Reduce and score the given transforms."""

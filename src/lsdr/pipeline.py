@@ -85,8 +85,8 @@ class LsdrConfig:
             raise ValidationError(f"neighbour count must be at least 1, got {self.k}")
         if self.d < 1:
             raise ValidationError(f"target dimension must be at least 1, got {self.d}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if self.bandwidth is not None:
+            KernelSpec("gaussian", self.bandwidth)  # the kernel owns the bandwidth rule
 
 
 @dataclass
@@ -256,7 +256,7 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
     )
 
 
-def transform_bandwidth(x, alpha: float = 0.95, k: int = 3, seed: int = 0) -> float:
+def transform_bandwidth(x, alpha: float = LsdrConfig.alpha, k: int = LsdrConfig.k, seed: int = 0) -> float:
     """Dataset-level bandwidth via the skeleton rule (for the consistency index).
 
     The bandwidth ``lsdr`` picks at these parameters, by construction: the
@@ -276,7 +276,7 @@ class LsdrAdapter(AlgorithmAdapter):
 
     name = "lsdr"
 
-    def __init__(self, alpha: float = 0.95, k: int = 3, seed: int = 0):
+    def __init__(self, alpha: float = LsdrConfig.alpha, k: int = LsdrConfig.k, seed: int = 0):
         self.alpha = alpha
         self.k = k
         self.seed = seed

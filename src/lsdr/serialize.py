@@ -31,9 +31,13 @@ def _is_number(token: str) -> bool:
 
 
 def read_point_cloud(path) -> np.ndarray:
-    """Read a numeric CSV; an optional single header row is skipped.
+    """Read a numeric CSV; blank lines and ``#`` comment lines are skipped.
 
-    Raises InputParseError with the offending line number on malformed rows.
+    The first other line is a header when none of its fields is a number;
+    it is skipped, and every data row must have as many fields. A first line
+    with some numeric fields is data, so a non-numeric field there is an
+    error, not a header. Raises InputParseError with the offending line
+    number on malformed rows.
     """
     path = Path(path)
     try:
@@ -41,8 +45,6 @@ def read_point_cloud(path) -> np.ndarray:
     except OSError as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
     rows: list[list[float]] = []
-    width = None
-    start = 0
     content = [
         (lineno, line)
         for lineno, line in enumerate(lines, start=1)
@@ -51,13 +53,11 @@ def read_point_cloud(path) -> np.ndarray:
     if not content:
         raise InputParseError(f"{path} contains no data rows (line 1)")
     first_tokens = content[0][1].split(",")
-    if not all(_is_number(t.strip()) for t in first_tokens):
-        start = 1  # header row
+    width = len(first_tokens)
+    start = 0 if any(_is_number(t.strip()) for t in first_tokens) else 1
     for lineno, line in content[start:]:
         tokens = [t.strip() for t in line.split(",")]
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+        if len(tokens) != width:
             raise InputParseError(
                 f"{path}: expected {width} columns, found {len(tokens)} (line {lineno})"
             )

@@ -12,8 +12,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DegeneracyError, ValidationError
-from .geometry import vertex_stars
-from .graph import ManifoldGraph, _csr
+from .graph import ManifoldGraph
 
 __all__ = [
     "SkeletonReport",
@@ -59,7 +58,7 @@ def boundary_distances(g: ManifoldGraph, boundary) -> np.ndarray:
     members = sorted(int(b) for b in boundary)
     if not members:
         raise ValidationError("boundary set is empty")
-    return dijkstra(_csr(g), directed=True, indices=members, min_only=True)
+    return dijkstra(g.adjacency, directed=True, indices=members, min_only=True)
 
 
 def _neighbour_table(g: ManifoldGraph, k: int) -> np.ndarray:
@@ -77,13 +76,16 @@ def _neighbour_table(g: ManifoldGraph, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValidationError(f"neighbour count must be at least 1, got {k}")
-    n = g.n
-    # neighbour and edge-length tables padded with n and inf; row n is "no vertex"
-    position, owner, column, counts = vertex_stars(g.edges, n)
-    nbr = np.full((n + 1, counts.max(initial=0)), n)
+    n, adj = g.n, g.adjacency
+    # the rows of g.adjacency as neighbour and edge-length tables, padded
+    # with n and inf; row n is "no vertex"
+    counts = np.append(np.diff(adj.indptr), 0)
+    nbr = np.full((n + 1, counts.max()), n)
     weight = np.full(nbr.shape, np.inf)
-    nbr[owner, column] = g.edges[:, ::-1].ravel()[position]
-    weight[owner, column] = g.lengths[position // 2]
+    # a boolean mask takes its entries row by row, the order of adj's entries
+    filled = np.arange(nbr.shape[1]) < counts[:, None]
+    nbr[filled] = adj.indices
+    weight[filled] = adj.data
     settled = np.arange(n)[:, None]
     dist = np.zeros(n)
     cand_v = np.empty((n, 0), dtype=nbr.dtype)

@@ -599,6 +599,32 @@ class TestErrorsAndRerun:
         coords = read_point_cloud(tmp_path / "emb.csv")
         assert coords.shape == (40, 2) and np.isfinite(coords).all()
 
+    def test_bandwidths_whose_square_leaves_the_float_range_exit_0_and_replay(self, tmp_path):
+        data = tmp_path / "spiral.csv"
+        run(["generate", "--family", "spiral", "--n", 100, "--seed", 3, "--out", data])
+        out = tmp_path / "emb.csv"
+        # 2 sigma^2 overflows: every weight is 1, so every point gets the
+        # skeletal mean
+        assert run(["reduce", data, "--d", 1, "--bandwidth", "1e200", "--out", out]) == 0
+        coords = read_point_cloud(out)
+        assert np.isfinite(coords).all() and np.ptp(coords) == 0.0
+        first = out.read_bytes()
+        out.unlink()
+        assert run(["rerun", tmp_path / "emb.manifest.json"]) == 0
+        assert out.read_bytes() == first
+        # 2 sigma^2 underflows to 0: each point keeps the skeletal embedding
+        # of the skeletal points it coincides with, or its nearest one's
+        with pytest.warns(UserWarning, match="kernel weights underflowed"):
+            assert run(["reduce", data, "--d", 1, "--bandwidth", "1e-300", "--out", out]) == 0
+        assert np.isfinite(read_point_cloud(out)).all()
+        roll = tmp_path / "roll.csv"
+        run(["generate", "--family", "swiss_roll", "--n", 100, "--seed", 3, "--out", roll])
+        report = tmp_path / "i.json"
+        args = ["index", roll, "--tci", "--transforms", 6, "--bandwidth", "1e160", "--out", report]
+        assert run(args) == 0
+        result = json.loads(report.read_text())
+        assert result["tci_bandwidth"] == 1e160 and not any(t["failed"] for t in result["tci_contributions"])
+
     def test_rerun_reproduces_outputs_byte_for_byte(self, tmp_path):
         out = tmp_path / "d.csv"
         run(["generate", "--family", "spiral", "--n", 60, "--seed", 9, "--out", out])

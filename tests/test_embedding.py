@@ -1,9 +1,11 @@
 """Metric MDS, kernel embedding, out-of-sample and reconstruction models."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from lsdr.datasets import DatasetSpec, spiral_with_angle
+from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
 from lsdr import numerics
 from lsdr.embedding import (
     KernelSpec,
@@ -20,7 +22,7 @@ from lsdr.embedding import (
 )
 from lsdr.errors import ValidationError
 from lsdr.graph import GeodesicDistances
-from lsdr.indices import procrustes_fit
+from lsdr.indices import pca_reduce, procrustes_fit
 from lsdr.numerics import pairwise_sq_dists
 from lsdr.skeleton import SkeletonReport
 
@@ -173,6 +175,24 @@ class TestKernelMatrix:
         k = kernel_matrix(KernelSpec("gaussian", 0.5), x, x)
         assert np.all(np.diag(k) == 1.0)
         assert np.array_equal(k, k.T)
+
+    def test_bandwidths_past_the_float_range_take_the_gaussians_limits(self):
+        # coincident points, as in a training set with duplicates
+        x = np.random.default_rng(4).standard_normal((6, 2))[[0, 1, 2, 2, 3, 4, 5, 0]]
+        coincident = pairwise_sq_dists(x) == 0.0
+        # 2 sigma^2 overflows: every weight is 1
+        for sigma in (1e200, 1.2e154, np.finfo(float).max):
+            assert np.array_equal(kernel_matrix(KernelSpec("gaussian", sigma), x, x), np.ones((8, 8)))
+        # 2 sigma^2 underflows to 0: 1 exactly where the distance is 0, never NaN
+        for sigma in (1e-300, 5e-324):
+            k = kernel_matrix(KernelSpec("gaussian", sigma), x, x)
+            assert np.array_equal(k, coincident.astype(float))
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-3, 0.5, 7.0, 1e150, 9e153])
+    def test_bandwidths_whose_two_sigma_squared_is_a_float_keep_their_bits(self, sigma):
+        x = np.random.default_rng(9).standard_normal((7, 3)) * sigma
+        expected = np.exp(pairwise_sq_dists(x) / -(2.0 * sigma**2))
+        assert np.array_equal(kernel_matrix(KernelSpec("gaussian", sigma), x, x), expected)
 
     @pytest.mark.parametrize(
         "family, bandwidth",
@@ -367,6 +387,22 @@ class TestReconstruction:
         assert np.abs(recon.beta_coefficients).max() == pytest.approx(0.0, abs=1e-12)
         out = reconstruct(recon, np.array([0.3]))
         assert np.allclose(out, x.mean(axis=0))
+
+    @pytest.mark.parametrize("e", [-40, -30, -25, 30])
+    def test_the_rank_test_is_relative_to_the_systems_scale(self, e):
+        # PCA's output on a swiss roll (n = 300) scaled by 2^e: the rank-2
+        # constraint system scales by 4^e, and an absolute floor read it as
+        # rank 0 from e = -25 down
+        x = generate(DatasetSpec("swiss_roll", 300, seed=0))
+        base = pca_reduce(x, 2).coords
+        kernel = KernelSpec("gaussian", 1.0)
+        at_one = reconstruct(fit_reconstruction(x, base, kernel, kernel), base)
+        scaled = np.ldexp(base, e)
+        kernel = KernelSpec("gaussian", float(np.ldexp(1.0, e)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recon = fit_reconstruction(np.ldexp(x, e), scaled, kernel, kernel)
+        assert np.array_equal(reconstruct(recon, scaled), np.ldexp(at_one, e))
 
     def test_swiss_roll_c_matrix_matches_double_loop(self):
         x, latent = swiss_roll(50, seed=8)

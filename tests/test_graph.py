@@ -23,7 +23,6 @@ from lsdr.datasets import DatasetSpec, generate
 from lsdr.geometry import delaunay_tessellation, edge_keys, edge_lengths, euclidean_mcst, vertex_stars
 from lsdr.graph import (
     ManifoldGraph,
-    _csr,
     _star_scan,
     dump_edge_list,
     graph_distances,
@@ -264,7 +263,7 @@ class TestPruneEdges:
         pts = rng.uniform(0, 1, (60, 2))
         tess = delaunay_tessellation(pts)
         sq = np.array([length**2 for length in tess.lengths.tolist()])
-        position, owner, _, counts = vertex_stars(tess.edges, tess.n)
+        position, owner, counts = vertex_stars(tess.edges, tess.n)
         ids = position // 2
 
         def one_shot_survivors(alpha):
@@ -447,7 +446,7 @@ class TestGraphDistances:
         # matrix; dropping it as a structural zero would disconnect vertex 0
         g = build_graph([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [(0, 1), (1, 2)])
         # each edge in both directions, the zero kept as an explicit entry
-        matrix = _csr(g)
+        matrix = g.adjacency
         assert matrix.nnz == 4 and matrix[0, 1] == matrix[1, 0] == 0.0
         assert graph_distances(g, range(3)).dists[[0, 2]].tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         assert boundary_distances(g, [0]).tolist() == [0.0, 0.0, 1.0]
@@ -500,7 +499,7 @@ def spiral_block():
     sources = [int(v) for v in np.random.default_rng(8).permutation(g.n)[:200]]
     assert len(sources) * g.n >= graph_module._SPLIT_FLOOR
     serial = np.empty((len(sources), len(sources)))
-    graph_module._block(_csr(g), np.array(sources), slice(None), serial)
+    graph_module._block(g.adjacency, np.array(sources), slice(None), serial)
     return g, sources, serial.tobytes()
 
 

@@ -343,7 +343,7 @@ def serial_consistency_scan(alg, x, d, kernel, transform_subsample=None, seed=0)
         picked = rng.choice(len(all_transforms), size=transform_subsample, replace=False)
         chosen = [all_transforms[k] for k in sorted(picked)]
     base_centered = base - base.mean(axis=0)
-    base_constant = float(np.sum(base_centered * base_centered)) <= 1e-24
+    base_constant = float(np.sum(base_centered * base_centered)) <= 1e-24 * float(np.sum(base * base))
     rows = []
     traces = []
     best = 0.0
@@ -385,16 +385,17 @@ class SerialPcaAdapter(AlgorithmAdapter):
 
 
 class ConstantBaseAdapter(AlgorithmAdapter):
-    """Zeros on the base cloud, PCA on every transformed one."""
+    """``value`` (zeros by default) on the base cloud, PCA on every transformed one."""
 
     name = "constant-base"
 
-    def __init__(self, base_cloud):
+    def __init__(self, base_cloud, value=0.0):
         self.base_cloud = base_cloud
+        self.value = value
 
     def reduce(self, d, x):
         if np.array_equal(x, self.base_cloud):
-            return Embedding(coords=np.zeros((x.shape[0], d)), algorithm=self.name)
+            return Embedding(coords=np.full((x.shape[0], d), self.value), algorithm=self.name)
         return pca_reduce(x, d)
 
 
@@ -557,6 +558,29 @@ class TestChunkedConsistencyIndex:
         with pytest.warns(UserWarning, match="rank deficient"):
             report = self._assert_matches_serial(ConstantBaseAdapter(x), x, 2)
         assert report.value > 0.0
+
+    @pytest.mark.parametrize("e", [-50, 0, 400])
+    def test_a_constant_base_is_scored_by_the_trace_at_every_scale(self, e):
+        # the mean of 0.1 * 2^e rounds, so the centred base is not exactly
+        # zero; its sum of squares, about 1e-31 * 4^e, is rounding, not shape
+        x = np.random.default_rng(6).standard_normal((40, 3))
+        value = float(np.ldexp(0.1, e))
+        base = np.full((40, 2), value)
+        assert np.any(base != base.mean(axis=0))
+        adapter = ConstantBaseAdapter(x, value)
+        with pytest.warns(UserWarning, match="rank deficient"):
+            report = self._assert_matches_serial(adapter, x, 2, transform_subsample=8)
+            _, _, traces = serial_consistency_scan(adapter, x, 2, self.kernel, transform_subsample=8)
+        assert [t.residual for t in report.contributions] == traces
+
+    def test_a_tiny_base_keeps_its_similarity_term(self):
+        # swiss roll n = 300 times 2^-50: PCA's output has a sum of squares of
+        # about 2e-26, which an absolute floor of 1e-24 took for a constant
+        x = np.ldexp(generate(DatasetSpec("swiss_roll", 300, seed=0)), -50)
+        kernel = KernelSpec("gaussian", float(np.ldexp(3.0, -50)))
+        report = self._assert_closed_form_near_serial(x, 2, kernel, transform_subsample=16)
+        _, _, traces = serial_consistency_scan(SerialPcaAdapter(), x, 2, kernel, transform_subsample=16)
+        assert all(t.residual < trace for t, trace in zip(report.contributions, traces))
 
     @pytest.mark.parametrize(
         "adapter, message",

@@ -1,6 +1,7 @@
 """End-to-end pipeline behaviour: fidelity, determinism, degeneracies."""
 
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsdr import pipeline
+from lsdr.cli import build_parser
 from lsdr.cli import main as cli_main
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
 from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
-from lsdr.errors import DegeneracyWarning, LsdrError, ValidationError
+from lsdr.errors import DegeneracyError, DegeneracyWarning, LsdrError, ValidationError
 from lsdr.graph import graph_distances, nearest_source_distances
 from lsdr.indices import procrustes_fit, tractable_consistency_index
 from lsdr.numerics import pairwise_sq_dists
@@ -31,7 +33,7 @@ from lsdr.pipeline import (
     lsdr,
     transform_bandwidth,
 )
-from lsdr.serialize import write_point_cloud
+from lsdr.serialize import read_point_cloud, write_point_cloud
 
 from test_graph import is_connected
 
@@ -181,6 +183,35 @@ class TestDegenerateInputs:
         with pytest.warns(DegeneracyWarning):
             res = lsdr(pts, LsdrConfig(d=1, seed=0))
         assert "fallback" in res.embedding.params
+
+    def test_a_degenerate_tessellation_falls_back_to_metric_mds_of_the_distances(self, tmp_path, monkeypatch):
+        # Qhull's messages run over several lines
+        message = "QH6154 initial simplex is flat\nWhile executing: | qhull d Qbb Qt Q12 Qc Qz"
+
+        def refuse(points, jitter_seed=0):
+            raise DegeneracyError(message)
+
+        monkeypatch.setattr(pipeline, "delaunay_tessellation", refuse)
+        x = generate(DatasetSpec("swiss_roll", 60, seed=2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = lsdr(x, LsdrConfig(d=2, seed=0))
+        assert [w.category for w in caught] == [DegeneracyWarning]
+        reason = f"tessellation degenerate ({message})"
+        assert str(caught[0].message) == f"{reason}; falling back to metric MDS on all points"
+        assert res.degenerate_fallback and res.graph is None and res.skeleton is None
+        assert res.embedding.params["fallback"] == reason
+        assert np.array_equal(res.embedding.coords, metric_mds(np.sqrt(pairwise_sq_dists(x)), 2))
+        assert transform_bandwidth(x) == _mean_distance(x)
+        path, out = tmp_path / "x.csv", tmp_path / "emb.csv"
+        write_point_cloud(path, x)
+        with pytest.warns(DegeneracyWarning):
+            code = cli_main(["reduce", str(path), "--d", "2", "--strict", "--dump-graph", "--out", str(out)])
+        assert code == 5
+        assert not (tmp_path / "emb_graph.txt").exists() and not (tmp_path / "emb_skeleton.json").exists()
+        # the reason stays on the CSV's one comment line
+        assert json.loads(out.read_text().splitlines()[0][2:])["fallback"] == reason
+        assert np.array_equal(read_point_cloud(out), res.embedding.coords)
 
     def test_noise_free_plane_is_trimmed_and_processed(self):
         # rank-2 cloud in 3-space: exact reduction to the plane, then the
@@ -349,6 +380,27 @@ class TestPreReduce:
 
 
 class TestAdapters:
+    def test_every_entry_point_takes_its_defaults_from_lsdr_config(self):
+        defaults = {"alpha": LsdrConfig.alpha, "k": LsdrConfig.k}
+        assert defaults == {"alpha": 0.95, "k": 3}
+        for fn in (transform_bandwidth, LsdrAdapter):
+            params = inspect.signature(fn).parameters
+            assert {name: params[name].default for name in defaults} == defaults
+        adapter = LsdrAdapter()
+        assert (adapter.alpha, adapter.k) == (LsdrConfig.alpha, LsdrConfig.k)
+        parser = build_parser()
+        for command in (["reduce", "x.csv", "--d", "1"], ["index", "x.csv"]):
+            args = vars(parser.parse_args(command))
+            assert {name: args[name] for name in defaults} == defaults
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.inf, np.nan])
+    def test_the_config_refuses_a_bandwidth_with_the_kernels_message(self, bandwidth):
+        with pytest.raises(ValidationError) as kernel:
+            KernelSpec("gaussian", bandwidth)
+        with pytest.raises(ValidationError) as config:
+            LsdrConfig(d=1, bandwidth=bandwidth)
+        assert str(config.value) == str(kernel.value)
+
     def test_lsdr_adapter_matches_pipeline(self):
         pts, _ = spiral_with_angle(DatasetSpec("spiral", 100, seed=1))
         adapter = LsdrAdapter(seed=0)

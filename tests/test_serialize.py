@@ -99,3 +99,49 @@ def test_a_non_finite_value_is_reported_on_its_own_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["reduce", str(path), "--d", "1", "--out", str(tmp_path / "emb.csv")]) == 3
     assert capsys.readouterr().err.endswith("non-finite value (line 5)\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a typo in the first data row is not a header
+        ("1,x\n3,4\n5,6\n", r"non-numeric value \(line 1\)"),
+        # a header names every column of the data
+        ("x0,x1\n1,2,3\n4,5,6\n", r"expected 2 columns, found 3 \(line 2\)"),
+        ("x0,x1,x2\n1,2\n", r"expected 3 columns, found 2 \(line 2\)"),
+        # a ragged row, header or none
+        ("x0,x1\n1,2\n3\n", r"expected 2 columns, found 1 \(line 3\)"),
+        ("1,2\n3,4\n5,6,7\n", r"expected 2 columns, found 3 \(line 3\)"),
+        # no data row
+        ("", r"no data rows"),
+        ("# only a comment\n\n", r"no data rows"),
+        ("x0,x1\n", r"no data rows"),
+    ],
+    ids=["typo-row", "wide-data", "narrow-data", "ragged", "ragged-headerless", "empty", "comments", "header-only"],
+)
+def test_malformed_csvs_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(InputParseError, match=message):
+        read_point_cloud(path)
+    out = tmp_path / "emb.csv"
+    assert main(["reduce", str(path), "--d", "1", "--out", str(out)]) == 3
+    assert "ERROR input-parse" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_a_file_without_a_header_is_all_data(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("# comment\n1,2\n\n3.5,-4e3\n")
+    assert read_point_cloud(path).tolist() == [[1.0, 2.0], [3.5, -4000.0]]
+    path.write_text("a,b\n1,2\n3.5,-4e3\n")
+    assert read_point_cloud(path).tolist() == [[1.0, 2.0], [3.5, -4000.0]]
+
+
+def test_an_unreadable_path_is_an_input_parse_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(InputParseError, match="cannot read"):
+            read_point_cloud(path)
+        assert main(["reduce", str(path), "--d", "1", "--out", str(tmp_path / "emb.csv")]) == 3
+        assert "cannot read" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,8 @@
 """Boundary detection and skeletal marking against hull and Dijkstra oracles."""
 
+import ast
 import heapq
+import inspect
 import json
 import warnings
 from fractions import Fraction
@@ -9,8 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import ConvexHull
 
+import lsdr.graph as graph_module
+import lsdr.skeleton as skeleton_module
 from lsdr.errors import ValidationError
 from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
 from lsdr.graph import ManifoldGraph, graph_distances, nearest_source_distances, prune_edges
@@ -275,6 +281,71 @@ class TestNearestSourceDistances:
         g = build_graph([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])
         with pytest.raises(ValidationError, match="at least one source"):
             nearest_source_distances(g, [])
+
+
+class ReadLog(csr_matrix):
+    """A csr_matrix that logs every read of its three arrays."""
+
+    log: list = []
+
+    def __getattribute__(self, name):
+        if name in ("indptr", "indices", "data"):
+            object.__getattribute__(self, "log").append(name)
+        return super().__getattribute__(name)
+
+
+class TestOneAdjacency:
+    """Every search over a pruned graph reads its one ``adjacency`` matrix."""
+
+    def test_the_four_searches_read_the_same_matrix_object(self, monkeypatch):
+        g = tessellation_graph(np.random.default_rng(4).uniform(0, 1, (60, 2)), 0.95)
+        # each edge in both directions, built once with the graph
+        assert g.adjacency.nnz == 2 * len(g.edges)
+        assert np.array_equal(g.adjacency.toarray(), g.adjacency.toarray().T)
+        searches = {
+            "boundary": lambda: boundary_distances(g, detect_boundary(g)),
+            "neighbours": lambda: _neighbour_table(g, 3),
+            "block": lambda: graph_distances(g, range(g.n)).dists,
+            "nearest": lambda: nearest_source_distances(g, [0, 7, 30]),
+        }
+        expected = {name: search() for name, search in searches.items()}
+        spy = ReadLog(g.adjacency)
+        spy.log = []
+        g.adjacency = spy
+        handed = []
+        # the split's part: the matrix graph_distances hands to the helpers
+        monkeypatch.setattr(graph_module, "_SPLIT_FLOOR", 0)
+
+        def split(helpers, lengths, src, dists):
+            handed.append(lengths)
+            graph_module._block(lengths, src, slice(None), dists)
+
+        monkeypatch.setattr(graph_module._Helpers, "split", split)
+        searched = []
+
+        def recording_dijkstra(matrix, *args, **kwargs):
+            searched.append(matrix)
+            return dijkstra(matrix, *args, **kwargs)
+
+        for module in (graph_module, skeleton_module):
+            monkeypatch.setattr(module, "dijkstra", recording_dijkstra)
+        for name, search in searches.items():
+            spy.log.clear()
+            searched.clear()
+            assert np.array_equal(search(), expected[name]), name
+            assert spy.log, f"{name} did not read g.adjacency"
+            assert all(matrix is spy for matrix in searched), name
+        assert len(handed) == 1 and handed[0] is spy
+
+    def test_skeleton_imports_nothing_private_from_graph(self):
+        tree = ast.parse(inspect.getsource(skeleton_module))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "graph"
+            for alias in node.names
+        ]
+        assert imported and not [name for name in imported if name.startswith("_")]
 
 
 class TestMarkSkeleton:

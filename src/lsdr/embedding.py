@@ -106,10 +106,8 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ValidationError("kernel inputs must share their dimension")
     k = pairwise_sq_dists(a, b)
-    try:
-        scale = 2.0 * float(spec.bandwidth) ** 2
-    except OverflowError:  # the square of a Python float raises past the float range
-        scale = np.inf
+    sigma = float(spec.bandwidth)
+    scale = 2.0 * (sigma * sigma)
     if scale == np.inf:
         return np.ones_like(k)
     if scale == 0.0:
@@ -126,7 +124,7 @@ def _validate_distance_matrix(q) -> np.ndarray:
     n = q.shape[0]
     if q.shape[1] != n:
         raise ValidationError(f"distance matrix must be square, got shape {q.shape}")
-    if _max_asymmetry(q) > 1e-12 * max(1.0, float(max(q.max(), -q.min()))):
+    if _max_asymmetry(q) > 1e-12 * float(max(q.max(), -q.min())):
         raise ValidationError("distance matrix is not symmetric")
     if float(np.abs(np.diag(q)).max()) > 0.0:
         raise ValidationError("distance matrix must have a zero diagonal")
@@ -247,8 +245,6 @@ def nadaraya_embed(
     x_all = as_matrix(all_points, "points")
     if y_skel.shape[0] != x_skel.shape[0]:
         raise ValidationError("skeletal coordinates and points disagree on count")
-    if x_skel.shape[0] < 1:
-        raise ValidationError("need at least one skeletal point")
     n = x_all.shape[0]
     out = np.empty((n, y_skel.shape[1]))
     dead = 0
@@ -285,12 +281,8 @@ def recommended_bandwidth(skeleton: SkeletonReport, nearest) -> float:
     nearest = np.asarray(nearest, dtype=float)
     if nearest.shape != (len(skeletal),):
         raise ValidationError(f"need one nearest distance per skeletal point, got shape {nearest.shape}")
-    best = 0.0
-    # scalar ``**`` goes through libm pow, which can differ from the array
-    # square in the last bit; keep it so the bandwidth stays reproducible
-    for depth, near in zip(skeleton.boundary_distance[skeletal], nearest):
-        best = max(best, float(np.sqrt(depth**2 + near**2)))
-    return best
+    depth = skeleton.boundary_distance[skeletal]
+    return float(np.sqrt(np.square(depth) + np.square(nearest)).max(initial=0.0))
 
 
 @dataclass

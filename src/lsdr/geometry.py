@@ -10,10 +10,10 @@ that brings its largest coordinate into [0.5, 1): the scaling is exact, so
 the tessellation is the cloud's own at any magnitude. Degenerate point sets
 are handled in two tiers: a cloud whose affine rank is below the ambient
 dimension has no meaningful full-dimensional tessellation and is rejected
-with DegeneracyError, while merely cospherical/cocircular configurations are
-resolved by a deterministic seeded jitter applied only inside this routine
-(reported coordinates and edge lengths always come from the unmodified
-input).
+with DegeneracyError, while cospherical/cocircular configurations and
+repeated rows are resolved by a deterministic seeded jitter applied only
+inside this routine (reported coordinates and edge lengths always come from
+the unmodified input).
 """
 
 import functools
@@ -111,6 +111,16 @@ def singular_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > 1e-12 * s[0]))
 
 
+def _qhull_delaunay(pts: np.ndarray) -> _QhullDelaunay:
+    """Qhull's Delaunay tessellation of ``pts``. A point Qhull leaves out of
+    every simplex (it lists those in ``coplanar``; a repeated row is one) is
+    a ``QhullError`` like Qhull's own failures."""
+    tri = _QhullDelaunay(pts)
+    if len(tri.coplanar):
+        raise QhullError(f"{len(tri.coplanar)} point(s) lie in no simplex, such as repeated rows")
+    return tri
+
+
 def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
     """Delaunay tessellation of ``points`` in up to ``DIMENSION_CAP`` dimensions.
 
@@ -118,7 +128,8 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
     power of two above the largest coordinate magnitude: an exact scaling
     that puts that magnitude in [0.5, 1), so any 2**k multiple of a cloud
     gets the same simplices, and neither huge nor tiny clouds leave the range
-    Qhull handles. If Qhull fails on a degenerate configuration, a seeded
+    Qhull handles. If Qhull fails on a degenerate configuration or leaves a
+    point out of every simplex (a repeated row, for one), a seeded
     jitter of magnitude 1e-9 times the scaled bounding-box diagonal is added
     to the scaled coordinates and Qhull runs once more. The returned
     structure refers to the original coordinates only, so results are
@@ -141,13 +152,13 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
 
     qhull_pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
     try:
-        tri = _QhullDelaunay(qhull_pts)
+        tri = _qhull_delaunay(qhull_pts)
     except QhullError:
         bbox_diag = float(np.linalg.norm(qhull_pts.max(axis=0) - qhull_pts.min(axis=0)))
         rng = np.random.default_rng([int(jitter_seed) & 0xFFFFFFFF, zlib.crc32(b"tessellation-jitter")])
         jittered = qhull_pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (1e-9 * bbox_diag)
         try:
-            tri = _QhullDelaunay(jittered)
+            tri = _qhull_delaunay(jittered)
         except QhullError as exc:
             raise DegeneracyError(f"tessellation failed even after jitter: {exc}") from exc
 

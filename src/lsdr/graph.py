@@ -130,9 +130,7 @@ def prune_edges(tess: Tessellation, mcst: SpanningTree, alpha: float) -> Manifol
     if np.count_nonzero(in_tree) != len(mcst.edges):
         raise ValidationError("spanning tree contains edges outside the tessellation")
 
-    # squares by Python's float power: numpy's square rounds differently on
-    # about one length in a thousand, which moves statistics at the threshold
-    sq = np.array([length**2 for length in tess.lengths.tolist()])
+    sq = np.square(tess.lengths)
     position, owner, counts = vertex_stars(tess.edges, n)
     ids = position // 2
     thresholds = _star_thresholds(p, alpha, int(counts.max(initial=0)))

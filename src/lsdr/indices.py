@@ -92,25 +92,22 @@ def _closed_form_residuals(traces: np.ndarray, s: np.ndarray, denom: float) -> l
     """trace(At^T At) - (sum of s)^2 / denom for each demeaned target At.
 
     ``traces`` holds each trace(At^T At) and ``s`` the singular values of each
-    At^T Bt. The last step stays on Python floats: scalar ``**`` goes through
-    libm pow, which can differ from the array square in the last bit.
+    At^T Bt.
     """
     sums = np.sum(s, axis=1).tolist()
     return [t - _square_over(u, denom) for t, u in zip(np.asarray(traces, dtype=float).tolist(), sums)]
 
 
 def _square_over(u: float, denom: float) -> float:
-    """u ** 2 / denom on Python floats. Where the square alone overflows, the
+    """u * u / denom on Python floats. Where the square alone overflows, the
     quotient comes from the mantissas and exponents of u and denom instead,
-    so a finite quotient stays finite. That form is kept to the overflowing
-    squares: libm's pow is not correctly rounded, so the two can differ in
-    the last bit.
+    so a finite quotient stays finite.
     """
-    try:
-        return u**2 / denom
-    except OverflowError:
+    square = u * u
+    if square == math.inf:
         (m, e), (md, ed) = math.frexp(u), math.frexp(denom)
         return math.ldexp(m * m / md, 2 * e - ed)
+    return square / denom
 
 
 class AlgorithmAdapter:
@@ -126,7 +123,7 @@ class AlgorithmAdapter:
     name: str = "adapter"
 
     def reduce(self, d: int, x: np.ndarray) -> Embedding:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} does not implement reduce")
 
     def transform_terms(
         self,

@@ -44,8 +44,8 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues in descending order and the matrix whose columns are
-    the matching orthonormal eigenvectors. A matrix asymmetric beyond
-    1e-10 * max(1, |m|) is rejected.
+    the matching orthonormal eigenvectors. A matrix asymmetric beyond 1e-10
+    times its largest magnitude is rejected.
 
     Without ``k`` every pair comes from LAPACK (via numpy), the vectors
     signed as LAPACK returns them. With ``k`` (1 <= k < n) only the k
@@ -65,7 +65,7 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValidationError(f"sym_eigen input must be square, got shape {m.shape}")
-    if _max_asymmetry(m) > 1e-10 * max(1.0, float(max(m.max(), -m.min()))):
+    if _max_asymmetry(m) > 1e-10 * float(max(m.max(), -m.min())):
         raise ValidationError("sym_eigen input is not symmetric within tolerance")
     if k is None:
         w, v = np.linalg.eigh(m)

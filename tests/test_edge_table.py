@@ -76,12 +76,12 @@ def loop_layer(pts: np.ndarray, alpha: float) -> dict:
                 continue
             total = 0.0
             for e in star:
-                total += lengths[e] ** 2
+                total += lengths[e] * lengths[e]
             if total <= 0.0:
                 continue
             if k not in quantiles:
                 quantiles[k] = beta_quantile(p / 2.0, (k - 1) * p / 2.0, alpha)
-            rejected |= {e for e in star if lengths[e] ** 2 / total > quantiles[k]}
+            rejected |= {e for e in star if lengths[e] * lengths[e] / total > quantiles[k]}
         removed = rejected - tree
         for e in removed:
             del lengths[e]

@@ -163,6 +163,14 @@ class TestMetricMds:
         with pytest.raises(ValidationError):
             metric_mds(q, 1)
 
+    @pytest.mark.parametrize("e", [-40, 0, 40])
+    def test_symmetry_is_checked_relative_to_the_largest_distance(self, e):
+        q = np.ldexp(euclidean_distances(np.random.default_rng(2).standard_normal((6, 2))), e)
+        metric_mds(q, 1)
+        q[0, 1] += 1e-6 * q.max()
+        with pytest.raises(ValidationError, match="^distance matrix is not symmetric$"):
+            metric_mds(q, 1)
+
     def test_rejects_negative_distances(self):
         q = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValidationError):
@@ -188,10 +196,17 @@ class TestKernelMatrix:
             k = kernel_matrix(KernelSpec("gaussian", sigma), x, x)
             assert np.array_equal(k, coincident.astype(float))
 
+    def test_two_sigma_squared_squares_by_multiplication(self):
+        # x * x is 10.732500670526566, the correctly rounded square; libm's
+        # pow (x ** 2) gives 10.732500670526564 on glibc 2.36
+        x = 3.276049552513906
+        # the squared distance is that same product, so the exponent is -1/2
+        assert kernel_matrix(KernelSpec("gaussian", x), [[0.0]], [[x]])[0, 0] == np.exp(-0.5)
+
     @pytest.mark.parametrize("sigma", [1e-160, 1e-3, 0.5, 7.0, 1e150, 9e153])
     def test_bandwidths_whose_two_sigma_squared_is_a_float_keep_their_bits(self, sigma):
         x = np.random.default_rng(9).standard_normal((7, 3)) * sigma
-        expected = np.exp(pairwise_sq_dists(x) / -(2.0 * sigma**2))
+        expected = np.exp(pairwise_sq_dists(x) / -(2.0 * (sigma * sigma)))
         assert np.array_equal(kernel_matrix(KernelSpec("gaussian", sigma), x, x), expected)
 
     @pytest.mark.parametrize(
@@ -304,6 +319,13 @@ class TestRecommendedBandwidth:
         with pytest.raises(ValidationError, match="one nearest distance per skeletal point"):
             recommended_bandwidth(rep, [1.0, 2.0, 3.0])
 
+    def test_squares_by_multiplication(self):
+        # x * x is the correctly rounded square; libm's pow (x ** 2) is one
+        # ulp low, and this bandwidth would be one ulp low with it
+        x = 3.276049552513906
+        rep = self._report([0], [0.0, x, 0.5], [1, 2])
+        assert recommended_bandwidth(rep, [2.0, 2.0]) == 3.8382939791692046
+
     def test_matches_direct_re_evaluation_on_spiral(self):
         spec = DatasetSpec("spiral", 200, seed=4)
         pts, _ = spiral_with_angle(spec)
@@ -321,7 +343,8 @@ class TestRecommendedBandwidth:
             nearest = min(
                 geo.dists[i, j] for j in rep.skeletal_points if j != i
             )
-            best = max(best, np.sqrt(rep.boundary_distance[i] ** 2 + nearest**2))
+            depth = rep.boundary_distance[i]
+            best = max(best, np.sqrt(depth * depth + nearest * nearest))
         assert sigma == pytest.approx(best, rel=1e-12)
 
 
@@ -353,8 +376,8 @@ class TestOutOfSample:
         model = fit_out_of_sample(x, y, KernelSpec("gaussian", sigma))
         query = 0.5 * (x[0] + x[1])
         # oracle: evaluate y_j^T K^{-1} K(q) with an explicit inverse
-        k = np.exp(-pairwise_sq_dists(x) / (2 * sigma**2))
-        kq = np.exp(-np.sum((x - query) ** 2, axis=1) / (2 * sigma**2))
+        k = np.exp(-pairwise_sq_dists(x) / (2 * (sigma * sigma)))
+        kq = np.exp(-np.sum((x - query) ** 2, axis=1) / (2 * (sigma * sigma)))
         oracle = y.T @ np.linalg.inv(k) @ kq
         got = embed_out_of_sample(model, query.reshape(1, -1))[0]
         assert np.allclose(got, oracle, atol=1e-5 * max(1.0, np.abs(oracle).max()))
@@ -451,8 +474,8 @@ class TestReconstruction:
         i = 7
         yq = latent[i]
         n, p = x.shape
-        k_row = np.exp(-np.sum((latent - yq) ** 2, axis=1) / (2 * sigma_y**2))
-        col_means = np.exp(-pairwise_sq_dists(latent) / (2 * sigma_y**2)).mean(axis=0)
+        k_row = np.exp(-np.sum((latent - yq) ** 2, axis=1) / (2 * (sigma_y * sigma_y)))
+        col_means = np.exp(-pairwise_sq_dists(latent) / (2 * (sigma_y * sigma_y))).mean(axis=0)
         expected = x.mean(axis=0) + (k_row - col_means) @ recon.beta_coefficients
         assert np.allclose(reconstruct(recon, yq), expected, atol=1e-10)
 

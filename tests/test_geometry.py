@@ -245,6 +245,38 @@ class TestDelaunay:
         with pytest.raises(DegeneracyError, match="even after jitter"):
             delaunay_tessellation(np.random.default_rng(6).standard_normal((30, 3)))
 
+    def test_repeated_rows_take_the_jittered_retry(self, monkeypatch):
+        # Qhull leaves all but one copy of a repeated row out of every simplex
+        # (its ``coplanar``); on the seeded jitter the copies are apart
+        seen = []
+        qhull = geometry._QhullDelaunay
+
+        def spy(pts):
+            seen.append(qhull(pts))
+            return seen[-1]
+
+        monkeypatch.setattr(geometry, "_QhullDelaunay", spy)
+        pts = np.random.default_rng(6).standard_normal((30, 3))[np.r_[0:30, 4, 17, 4]]
+        tess = delaunay_tessellation(pts)
+        assert [len(tri.coplanar) for tri in seen] == [3, 0]
+        assert np.array_equal(np.unique(tess.simplices), np.arange(33))
+        # the copies are 0 apart in the original coordinates
+        assert tess.lengths.min() == 0.0
+        assert_simplex_edges_are_searched(tess)
+
+    def test_a_row_left_out_even_jittered_is_degenerate(self, monkeypatch):
+        qhull = geometry._QhullDelaunay
+
+        def leave_one_out(pts):
+            tri = qhull(pts)
+            tri.coplanar = np.array([[0, 0, 1]], dtype=np.intc)
+            return tri
+
+        monkeypatch.setattr(geometry, "_QhullDelaunay", leave_one_out)
+        message = r"^tessellation failed even after jitter: 1 point\(s\) lie in no simplex, such as repeated rows$"
+        with pytest.raises(DegeneracyError, match=message):
+            delaunay_tessellation(np.random.default_rng(6).standard_normal((30, 3)))
+
     def test_rejects_too_few_points(self):
         with pytest.raises(ValidationError):
             delaunay_tessellation([[0.0, 0.0], [1.0, 1.0]])

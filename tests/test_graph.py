@@ -86,12 +86,12 @@ def sweep_survivors(tess, mcst, alpha) -> np.ndarray:
 
     Every star of a sweep is tested against the edges alive when the sweep
     began, and the rejected edges go at its end. Totals are left folds over
-    Python floats, squares Python's ``**``; the sweeps repeat until one
+    Python floats, squares products; the sweeps repeat until one
     removes nothing. Returns the mask of surviving edges.
     """
     n, p = tess.n, tess.p
     protected = np.isin(edge_keys(tess.edges, n), edge_keys(mcst.edges, n)).tolist()
-    sq = [length**2 for length in tess.lengths.tolist()]
+    sq = [length * length for length in tess.lengths.tolist()]
     stars = [[] for _ in range(n)]
     for e, (i, j) in enumerate(tess.edges.tolist()):
         stars[i].append(e)
@@ -128,6 +128,25 @@ def left_fold_rejections(sq: list[float], thresholds: list[float]) -> list[int]:
 
 
 class TestPruneEdges:
+    def test_squares_by_multiplication(self, monkeypatch):
+        # the edge from (0, 0) to (x, 0) is x long; x * x is 10.732500670526566,
+        # the correctly rounded square, where libm's pow (x ** 2) gives
+        # 10.732500670526564 on glibc 2.36
+        x = 3.276049552513906
+        pts = np.array([[0.0, 0.0], [x, 0.0], [0.0, 1.0]])
+        tess = delaunay_tessellation(pts)
+        assert x in tess.lengths
+        scans = []
+        scan = graph_module._star_scan
+
+        def recording_scan(sq, *rest):
+            scans.append(sq)
+            return scan(sq, *rest)
+
+        monkeypatch.setattr(graph_module, "_star_scan", recording_scan)
+        prune_edges(tess, euclidean_mcst(pts, tess.edges), 0.95)
+        assert set(scans[0].tolist()) == {length * length for length in tess.lengths.tolist()}
+
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_matches_the_per_vertex_sweep(self, p):
         clouds = [cloud(p, seed) for seed in range(3)]
@@ -262,7 +281,7 @@ class TestPruneEdges:
         rng = np.random.default_rng(23)
         pts = rng.uniform(0, 1, (60, 2))
         tess = delaunay_tessellation(pts)
-        sq = np.array([length**2 for length in tess.lengths.tolist()])
+        sq = np.square(tess.lengths)
         position, owner, counts = vertex_stars(tess.edges, tess.n)
         ids = position // 2
 

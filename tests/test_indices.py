@@ -118,7 +118,13 @@ class TestProcrustes:
         # wherever the square is finite the residual is the plain float expression
         rng = np.random.default_rng(8)
         for u, t, denom in zip(rng.uniform(0, 1.3e154, 50), rng.uniform(0, 1e300, 50), rng.uniform(1.0, 1e300, 50)):
-            assert indices._closed_form_residuals([t], np.array([[u]]), denom) == [t - float(u) ** 2 / denom]
+            assert indices._closed_form_residuals([t], np.array([[u]]), denom) == [t - float(u) * float(u) / denom]
+
+    def test_closed_form_residual_squares_by_multiplication(self):
+        # x * x is 10.732500670526566, the correctly rounded square; libm's
+        # pow (x ** 2) gives 10.732500670526564 on glibc 2.36
+        x = 3.276049552513906
+        assert indices._closed_form_residuals([20.0], np.array([[x]]), 1.0) == [20.0 - 10.732500670526566]
 
     def test_residual_of_a_cloud_near_the_float_limit(self):
         # scaling both clouds by 2**480 scales the residual by 4**480, though

@@ -63,6 +63,15 @@ class TestSymEigen:
         with pytest.raises(ValidationError):
             sym_eigen([[0.0, 1.0], [0.5, 0.0]])
 
+    @pytest.mark.parametrize("e", [-40, 0, 40])
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_symmetry_is_checked_relative_to_the_largest_entry(self, e, k):
+        m = np.ldexp(np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]]), e)
+        sym_eigen(m, k)
+        m[0, 1] += 1e-6 * 3.0 * 2.0**e
+        with pytest.raises(ValidationError, match="^sym_eigen input is not symmetric within tolerance$"):
+            sym_eigen(m, k)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             sym_eigen(np.ones((2, 3)))

@@ -177,6 +177,17 @@ class TestDegenerateInputs:
             coincident = lsdr(np.ones((10, 3)), LsdrConfig(d=d, seed=0)).embedding.coords
         assert np.array_equal(coincident, np.zeros((10, d)))
 
+    def test_repeated_rows_reduce_with_no_fallback(self):
+        # without the tessellation's retry these copies make the spanning tree fail
+        rows = np.r_[0:300, 3, 50, 100, 150, 299]
+        x = generate(DatasetSpec("swiss_roll", 300, seed=0))[rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneracyWarning)
+            res = lsdr(x, LsdrConfig(d=2, seed=0))
+        assert not res.degenerate_fallback and "fallback" not in res.embedding.params
+        coords = res.embedding.coords
+        assert np.array_equal(coords[300:], coords[[3, 50, 100, 150, 299]])
+
     def test_embedding_params_record_the_fallback(self):
         t = np.linspace(0.0, 1.0, 20)
         pts = np.c_[t, np.zeros(20)]

@@ -19,7 +19,6 @@ from .embedding import (
     metric_mds,
     nadaraya_embed,
     reconstruct,
-    recommended_bandwidth,
 )
 from .errors import (
     DegeneracyError,
@@ -59,7 +58,6 @@ __all__ = [
     "metric_mds",
     "nadaraya_embed",
     "reconstruct",
-    "recommended_bandwidth",
     "DegeneracyError",
     "DegeneracyWarning",
     "InputParseError",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .numerics import _max_asymmetry, _row_blocks, _symmetrize, as_matrix, pairwise_sq_dists, sym_eigen
-from .skeleton import SkeletonReport
 
 __all__ = [
     "KernelSpec",
@@ -27,7 +26,6 @@ __all__ = [
     "kernel_matrix",
     "metric_mds",
     "nadaraya_embed",
-    "recommended_bandwidth",
     "distinct_rows",
     "fit_out_of_sample",
     "embed_out_of_sample",
@@ -264,25 +262,6 @@ def nadaraya_embed(
             stacklevel=2,
         )
     return out
-
-
-def recommended_bandwidth(skeleton: SkeletonReport, nearest) -> float:
-    """Bandwidth rule: the largest skeletal ball that reaches past the boundary.
-
-    ``nearest[i]`` is the graph distance from skeletal point i to its nearest
-    other skeletal point, as ``graph.nearest_source_distances`` gives it. For
-    each skeletal point combine its boundary distance with that distance;
-    the maximum over skeletal points is the bandwidth, so the rule needs two
-    skeletal points.
-    """
-    skeletal = skeleton.skeletal_points
-    if len(skeletal) < 2:
-        raise ValidationError(f"bandwidth rule needs two skeletal points, got {len(skeletal)}")
-    nearest = np.asarray(nearest, dtype=float)
-    if nearest.shape != (len(skeletal),):
-        raise ValidationError(f"need one nearest distance per skeletal point, got shape {nearest.shape}")
-    depth = skeleton.boundary_distance[skeletal]
-    return float(np.sqrt(np.square(depth) + np.square(nearest)).max(initial=0.0))
 
 
 @dataclass

@@ -122,7 +122,7 @@ def _qhull_delaunay(pts: np.ndarray) -> _QhullDelaunay:
 
 
 def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
-    """Delaunay tessellation of ``points`` in up to ``DIMENSION_CAP`` dimensions.
+    """Delaunay tessellation of ``points`` in 2 to ``DIMENSION_CAP`` dimensions.
 
     Qhull receives ``ldexp(points, -e)``, where ``2**e`` is the smallest
     power of two above the largest coordinate magnitude: an exact scaling
@@ -137,6 +137,8 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
     """
     pts = as_matrix(points, "points")
     n, p = pts.shape
+    if p < 2:
+        raise ValidationError(f"tessellation needs at least 2 dimensions, got p={p}")
     if p > DIMENSION_CAP:
         raise ValidationError(
             f"tessellation supports at most {DIMENSION_CAP} dimensions, got p={p}; "

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (
-    Embedding,
-    KernelSpec,
-    metric_mds,
-    nadaraya_embed,
-    recommended_bandwidth,
-)
+from .embedding import Embedding, KernelSpec, metric_mds, nadaraya_embed
 from .errors import DegeneracyError, DegeneracyWarning, ValidationError
 from .geometry import (
     DIMENSION_CAP,
@@ -68,8 +62,8 @@ __all__ = [
 class LsdrConfig:
     """Target dimension, pruning level, neighbour count and kernel bandwidth.
 
-    ``bandwidth`` of the Gaussian kernel may stay None to use the recommended
-    rule computed from the skeleton. ``seed`` feeds the tessellation jitter.
+    ``bandwidth`` of the Gaussian kernel may stay None to use the skeleton's
+    bandwidth rule. ``seed`` feeds the tessellation jitter.
     """
 
     d: int
@@ -96,16 +90,13 @@ class LsdrResult:
     ``geodesics`` holds the s x s geodesic block among the skeletal points,
     the matrix metric MDS reads: symmetrized as 0.5 * (q + q.T), with a zero
     diagonal. No n-wide row is kept or formed. On the all-boundary fallback
-    every point is skeletal, so it is the full n x n matrix. ``bandwidth``
-    is None on a fallback; the recommended rule reads no geodesic block, the
-    same as ``transform_bandwidth``.
+    every point is skeletal, so it is the full n x n matrix.
     """
 
     embedding: Embedding
     skeleton: SkeletonReport | None
     graph: ManifoldGraph | None
     geodesics: GeodesicDistances | None = None
-    bandwidth: float | None = None
     degenerate_fallback: bool = False
     pre_reduced: bool = False
     working_points: np.ndarray | None = None
@@ -187,11 +178,16 @@ def _mean_distance(work: np.ndarray) -> float:
 
 
 def _bandwidth(stages: _Stages, work: np.ndarray) -> float:
-    """The skeleton's recommended bandwidth; the mean pairwise distance on
-    every fallback (the all-boundary one too) or when the rule gives 0."""
+    """The skeleton's bandwidth rule, the largest skeletal ball that reaches
+    past the boundary: the maximum over the skeletal points of
+    sqrt(depth^2 + nearest^2), a point's boundary distance and its graph
+    distance to its nearest other skeletal point. The mean pairwise distance
+    on every fallback (the all-boundary one too) or when the rule gives 0."""
     if stages.reason is None:
-        nearest = nearest_source_distances(stages.graph, stages.skeleton.skeletal_points)
-        sigma = recommended_bandwidth(stages.skeleton, nearest)
+        skeletal = stages.skeleton.skeletal_points
+        nearest = nearest_source_distances(stages.graph, skeletal)
+        depth = stages.skeleton.boundary_distance[skeletal]
+        sigma = float(np.sqrt(np.square(depth) + np.square(nearest)).max())
         if sigma > 0.0:
             return sigma
     return _mean_distance(work)
@@ -229,7 +225,6 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         mds_coords = metric_mds(np.sqrt(pairwise_sq_dists(work)), cfg.d)
 
     params = {"alpha": cfg.alpha, "k": cfg.k, "d": cfg.d}
-    sigma = None
     if reason is not None:
         of = " of the geodesic distances" if reason == _ALL_BOUNDARY else ""
         warnings.warn(
@@ -249,7 +244,6 @@ def lsdr(x, cfg: LsdrConfig) -> LsdrResult:
         skeleton=stages.skeleton,
         graph=stages.graph,
         geodesics=geodesics,
-        bandwidth=sigma,
         degenerate_fallback=reason is not None,
         pre_reduced=pre_reduced,
         working_points=work,

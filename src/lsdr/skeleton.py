@@ -111,17 +111,20 @@ def mark_skeleton(g: ManifoldGraph, d_b: np.ndarray, k: int) -> list[int]:
     """Vertices whose boundary distance is maximal within their k-neighbourhood.
 
     A vertex is skeletal when no one of its k nearest graph neighbours lies
-    strictly deeper (farther from the boundary), with ties resolved inside a
-    1e-12 tolerance; points deeper than all their neighbours are therefore
-    always skeletal. Boundary points (depth zero) never qualify: the skeleton
-    and the boundary are disjoint except in the degenerate all-boundary case,
-    where ``skeleton_report`` marks every point skeletal instead.
+    strictly deeper (farther from the boundary), with ties resolved inside
+    ``SKELETAL_TIE_TOL`` times the largest finite depth, so that any 2**e
+    multiple of a cloud marks the same points; points deeper than all their
+    neighbours are therefore always skeletal. Boundary points (depth zero)
+    never qualify: the skeleton and the boundary are disjoint except in the
+    degenerate all-boundary case, where ``skeleton_report`` marks every
+    point skeletal instead.
     """
     d_b = np.asarray(d_b, dtype=float)
     if d_b.shape != (g.n,):
         raise ValidationError(f"boundary distance array must have shape ({g.n},)")
     peak = np.append(d_b, -np.inf)[_neighbour_table(g, k)].max(axis=1, initial=-np.inf)
-    return np.flatnonzero((d_b > 0.0) & (d_b >= peak - SKELETAL_TIE_TOL)).tolist()
+    tol = SKELETAL_TIE_TOL * d_b.max(where=np.isfinite(d_b), initial=0.0)
+    return np.flatnonzero((d_b > 0.0) & (d_b >= peak - tol)).tolist()
 
 
 def skeleton_report(g: ManifoldGraph, k: int) -> SkeletonReport:

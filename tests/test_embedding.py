@@ -1,12 +1,14 @@
 """Metric MDS, kernel embedding, out-of-sample and reconstruction models."""
 
+import ast
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
-from lsdr import numerics
+from lsdr import embedding, numerics
 from lsdr.embedding import (
     KernelSpec,
     classical_scaling,
@@ -18,13 +20,10 @@ from lsdr.embedding import (
     metric_mds,
     nadaraya_embed,
     reconstruct,
-    recommended_bandwidth,
 )
 from lsdr.errors import ValidationError
-from lsdr.graph import GeodesicDistances
 from lsdr.indices import pca_reduce, procrustes_fit
 from lsdr.numerics import pairwise_sq_dists
-from lsdr.skeleton import SkeletonReport
 
 
 def euclidean_distances(x):
@@ -279,75 +278,6 @@ class TestNadarayaEmbed:
         assert out[0, 0] == 1.0  # nearest skeletal point is the second one
 
 
-class TestRecommendedBandwidth:
-    @staticmethod
-    def _report(boundary, d_b, skeletal, k=3):
-        return SkeletonReport(
-            boundary_points=boundary,
-            boundary_distance=np.asarray(d_b, dtype=float),
-            skeletal_points=skeletal,
-            k_neighbours=k,
-        )
-
-    @staticmethod
-    def _nearest(geo):
-        """Row minima of the skeletal geodesic block, its diagonal at inf."""
-        between = geo.dists.copy()
-        np.fill_diagonal(between, np.inf)
-        return between.min(axis=1)
-
-    def test_two_skeletal_points(self):
-        rep = self._report([0], [0.0, 0.0, 0.0], [1, 2])
-        geo = GeodesicDistances(sources=[1, 2], dists=np.array([[0.0, 2.0], [2.0, 0.0]]))
-        assert recommended_bandwidth(rep, self._nearest(geo)) == pytest.approx(2.0)
-
-    def test_unit_spaced_path_with_unit_depth(self):
-        n = 4
-        rep = self._report([0], np.ones(n), list(range(n)))
-        dists = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
-        geo = GeodesicDistances(sources=list(range(n)), dists=dists)
-        assert recommended_bandwidth(rep, self._nearest(geo)) == pytest.approx(np.sqrt(2.0))
-
-    def test_single_skeletal_point_is_rejected(self):
-        # the pipeline never asks: a skeleton of at most d points falls back
-        rep = self._report([0], [0.0, 0.7], [1])
-        with pytest.raises(ValidationError, match="needs two skeletal points"):
-            recommended_bandwidth(rep, [np.inf])
-
-    def test_one_nearest_distance_per_skeletal_point(self):
-        rep = self._report([0], [0.0, 0.7, 0.2], [1, 2])
-        with pytest.raises(ValidationError, match="one nearest distance per skeletal point"):
-            recommended_bandwidth(rep, [1.0, 2.0, 3.0])
-
-    def test_squares_by_multiplication(self):
-        # x * x is the correctly rounded square; libm's pow (x ** 2) is one
-        # ulp low, and this bandwidth would be one ulp low with it
-        x = 3.276049552513906
-        rep = self._report([0], [0.0, x, 0.5], [1, 2])
-        assert recommended_bandwidth(rep, [2.0, 2.0]) == 3.8382939791692046
-
-    def test_matches_direct_re_evaluation_on_spiral(self):
-        spec = DatasetSpec("spiral", 200, seed=4)
-        pts, _ = spiral_with_angle(spec)
-        from lsdr.geometry import delaunay_tessellation, euclidean_mcst
-        from lsdr.graph import graph_distances, nearest_source_distances, prune_edges
-        from lsdr.skeleton import skeleton_report
-
-        tess = delaunay_tessellation(pts)
-        graph = prune_edges(tess, euclidean_mcst(pts, tess.edges), 0.95)
-        rep = skeleton_report(graph, 3)
-        geo = graph_distances(graph, range(graph.n))
-        sigma = recommended_bandwidth(rep, nearest_source_distances(graph, rep.skeletal_points))
-        best = 0.0
-        for i in rep.skeletal_points:
-            nearest = min(
-                geo.dists[i, j] for j in rep.skeletal_points if j != i
-            )
-            depth = rep.boundary_distance[i]
-            best = max(best, np.sqrt(depth * depth + nearest * nearest))
-        assert sigma == pytest.approx(best, rel=1e-12)
-
-
 class TestOutOfSample:
     def test_interpolates_training_points(self):
         rng = np.random.default_rng(6)
@@ -502,3 +432,10 @@ class TestReconstruction:
             assert np.array_equal(blocked.kernel_col_means, one.kernel_col_means)
             assert np.allclose(blocked.beta_coefficients, one.beta_coefficients, rtol=1e-12, atol=0)
             assert np.allclose(rows, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+
+
+def test_embedding_imports_only_errors_and_numerics():
+    # the bandwidth rule reads the skeleton, so the pipeline holds it
+    tree = ast.parse(inspect.getsource(embedding))
+    local = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"errors", "numerics"}

@@ -157,6 +157,18 @@ API_ERRORS = [
         id="boundary distance shape",
     ),
     pytest.param(
+        lambda: lsdr.delaunay_tessellation([[0.0], [1.0], [3.0]]),
+        ValidationError,
+        "tessellation needs at least 2 dimensions, got p=1",
+        id="one-column tessellation",
+    ),
+    pytest.param(
+        lambda: lsdr.delaunay_tessellation([0.0, 1.0, 3.0]),
+        ValidationError,
+        "tessellation needs at least 2 dimensions, got p=1",
+        id="one-dimensional tessellation input",
+    ),
+    pytest.param(
         lambda: lsdr.DatasetSpec("spiral", 0),
         ValidationError,
         "dataset size must be positive, got 0",

@@ -1042,6 +1042,13 @@ class TestKnnMetrics:
             for k in ks:
                 assert knn_metrics(x, y, k) == brute_force_knn_metrics(x, y, k)
 
+    def test_a_vector_embedding_reads_as_one_column(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((12, 3))
+        y = rng.standard_normal((12, 2))
+        for k in (1, 3, 5):
+            assert knn_metrics(x, y[:, 0], k) == knn_metrics(x, y[:, :1], k)
+
     def test_values_lie_in_unit_interval(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((12, 5))

@@ -264,6 +264,11 @@ class TestPairwiseSqDists:
     def test_single_point(self):
         assert pairwise_sq_dists([[2.0, 7.0]]).tolist() == [[0.0]]
 
+    def test_a_vector_reads_as_one_column(self):
+        v = np.random.default_rng(2).standard_normal(9)
+        assert np.array_equal(pairwise_sq_dists(v), pairwise_sq_dists(v[:, None]))
+        assert np.array_equal(pairwise_sq_dists(v[:4], v), pairwise_sq_dists(v[:4, None], v[:, None]))
+
     def test_matches_naive_double_loop_exactly(self):
         # the oracle sums one coordinate after another; from p = 8 on,
         # np.sum switches to pairwise summation and differs in the last bit

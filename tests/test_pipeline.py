@@ -19,9 +19,9 @@ from lsdr import pipeline
 from lsdr.cli import build_parser
 from lsdr.cli import main as cli_main
 from lsdr.datasets import DatasetSpec, generate, spiral_with_angle
-from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed, recommended_bandwidth
+from lsdr.embedding import KernelSpec, metric_mds, nadaraya_embed
 from lsdr.errors import DegeneracyError, DegeneracyWarning, LsdrError, ValidationError
-from lsdr.graph import graph_distances, nearest_source_distances
+from lsdr.graph import graph_distances
 from lsdr.indices import procrustes_fit, tractable_consistency_index
 from lsdr.numerics import pairwise_sq_dists
 from lsdr.pipeline import (
@@ -34,8 +34,9 @@ from lsdr.pipeline import (
     transform_bandwidth,
 )
 from lsdr.serialize import read_point_cloud, write_point_cloud
+from lsdr.skeleton import SkeletonReport
 
-from test_graph import is_connected
+from test_graph import build_graph, is_connected
 
 
 def spearman(a, b):
@@ -84,12 +85,12 @@ class TestSpiralPipeline:
         np.fill_diagonal(q, 0.0)
         # the result keeps that block, the matrix MDS read, and no n-wide row
         assert np.array_equal(res.geodesics.dists, q)
-        sigma = recommended_bandwidth(res.skeleton, nearest_source_distances(res.graph, skeletal))
         work = res.working_points
+        sigma = pipeline._bandwidth(pipeline._Stages(graph=res.graph, skeleton=res.skeleton), work)
         coords = nadaraya_embed(
             metric_mds(q, 1), work[skeletal], work, KernelSpec("gaussian", sigma)
         )
-        assert sigma == res.bandwidth
+        assert sigma == res.embedding.params["bandwidth"]
         assert np.array_equal(coords, res.embedding.coords)
 
 
@@ -251,7 +252,7 @@ class TestDegenerateInputs:
         assert np.array_equal(res.geodesics.dists, q)
         assert np.array_equal(res.embedding.coords, metric_mds(q, 1))
         # like every other fallback, the bandwidth is the mean pairwise distance
-        assert res.bandwidth is None
+        assert res.embedding.params.get("bandwidth") is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneracyWarning)
             sigma = transform_bandwidth(pts, seed=0)
@@ -278,7 +279,7 @@ class TestDegenerateInputs:
         pts = _shape_cloud(shape)
         with pytest.warns(DegeneracyWarning, match="falling back to metric MDS on all points"):
             res = lsdr(pts, LsdrConfig(d=1, seed=0))
-        assert res.degenerate_fallback and res.bandwidth is None
+        assert res.degenerate_fallback and res.embedding.params.get("bandwidth") is None
         assert res.embedding.params["fallback"].startswith(reason)
         dist = np.sqrt(pairwise_sq_dists(pts))
         assert np.array_equal(res.embedding.coords, metric_mds(dist, 1))
@@ -298,7 +299,7 @@ class TestDegenerateInputs:
         x = rng.normal(size=(13, 4))
         with pytest.warns(DegeneracyWarning, match="falling back to metric MDS on all points"):
             res = lsdr(x, LsdrConfig(d=3, seed=0))
-        assert res.degenerate_fallback and res.bandwidth is None
+        assert res.degenerate_fallback and res.embedding.params.get("bandwidth") is None
         assert res.embedding.params["fallback"] == "only 2 skeletal point(s)"
         assert np.array_equal(res.embedding.coords, metric_mds(np.sqrt(pairwise_sq_dists(x)), 3))
         one = lsdr(x, LsdrConfig(d=1, seed=0))
@@ -310,7 +311,7 @@ class TestDegenerateInputs:
             tci = tractable_consistency_index(
                 LsdrAdapter(seed=0), x, 3, KernelSpec("gaussian", sigma), transform_subsample=8
             )
-        assert sigma == one.bandwidth
+        assert sigma == one.embedding.params["bandwidth"]
         assert code == 5 and err.startswith("ERROR degeneracy")
         meta = json.loads(emb_bytes.decode().splitlines()[0][2:])
         assert meta["fallback"] == "only 2 skeletal point(s)"
@@ -390,6 +391,56 @@ class TestPreReduce:
         assert np.all(np.isfinite(res.embedding.coords))
 
 
+class TestBandwidthRule:
+    """``_bandwidth`` without a fallback: the largest sqrt(depth^2 + nearest^2)
+    over the skeletal points, nearest the graph distance to the nearest other
+    skeletal point."""
+
+    @staticmethod
+    def _bandwidth(points, edges, d_b, skeletal):
+        graph = build_graph(points, edges)
+        report = SkeletonReport(
+            boundary_points=[0],
+            boundary_distance=np.asarray(d_b, dtype=float),
+            skeletal_points=skeletal,
+            k_neighbours=3,
+        )
+        return pipeline._bandwidth(pipeline._Stages(graph=graph, skeleton=report), graph.points)
+
+    def test_two_skeletal_points(self):
+        pts = [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
+        assert self._bandwidth(pts, [(0, 1), (1, 2)], [0.0, 0.0, 0.0], [1, 2]) == pytest.approx(2.0)
+
+    def test_unit_spaced_path_with_unit_depth(self):
+        n = 4
+        pts = np.c_[np.arange(n, dtype=float), np.zeros(n)]
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert self._bandwidth(pts, path, np.ones(n), list(range(n))) == pytest.approx(np.sqrt(2.0))
+
+    def test_squares_by_multiplication(self):
+        # x * x is the correctly rounded square; libm's pow (x ** 2) is one
+        # ulp low, and this bandwidth would be one ulp low with it
+        x = 3.276049552513906
+        pts = [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
+        assert self._bandwidth(pts, [(0, 1), (1, 2)], [0.0, x, 0.5], [1, 2]) == 3.8382939791692046
+
+    def test_matches_direct_re_evaluation_on_spiral(self):
+        pts, _ = spiral_with_angle(DatasetSpec("spiral", 200, seed=4))
+        res = lsdr(pts, LsdrConfig(d=1))
+        rep = res.skeleton
+        geo = graph_distances(res.graph, range(res.graph.n))
+        sigma = res.embedding.params["bandwidth"]
+        best = 0.0
+        for i in rep.skeletal_points:
+            nearest = min(
+                geo.dists[i, j] for j in rep.skeletal_points if j != i
+            )
+            depth = rep.boundary_distance[i]
+            best = max(best, np.sqrt(depth * depth + nearest * nearest))
+        assert sigma == pytest.approx(best, rel=1e-12)
+        assert transform_bandwidth(pts) == sigma
+
+
 class TestAdapters:
     def test_every_entry_point_takes_its_defaults_from_lsdr_config(self):
         defaults = {"alpha": LsdrConfig.alpha, "k": LsdrConfig.k}
@@ -448,7 +499,7 @@ class TestAdapters:
                 b = transform_bandwidth(x, alpha, k, seed)
                 res = lsdr(x, LsdrConfig(d=1, alpha=alpha, k=k, seed=seed))
             assert a == b > 0.0
-            assert a == res.bandwidth
+            assert a == res.embedding.params["bandwidth"]
 
     def test_fallback_mean_distance_needs_no_n_by_n_matrix(self):
         # one column has no tessellation: the bandwidth is the mean pairwise
@@ -511,7 +562,7 @@ def _entry_points(x: np.ndarray, d: int):
             res.embedding.coords.tobytes(),
             res.degenerate_fallback,
             res.embedding.params.get("fallback"),
-            res.bandwidth,
+            res.embedding.params.get("bandwidth"),
         )
     return res, sigma, cli
 

@@ -17,6 +17,7 @@ from scipy.spatial import ConvexHull
 
 import lsdr.graph as graph_module
 import lsdr.skeleton as skeleton_module
+from lsdr.datasets import DatasetSpec, generate
 from lsdr.errors import ValidationError
 from lsdr.geometry import delaunay_tessellation, edge_lengths, euclidean_mcst
 from lsdr.graph import ManifoldGraph, graph_distances, nearest_source_distances, prune_edges
@@ -196,7 +197,7 @@ class TestGraphNeighbours:
         skeletal = [
             v
             for v in range(g.n)
-            if d_b[v] > 0.0 and d_b[v] >= max((d_b[u] for u in expected[v]), default=d_b[v]) - 1e-12
+            if d_b[v] > 0.0 and d_b[v] >= max((d_b[u] for u in expected[v]), default=d_b[v]) - 1e-12 * d_b.max()
         ]
         assert mark_skeleton(g, d_b, k) == skeletal
 
@@ -364,6 +365,15 @@ class TestMarkSkeleton:
         assert d_b.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
         assert mark_skeleton(g, d_b, 2) == [2]
 
+    def test_a_vertex_cut_off_from_the_boundary_leaves_the_tolerance_finite(self):
+        # vertex 5 has no edge, so its depth is inf; the tie tolerance scales
+        # with the largest finite depth, 2
+        pts = np.c_[np.arange(6.0), np.zeros(6)]
+        g = build_graph(pts, [(i, i + 1) for i in range(4)])
+        d_b = boundary_distances(g, [0, 4])
+        assert d_b.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0, np.inf]
+        assert mark_skeleton(g, d_b, 2) == [2, 5]
+
     def test_strictly_deeper_point_is_skeletal(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, (50, 2))
@@ -407,6 +417,17 @@ class TestMarkSkeleton:
             larger = neighbour_rows(g, k + 1)
             assert all(set(s) <= set(l) for s, l in zip(smaller, larger))
         assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("e", [-40, -20, 20, 40])
+    def test_a_power_of_two_multiple_keeps_the_skeleton(self, e):
+        # the tie tolerance scales with the depths: at 2**-40 an absolute
+        # 1e-12 would swallow whole depth differences and mark 294 points
+        pts = generate(DatasetSpec("spiral", 600, seed=3))
+        base = skeleton_report(tessellation_graph(pts, alpha=0.95), 3)
+        scaled = skeleton_report(tessellation_graph(np.ldexp(pts, e), alpha=0.95), 3)
+        assert len(base.skeletal_points) == 103
+        assert scaled.boundary_points == base.boundary_points
+        assert scaled.skeletal_points == base.skeletal_points
 
 
 class TestSkeletonReport:

@@ -133,7 +133,8 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
     jitter of magnitude 1e-9 times the scaled bounding-box diagonal is added
     to the scaled coordinates and Qhull runs once more. The returned
     structure refers to the original coordinates only, so results are
-    deterministic given the point order and the jitter seed.
+    deterministic given the point order and the jitter seed. An edge whose
+    length overflows the float range raises ``ValidationError``.
     """
     pts = as_matrix(points, "points")
     n, p = pts.shape
@@ -169,11 +170,14 @@ def delaunay_tessellation(points, jitter_seed: int = 0) -> Tessellation:
     pair_keys = simplices[:, i] * n + simplices[:, j]
     keys, simplex_edges = np.unique(pair_keys, return_inverse=True)
     edges = np.column_stack(np.divmod(keys, n))
+    lengths = edge_lengths(pts, edges)
+    if not np.all(np.isfinite(lengths)):
+        raise ValidationError("tessellation edge lengths overflow the float range")
     return Tessellation(
         points=pts,
         simplices=simplices,
         edges=edges,
-        lengths=edge_lengths(pts, edges),
+        lengths=lengths,
         # numpy before 2.0 gives the inverse flat, numpy 2 in the keys' shape
         simplex_edges=simplex_edges.reshape(pair_keys.shape),
     )

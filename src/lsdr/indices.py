@@ -24,7 +24,7 @@ from .embedding import (
 )
 from . import numerics
 from .errors import ValidationError
-from .numerics import _paired_sq_dists, _row_blocks, _sign_columns, as_matrix, pairwise_sq_dists, sym_eigen
+from .numerics import _paired_sq_dists, _row_blocks, _sign_columns, as_matrix, pairwise_sq_dists
 
 __all__ = [
     "ProcrustesFit",
@@ -170,20 +170,26 @@ def _reduced(alg: AlgorithmAdapter, d: int, x: np.ndarray) -> np.ndarray:
 def pca_reduce(x, d: int) -> Embedding:
     """Projection of the centered data onto the top-d covariance eigenvectors.
 
-    The sign of each eigenvector is fixed by making its largest-magnitude
-    entry positive, so the output is deterministic.
+    The pairs come from LAPACK (``np.linalg.eigh``), read from its ascending
+    order as in ``PcaAdapter.transform_terms``. The sign of each eigenvector
+    is fixed by making its largest-magnitude entry positive, so the output is
+    deterministic. A covariance with non-finite entries raises
+    ``ValidationError``.
     """
     x = as_matrix(x, "data")
     n, p = x.shape
     if not 1 <= d <= p:
         raise ValidationError(f"pca target dimension must satisfy 1 <= d <= p, got {d}")
     centered = x - x.mean(axis=0)
-    eigenvalues, eigenvectors = sym_eigen(centered.T @ centered / max(n - 1, 1))
-    components = _sign_columns(eigenvectors[:, :d].copy())
+    covariance = centered.T @ centered / max(n - 1, 1)
+    if not np.all(np.isfinite(covariance)):
+        raise ValidationError("pca scatter matrix contains non-finite entries")
+    eigenvalues, eigenvectors = np.linalg.eigh(covariance)
+    components = _sign_columns(eigenvectors[:, ::-1][:, :d].copy())
     return Embedding(
         coords=centered @ components,
         algorithm="pca",
-        params={"d": d, "eigenvalues": eigenvalues[:d].tolist()},
+        params={"d": d, "eigenvalues": eigenvalues[::-1][:d].tolist()},
     )
 
 

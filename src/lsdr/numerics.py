@@ -1,13 +1,12 @@
-"""Validated numerics: one eigendecomposition wrapper (every pair, or the top
-k), the Beta CDF and quantile behind the edge-pruning threshold, pairwise and
-paired squared distances, in-place symmetrizing and the row blocks that bound
-the size of dense work.
+"""Validated numerics: one eigendecomposition wrapper (the top k pairs), the
+Beta CDF and quantile behind the edge-pruning threshold, pairwise and paired
+squared distances, in-place symmetrizing and the row blocks that bound the
+size of dense work.
 
-``sym_eigen`` wraps LAPACK (via numpy) for every pair and ARPACK (via
-``scipy.sparse.linalg.eigsh``) for the top k. ``regularized_incomplete_beta``
-and ``beta_quantile`` wrap ``scipy.special.betainc`` and ``betaincinv``, adding
-the argument checks scipy leaves out (it returns NaN where these raise
-``ValidationError``).
+``sym_eigen`` wraps ARPACK (via ``scipy.sparse.linalg.eigsh``).
+``regularized_incomplete_beta`` and ``beta_quantile`` wrap
+``scipy.special.betainc`` and ``betaincinv``, adding the argument checks scipy
+leaves out (it returns NaN where these raise ``ValidationError``).
 """
 
 import numpy as np
@@ -40,26 +39,23 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eigen(m, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs of a symmetric matrix (1 <= k < n).
 
-    Returns eigenvalues in descending order and the matrix whose columns are
-    the matching orthonormal eigenvectors. A matrix asymmetric beyond 1e-10
-    times its largest magnitude is rejected.
-
-    Without ``k`` every pair comes from LAPACK (via numpy), the vectors
-    signed as LAPACK returns them. With ``k`` (1 <= k < n) only the k
-    largest pairs come back, from implicitly restarted Lanczos (ARPACK's
-    ``eigsh``, ``which="LA"``; Lehoucq, Sorensen & Yang 1998) with
-    ``tol=0``, so each Ritz pair converges to machine precision relative to
-    its Ritz value. The start vector and the vectors of any restart come
-    from one generator seeded with a constant, so a matrix gives the same
-    bytes on every call and in every process. The start vector is not the ones
-    vector, which a double-centred matrix maps to zero. Each of the k
-    vectors is signed so that its entry of largest magnitude, the first of
-    them on ties, is positive. An all-zero matrix has no Krylov space: its
-    k pairs are zero eigenvalues with the first k unit vectors, and ARPACK
-    is not called. A Lanczos run that fails raises ``NumericalError``.
+    Returns the eigenvalues in descending order and the matrix whose columns
+    are the matching orthonormal eigenvectors. A matrix asymmetric beyond
+    1e-10 times its largest magnitude is rejected. The pairs come from
+    implicitly restarted Lanczos (ARPACK's ``eigsh``, ``which="LA"``;
+    Lehoucq, Sorensen & Yang 1998) with ``tol=0``, so each Ritz pair
+    converges to machine precision relative to its Ritz value. The start
+    vector and the vectors of any restart come from one generator seeded
+    with a constant, so a matrix gives the same bytes on every call and in
+    every process. The start vector is not the ones vector, which a
+    double-centred matrix maps to zero. Each of the k vectors is signed so
+    that its entry of largest magnitude, the first of them on ties, is
+    positive. An all-zero matrix has no Krylov space: its k pairs are zero
+    eigenvalues with the first k unit vectors, and ARPACK is not called. A
+    Lanczos run that fails raises ``NumericalError``.
     """
     m = as_matrix(m, "sym_eigen input")
     n = m.shape[0]
@@ -67,13 +63,6 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"sym_eigen input must be square, got shape {m.shape}")
     if _max_asymmetry(m) > 1e-10 * float(max(m.max(), -m.min())):
         raise ValidationError("sym_eigen input is not symmetric within tolerance")
-    if k is None:
-        w, v = np.linalg.eigh(m)
-        order = np.argsort(w)[::-1]
-        # reorder the rows of the transpose, so that the eigenvector matrix is
-        # column-major as ``v[:, order]`` makes it: products with a matrix of
-        # another layout take another BLAS path and round differently
-        return w[order], v.T[order].T
     if not 1 <= k < n:
         raise ValidationError(f"sym_eigen needs 1 <= k < n, got k={k}, n={n}")
     if not m.any():
@@ -83,7 +72,8 @@ def sym_eigen(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         w, v = eigsh(m, k=k, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
     except ArpackError as exc:
         raise NumericalError(f"top-{k} eigensolve failed: {exc}") from None
-    # descending, column-major like the full solve's vectors
+    # descending, column-major as ARPACK returns them: products with a matrix
+    # of another layout take another BLAS path and round differently
     return w[::-1], _sign_columns(v[:, ::-1].copy(order="F"))
 
 

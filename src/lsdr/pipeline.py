@@ -104,8 +104,12 @@ class LsdrResult:
 
 def _principal_scores(x: np.ndarray) -> tuple[np.ndarray, int]:
     """As many principal-component scores of the centered cloud as its affine
-    rank, and that rank; a zero cloud has rank 0 and one zero column."""
-    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    rank, and that rank; a zero cloud has rank 0 and one zero column. A cloud
+    whose centring overflows the float range raises ``ValidationError``."""
+    centered = x - x.mean(axis=0)
+    if not np.all(np.isfinite(centered)):
+        raise ValidationError("centred cloud overflows the float range")
+    u, s, _ = np.linalg.svd(centered, full_matrices=False)
     rank = singular_rank(s)
     if rank == 0:
         return np.zeros((x.shape[0], 1)), 0

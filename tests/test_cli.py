@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,17 @@ class TestErrorsAndRerun:
             assert run(["reduce", cloud, "--d", 1, "--out", tmp_path / "emb.csv"]) == 2
         assert capsys.readouterr().err == "ERROR usage: sym_eigen input contains non-finite entries\n"
 
+    def test_a_consistency_index_on_edges_too_long_to_measure_is_a_usage_error(self, tmp_path, capsys):
+        # the spiral times 2**600: its squared edge lengths overflow
+        cloud = tmp_path / "spiral.csv"
+        write_point_cloud(cloud, np.ldexp(lsdr.generate(lsdr.DatasetSpec("spiral", 300, seed=0)), 600))
+        argv = ["index", cloud, "--algo", "lsdr", "--tci", "--transforms", 4, "--d", 1, "--out", tmp_path / "idx.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(argv) == 2
+        assert capsys.readouterr().err == "ERROR usage: tessellation edge lengths overflow the float range\n"
+        assert not (tmp_path / "idx.json").exists()
+
     def test_a_line_too_large_to_scale_reduces_to_its_principal_component(self, tmp_path):
         # a rank-one cloud takes no squared distance: its embedding is its
         # principal-component column
@@ -703,3 +715,22 @@ class TestErrorsAndRerun:
         with pytest.raises(SystemExit) as exc:
             run(["rerun", manifest])
         assert exc.value.code == 2
+
+
+SWEEP_COMMANDS = {
+    "reduce": ["reduce", "x.csv", "--d", "1", "--out", "emb.csv"],
+    "pca_index": ["index", "x.csv", "--algo", "pca", "--ti", "--tci", "--knn", "--out", "idx.json"],
+    "lsdr_tci": ["index", "x.csv", "--algo", "lsdr", "--tci", "--d", "1", "--out", "idx.json"],
+}
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+@pytest.mark.parametrize("e", [-1074, -1070, -600, -520, -300, 0, 300, 510, 600, 900, 1015])
+def test_every_power_of_two_scale_ends_in_a_result_or_a_typed_error(tmp_path, monkeypatch, e, command):
+    # from the smallest subnormal scale to the largest finite one: a result
+    # (0), a usage error (2) or a numerical one (4), never a traceback
+    monkeypatch.chdir(tmp_path)
+    write_point_cloud("x.csv", np.ldexp(lsdr.generate(lsdr.DatasetSpec("spiral", 60, seed=0)), e))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        assert run(SWEEP_COMMANDS[command]) in (0, 2, 4)

@@ -193,6 +193,15 @@ class TestDelaunay:
         i, j = tess.edges.T
         assert np.array_equal(tess.lengths, np.sqrt(pairwise_sq_dists(big))[i, j])
 
+    def test_an_edge_length_that_overflows_is_a_usage_error(self):
+        # Qhull tessellates the unit square times 2**600 at its own scale, but
+        # every squared edge length overflows, and an infinite edge leaves its
+        # far end unreached by every graph search
+        square = np.ldexp([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 600)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="^tessellation edge lengths overflow the float range$"):
+                delaunay_tessellation(square)
+
     @pytest.mark.parametrize("k", [-600, -7, 0, 11, 400])
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_every_cloud_reaches_qhull_at_one_power_of_two_scale(self, monkeypatch, p, k):

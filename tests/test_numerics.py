@@ -39,42 +39,39 @@ def quadrature_beta_quantile(a: float, b: float, alpha: float, ncells: int = 10*
 
 class TestSymEigen:
     def test_diagonal(self):
-        w, _ = sym_eigen([[2.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(w, [2.0, 1.0])
+        w, _ = sym_eigen([[2.0, 0.0], [0.0, 1.0]], 1)
+        assert np.allclose(w, [2.0])
 
     def test_swap_matrix(self):
-        w, v = sym_eigen([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(w, [1.0, -1.0])
+        w, v = sym_eigen([[0.0, 1.0], [1.0, 0.0]], 1)
+        assert np.allclose(w, [1.0])
         expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
         assert min(np.abs(v[:, 0] - expected).max(), np.abs(v[:, 0] + expected).max()) < 1e-12
-        expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert min(np.abs(v[:, 1] - expected).max(), np.abs(v[:, 1] + expected).max()) < 1e-12
 
     def test_random_residual(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((6, 6))
         m = m + m.T
-        w, v = sym_eigen(m)
+        w, v = sym_eigen(m, 5)
         norm = np.linalg.norm(m)
-        for i in range(6):
+        for i in range(5):
             assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) < 1e-8 * norm
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
-            sym_eigen([[0.0, 1.0], [0.5, 0.0]])
+            sym_eigen([[0.0, 1.0], [0.5, 0.0]], 1)
 
     @pytest.mark.parametrize("e", [-40, 0, 40])
-    @pytest.mark.parametrize("k", [None, 1])
-    def test_symmetry_is_checked_relative_to_the_largest_entry(self, e, k):
+    def test_symmetry_is_checked_relative_to_the_largest_entry(self, e):
         m = np.ldexp(np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]]), e)
-        sym_eigen(m, k)
+        sym_eigen(m, 1)
         m[0, 1] += 1e-6 * 3.0 * 2.0**e
         with pytest.raises(ValidationError, match="^sym_eigen input is not symmetric within tolerance$"):
-            sym_eigen(m, k)
+            sym_eigen(m, 1)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
-            sym_eigen(np.ones((2, 3)))
+            sym_eigen(np.ones((2, 3)), 1)
 
 
 def double_centred(points):
@@ -121,7 +118,7 @@ class TestTopEigenpairs:
         # the rule: each vector's entry of largest magnitude (the first of them) is positive
         peak = np.argmax(np.abs(v), axis=0)
         assert np.all(v[peak, np.arange(3)] > 0.0)
-        _, full = sym_eigen(m)
+        full = np.linalg.eigh(m)[1][:, ::-1]
         for j in range(3):
             assert min(np.abs(v[:, j] - full[:, j]).max(), np.abs(v[:, j] + full[:, j]).max()) < 1e-10
 

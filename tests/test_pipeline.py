@@ -328,6 +328,14 @@ class TestDegenerateInputs:
         assert res.embedding.params["fallback"] == "only 0 skeletal point(s)"
         assert np.array_equal(res.embedding.coords, np.zeros((600, 1)))
 
+    def test_a_cloud_whose_mean_overflows_is_a_usage_error(self):
+        # the column sums of the swiss roll times 2**1015 overflow, so its
+        # centred cloud is not finite; it is not a rank-zero cloud to fall back on
+        x = np.ldexp(generate(DatasetSpec("swiss_roll", 120, seed=0)), 1015)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="^centred cloud overflows the float range$"):
+                lsdr(x, LsdrConfig(d=1, seed=0))
+
     def test_dimension_cap_triggers_approximate_pre_reduction(self):
         spec = DatasetSpec(
             "gaussian_clusters", 60, p=10, seed=2, params={"clusters": 2, "separation": 10.0}
